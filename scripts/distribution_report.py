@@ -9,15 +9,12 @@ import argparse
 import time
 
 from catwords import counting as ct
-from catwords import genfun as gf
-from catwords.cli import count_table
+from catwords.cli import ROUTES, count_table
 
 
 def report(table: str, n: int, i=None) -> None:
-    from catwords.cli import _TABLE_SOURCES
-
     rows = {}
-    for source in _TABLE_SOURCES[table]:
+    for source in ROUTES[table]:
         t0 = time.perf_counter()
         rows[source] = count_table(table, n, i, source)
         dt = (time.perf_counter() - t0) * 1000
@@ -37,21 +34,12 @@ def main() -> None:
     for n in range(2, args.max_n + 1):
         total = ct.catalan_number(n - 1)
         print(f"n = {n}  ({total} words)")
-        for table in ("zeros", "ones", "zeros-descents", "max-letter"):
+        for table in ("zeros", "ones", "zeros-descents", "max-letter", "fine"):
             print(f" {table}:")
             report(table, n)
         print(" letter (i=2):")
         report("letter", n, i=2)
         print()
-
-    print("fine numbers, three routes, n <= %d:" % args.max_n)
-    fine_gf = gf.gf_fine(args.max_n)
-    for n in range(1, args.max_n + 1):
-        enum = count_table("fine", n, None, "enum")[()]
-        rec = ct.fine_number(n)
-        ser = fine_gf.coeff_int(n)
-        flag = "" if enum == rec == ser else "  <-- MISMATCH"
-        print(f"  n={n:3d}  enum={enum}  recurrence={rec}  series={ser}{flag}")
 
 
 if __name__ == "__main__":

@@ -15,120 +15,117 @@ from typing import Sequence
 from . import counting, genfun, words
 from .series import Caps, MultiSeries, catalan_series
 
-TABLES = ("zeros", "zeros-descents", "ones", "ones-zeros", "letter", "max-letter", "fine")
-SOURCES = ("enum", "recurrence", "closed", "genfun")
-FORMATS = ("lines", "csv", "json")
-SERIES_NAMES = ("catalan", "A", "Am", "B", "fine", "A-lemma", "A4", "A0")
 
-# Which computation routes exist for each table.
-_TABLE_SOURCES = {
-    "zeros": ("enum", "recurrence", "closed", "genfun"),
-    "zeros-descents": ("enum", "recurrence"),
-    "ones": ("enum", "recurrence", "closed", "genfun"),
-    "ones-zeros": ("enum", "recurrence", "closed"),
-    "letter": ("enum", "recurrence", "genfun"),
-    "max-letter": ("enum", "recurrence"),
-    "fine": ("enum", "recurrence", "genfun"),
+def _tally(n: int, *specs: tuple) -> dict[tuple[int, ...], int]:
+    return words.tally(n, [words.StatisticSpec(*spec) for spec in specs])
+
+
+def _v_coeffs(series: MultiSeries, n: int, ms: range) -> dict[tuple[int], int]:
+    return {(m,): series.coeff_int(n, v=m) for m in ms}
+
+
+def _ones_zeros_rows(n: int, count) -> dict[tuple[int, int], int]:
+    # domain of the refined array: m ones >= 1, z zeros >= 2
+    return {(m, z): count(n, m, z) for m in range(1, n - 1) for z in range(2, n - m + 1)}
+
+
+def _ones_zeros_closed(n: int, m: int, z: int) -> int:
+    return (counting.binomial(z + m - 1, m) - 1) * counting.a_zeros_closed(n - z, m)
+
+
+def _letter_genfun(n: int, i: int) -> dict[tuple[int, int], int]:
+    a4 = genfun.gf_A4(n, i, n + 2)
+    a0 = genfun.gf_A0(n, i, n + 2)
+    rows = {}
+    for t in range(1, n + 1):
+        rows[(0, t)] = a0.coeff_int(n, w=t, q=i)
+        for s in range(1, n - t + 1):
+            rows[(s, t)] = a4.coeff_int(n, w=t, v=s, q=i)
+    return rows
+
+
+# Every computation route, as ROUTES[table][source](n, i) -> rows.  Entries
+# look layer functions up when called, never at import, so that anything
+# wrapping those module attributes later sees every call.
+ROUTES = {
+    "zeros": {
+        "enum": lambda n, i: _tally(n, ("zeros",)),
+        "recurrence": lambda n, i: {(m,): counting.a_zeros(n, m) for m in range(1, n + 1)},
+        "closed": lambda n, i: {(m,): counting.a_zeros_closed(n, m) for m in range(1, n + 1)},
+        "genfun": lambda n, i: _v_coeffs(genfun.gf_A(n), n, range(1, n + 1)),
+    },
+    "zeros-descents": {
+        "enum": lambda n, i: _tally(n, ("zeros",), ("descents",)),
+        "recurrence": lambda n, i: {
+            (m, k): counting.a_desc(n, m, k) for m in range(1, n + 1) for k in range(0, n)
+        },
+    },
+    "ones": {
+        "enum": lambda n, i: _tally(n, ("ones",)),
+        "recurrence": lambda n, i: {(m,): counting.b_ones(n, m) for m in range(0, n)},
+        # (0,) is a boundary value; the closed sum starts at m = 1
+        "closed": lambda n, i: {(0,): 1} | {(m,): counting.b_ones_closed(n, m) for m in range(1, n)},
+        "genfun": lambda n, i: _v_coeffs(genfun.gf_B(n), n, range(0, n)),
+    },
+    "ones-zeros": {
+        "enum": lambda n, i: {
+            k: c for k, c in _tally(n, ("ones",), ("zeros",)).items() if k[0] >= 1 and k[1] >= 2
+        },
+        "recurrence": lambda n, i: _ones_zeros_rows(n, counting.b_ones_zeros),
+        "closed": lambda n, i: _ones_zeros_rows(n, _ones_zeros_closed),
+    },
+    "letter": {
+        "enum": lambda n, i: _tally(n, ("letter", i), ("zeros",)),
+        "recurrence": lambda n, i: {
+            (s, t): counting.a_letter(i, n, s, t)
+            for t in range(1, n + 1)
+            for s in range(0, n - t + 1)
+        },
+        "genfun": _letter_genfun,
+    },
+    "max-letter": {
+        "enum": lambda n, i: _tally(n, ("max-letter",)),
+        "recurrence": lambda n, i: {(j,): counting.max_letter_count(n, j) for j in range(0, n)},
+    },
+    "fine": {
+        "enum": lambda n, i: {
+            (): sum(c for (m,), c in _tally(n, ("zeros",)).items() if m % 2 == 1)
+        },
+        "recurrence": lambda n, i: {(): counting.fine_number(n)},
+        "genfun": lambda n, i: {(): genfun.gf_fine(n).coeff_int(n)},
+    },
 }
+TABLES = tuple(ROUTES)
+SOURCES = tuple(dict.fromkeys(source for routes in ROUTES.values() for source in routes))
+FORMATS = ("lines", "csv", "json")
 
-
-def _tally_filtered(n: int, specs, keep) -> dict[tuple[int, ...], int]:
-    table = words.tally(n, specs)
-    return {key: c for key, c in table.items() if keep(key)}
+# Every series `catwords series` prints, as name -> builder(order, m, qmax, jmax).
+_SERIES = {
+    "catalan": lambda order, m, qmax, jmax: catalan_series(Caps.of(order)),
+    "A": lambda order, m, qmax, jmax: genfun.gf_A(order),
+    "Am": lambda order, m, qmax, jmax: genfun.gf_A_m(m, order),
+    "B": lambda order, m, qmax, jmax: genfun.gf_B(order),
+    "fine": lambda order, m, qmax, jmax: genfun.gf_fine(order),
+    "A-lemma": lambda order, m, qmax, jmax: genfun.gf_A_via_lemma(order, jmax),
+    "A4": lambda order, m, qmax, jmax: genfun.gf_A4(order, qmax, jmax),
+    "A0": lambda order, m, qmax, jmax: genfun.gf_A0(order, qmax, jmax),
+}
+SERIES_NAMES = tuple(_SERIES)
 
 
 def count_table(table: str, n: int, i: int | None, source: str) -> dict[tuple[int, ...], int]:
     """Nonzero rows of the requested table, keyed by statistic tuples.
 
     Every source fills the same key domain (the one the arrays are
-    defined on), so tables are byte-identical across sources.
+    defined on), so tables are byte-identical across sources.  The one
+    row of a scalar table (key `()`) is kept even when it is zero.
     """
-    spec = words.StatisticSpec
-    if table == "zeros":
-        if source == "enum":
-            return _tally_filtered(n, [spec("zeros")], lambda k: True)
-        if source == "recurrence":
-            rows = {(m,): counting.a_zeros(n, m) for m in range(1, n + 1)}
-        elif source == "closed":
-            rows = {(m,): counting.a_zeros_closed(n, m) for m in range(1, n + 1)}
-        else:
-            a = genfun.gf_A(n)
-            rows = {(m,): a.coeff_int(n, v=m) for m in range(1, n + 1)}
-    elif table == "zeros-descents":
-        if source == "enum":
-            return _tally_filtered(n, [spec("zeros"), spec("descents")], lambda k: True)
-        rows = {
-            (m, k): counting.a_desc(n, m, k)
-            for m in range(1, n + 1)
-            for k in range(0, n)
-        }
-    elif table == "ones":
-        if source == "enum":
-            return _tally_filtered(n, [spec("ones")], lambda k: True)
-        if source == "recurrence":
-            rows = {(m,): counting.b_ones(n, m) for m in range(0, n)}
-        elif source == "closed":
-            rows = {(0,): 1}  # boundary value; the closed sum starts at m = 1
-            rows.update({(m,): counting.b_ones_closed(n, m) for m in range(1, n)})
-        else:
-            b = genfun.gf_B(n)
-            rows = {(m,): b.coeff_int(n, v=m) for m in range(0, n)}
-    elif table == "ones-zeros":
-        # domain of the refined array: m ones >= 1, i zeros >= 2
-        if source == "enum":
-            return _tally_filtered(
-                n, [spec("ones"), spec("zeros")], lambda k: k[0] >= 1 and k[1] >= 2
-            )
-        if n < 3:
-            return {}
-        if source == "recurrence":
-            rows = {
-                (m, i): counting.b_ones_zeros(n, m, i)
-                for m in range(1, n - 1)
-                for i in range(2, n - m + 1)
-            }
-        else:
-            rows = {
-                (m, i): (counting.binomial(i + m - 1, m) - 1)
-                * counting.a_zeros_closed(n - i, m)
-                for m in range(1, n - 1)
-                for i in range(2, n - m + 1)
-            }
-    elif table == "letter":
-        if i is None or i < 1:
-            raise ValueError("table 'letter' needs --i >= 1")
-        if source == "enum":
-            return _tally_filtered(
-                n, [spec("letter", i), spec("zeros")], lambda k: True
-            )
-        if source == "recurrence":
-            rows = {
-                (s, t): counting.a_letter(i, n, s, t)
-                for t in range(1, n + 1)
-                for s in range(0, n - t + 1)
-            }
-        else:
-            a4 = genfun.gf_A4(n, i, n + 2)
-            a0 = genfun.gf_A0(n, i, n + 2)
-            rows = {}
-            for t in range(1, n + 1):
-                rows[(0, t)] = a0.coeff_int(n, w=t, q=i)
-                for s in range(1, n - t + 1):
-                    rows[(s, t)] = a4.coeff_int(n, w=t, v=s, q=i)
-    elif table == "max-letter":
-        if source == "enum":
-            return _tally_filtered(n, [spec("max-letter")], lambda k: True)
-        rows = {(j,): counting.max_letter_count(n, j) for j in range(0, n)}
-    elif table == "fine":
-        if source == "enum":
-            zeros = words.tally(n, [spec("zeros")])
-            return {(): sum(c for (m,), c in zeros.items() if m % 2 == 1)}
-        if source == "recurrence":
-            return {(): counting.fine_number(n)}
-        return {(): genfun.gf_fine(n).coeff_int(n)}
-    else:
-        raise ValueError(f"unknown table {table!r}")
-    return {key: c for key, c in rows.items() if c}
+    if source not in ROUTES.get(table, {}):
+        raise ValueError(f"table {table!r} has no {source!r} route")
+    if table == "letter" and (i is None or i < 1):
+        raise ValueError("table 'letter' needs --i >= 1")
+    rows = ROUTES[table][source](n, i)
+    return {key: c for key, c in rows.items() if c or key == ()}
 
 
 def _emit_table(rows: dict[tuple[int, ...], int], fmt: str, meta: dict) -> str:
@@ -202,7 +199,7 @@ def _cmd_enumerate(args, parser) -> int:
 def _cmd_count(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
-    if args.source not in _TABLE_SOURCES[args.table]:
+    if args.source not in ROUTES[args.table]:
         parser.error(f"table {args.table!r} has no {args.source!r} route")
     if args.table == "letter" and (args.i is None or args.i < 1):
         parser.error("--table letter needs --i >= 1")
@@ -223,22 +220,7 @@ def _cmd_series(args, parser) -> int:
         parser.error(f"--name {name} needs --qmax")
     if name == "Am" and (args.m is None or args.m < 1):
         parser.error("--name Am needs --m >= 1")
-    if name == "catalan":
-        ms = catalan_series(Caps.of(args.order))
-    elif name == "A":
-        ms = genfun.gf_A(args.order)
-    elif name == "Am":
-        ms = genfun.gf_A_m(args.m, args.order)
-    elif name == "B":
-        ms = genfun.gf_B(args.order)
-    elif name == "fine":
-        ms = genfun.gf_fine(args.order)
-    elif name == "A-lemma":
-        ms = genfun.gf_A_via_lemma(args.order, jmax)
-    elif name == "A4":
-        ms = genfun.gf_A4(args.order, args.qmax, jmax)
-    else:
-        ms = genfun.gf_A0(args.order, args.qmax, jmax)
+    ms = _SERIES[name](args.order, args.m, args.qmax, jmax)
     print(_emit_series(ms, args.format))
     return 0
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from . import counting
 from .series import (
@@ -37,7 +36,6 @@ __all__ = [
     "gf_A4",
     "gf_A0",
     "check_l1",
-    "check_functional_eq",
     "check_l2",
     "check_co1",
     "check_co2",
@@ -100,17 +98,35 @@ def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
     return None
 
 
-def compare_series(
-    identity: str, params: dict, lhs: MultiSeries, rhs: MultiSeries, started: float
+def _report(
+    identity: str, params: dict, started: float, mismatch: dict | None = None
 ) -> VerificationReport:
-    mism = _first_mismatch(lhs, rhs)
+    """The report of a check that began at perf_counter() == started."""
     return VerificationReport(
         identity,
         params,
-        passed=mism is None,
-        mismatch=mism,
+        passed=mismatch is None,
+        mismatch=mismatch,
         millis=(time.perf_counter() - started) * 1000.0,
     )
+
+
+def compare_series(
+    identity: str, params: dict, lhs: MultiSeries, rhs: MultiSeries, started: float
+) -> VerificationReport:
+    return _report(identity, params, started, _first_mismatch(lhs, rhs))
+
+
+def _first_failing(
+    identity: str, params: dict, lhs: MultiSeries, refs: list[MultiSeries], started: float
+) -> VerificationReport:
+    """Compare lhs with each reference in turn: the report of the first
+    that differs, else of the last."""
+    for rhs in refs:
+        rep = compare_series(identity, params, lhs, rhs, started)
+        if not rep.passed:
+            break
+    return rep
 
 
 # -- closed-form builders ---------------------------------------------
@@ -179,12 +195,13 @@ def _assert_leading(obj: LaurentSeries, expected: int, what: str) -> None:
     assert lead == expected, f"{what}: leading y order {lead}, expected {expected}"
 
 
-def _cheb_A_sum(caps: Caps, jmax: int) -> LaurentSeries:
-    """sum_{j>=1} y / ((U_{j-1} - v y U_{j-2}) (U_j - v y U_{j-1})).
+def _lemma_A(order: int, jmax: int) -> MultiSeries:
+    """v/C times sum_{j=1..jmax} y / ((U_{j-1} - v y U_{j-2}) (U_j - v y U_{j-1})).
 
     Term j provably starts at y^(2j); terms past the y cap are skipped
     after their denominator's leading order is verified.
     """
+    caps = Caps.of(order)
     vy = LaurentSeries.monomial(caps, 1, y=1, v=1)
     y = LaurentSeries.monomial(caps, 1, y=1)
     acc = LaurentSeries.zero(caps)
@@ -198,7 +215,9 @@ def _cheb_A_sum(caps: Caps, jmax: int) -> LaurentSeries:
         term = y * den.invert()
         _assert_leading(term, 2 * j, f"A-lemma term j={j}")
         acc = acc + term
-    return acc
+    v = LaurentSeries.monomial(caps, 1, v=1)
+    inv_c = catalan_series(caps).to_laurent().invert()
+    return (v * inv_c * acc).to_x_series()
 
 
 def gf_A_via_lemma(order: int, jmax: int) -> MultiSeries:
@@ -208,10 +227,7 @@ def gf_A_via_lemma(order: int, jmax: int) -> MultiSeries:
         raise StabilityError(
             f"jmax={jmax} cannot cover order {order}: term j starts at x^j"
         )
-    caps = Caps.of(order)
-    v = LaurentSeries.monomial(caps, 1, v=1)
-    inv_c = catalan_series(caps).to_laurent().invert()
-    return (v * inv_c * _cheb_A_sum(caps, jmax)).to_x_series()
+    return _lemma_A(order, jmax)
 
 
 def _uu_denominator(i: int, caps: Caps) -> LaurentSeries:
@@ -255,16 +271,21 @@ def _a4_inner(caps: Caps, jmax: int, a_v: MultiSeries) -> MultiSeries:
     return num * den.invert()
 
 
-def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
-    """A(x, w, v, q): x^n w^t v^s q^i counts words with s copies of the
-    letter i (s >= 1) and t zeros."""
+def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
+    """Caps of the letter sums, once jmax terms are shown to cover them."""
     caps = Caps.of(order, q=qmax)
-    needed = min(order - 1, qmax - 1)
-    if jmax < needed:
+    if jmax < min(order - 1, qmax - 1):
         raise StabilityError(
             f"jmax={jmax} cannot cover order {order}, qmax {qmax}: "
             f"term j contributes through x^(j+1) q^(j+1)"
         )
+    return caps
+
+
+def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
+    """A(x, w, v, q): x^n w^t v^s q^i counts words with s copies of the
+    letter i (s >= 1) and t zeros."""
+    caps = _letter_caps(order, qmax, jmax)
     a_v = _apply_A(MultiSeries.monomial(caps, 1, v=1))
     inner = _a4_inner(caps, jmax, a_v)
     w_mono = MultiSeries.monomial(caps, 1, w=1)
@@ -287,13 +308,7 @@ def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     """A(x, w, q | 0): x^n w^t q^i counts words with t zeros avoiding the
     letter i.  The q cap is a hard cap: avoidance counts stabilize in i,
     so the q degree per x^n is unbounded."""
-    caps = Caps.of(order, q=qmax)
-    needed = min(order - 1, qmax - 1)
-    if jmax < needed:
-        raise StabilityError(
-            f"jmax={jmax} cannot cover order {order}, qmax {qmax}: "
-            f"term j contributes through x^(j+1) q^(j+1)"
-        )
+    caps = _letter_caps(order, qmax, jmax)
     one = MultiSeries.one(caps)
     num = LaurentSeries.zero(caps)
     den = one
@@ -329,19 +344,11 @@ def check_l1(order: int) -> VerificationReport:
     return compare_series("l1", {"order": order}, a, rhs, started)
 
 
-# The functional equation is identity "l1" on the CLI surface.
-check_functional_eq = check_l1
-
-
 def check_l2(order: int, jmax: int) -> VerificationReport:
     """Chebyshev series for A(x, v) against the closed form."""
     started = time.perf_counter()
-    caps = Caps.of(order)
-    v = LaurentSeries.monomial(caps, 1, v=1)
-    inv_c = catalan_series(caps).to_laurent().invert()
-    lhs = (v * inv_c * _cheb_A_sum(caps, jmax)).to_x_series()
     return compare_series(
-        "l2", {"order": order, "jmax": jmax}, lhs, gf_A(order), started
+        "l2", {"order": order, "jmax": jmax}, _lemma_A(order, jmax), gf_A(order), started
     )
 
 
@@ -391,10 +398,7 @@ def check_co2(order: int, jmax: int, vmax: int | None = None) -> VerificationRep
         if not p:
             break
     params = {"order": order, "jmax": jmax, "vmax": caps.v}
-    rep = compare_series("co2", params, lhs, mid, started)
-    if not rep.passed:
-        return rep
-    return compare_series("co2", params, lhs, rhs_closed, started)
+    return _first_failing("co2", params, lhs, [mid, rhs_closed], started)
 
 
 def check_co3(order: int) -> VerificationReport:
@@ -406,21 +410,14 @@ def check_co3(order: int) -> VerificationReport:
     odd = MultiSeries.zero(caps)
     for m in range(1, order + 1, 2):
         odd = odd + gf_A_m(m, order)
-    params = {"order": order}
-    rep = compare_series("co3", params, f, odd, started)
-    if not rep.passed:
-        return rep
     one = MultiSeries.one(caps)
     xc = MultiSeries.monomial(caps, 1, x=1) * catalan_series(caps)
     algebraic = xc * (one + xc).invert()
-    rep = compare_series("co3", params, f, algebraic, started)
-    if not rep.passed:
-        return rep
     expected = MultiSeries.from_terms(
         caps,
         (((n, 0, 0, 0), counting.fine_number(n)) for n in range(1, order + 1)),
     )
-    return compare_series("co3", params, f, expected, started)
+    return _first_failing("co3", {"order": order}, f, [odd, algebraic, expected], started)
 
 
 def check_co4(order: int) -> VerificationReport:
@@ -434,10 +431,6 @@ def check_co4(order: int) -> VerificationReport:
     a = gf_A(order)
     g = x * (one - x).invert()
     shifted = a.substitute("v", v * (one - x).invert())
-    params = {"order": order}
-    rep = compare_series("co4", params, b, g + g * (shifted - a), started)
-    if not rep.passed:
-        return rep
     expected = MultiSeries.from_terms(
         caps,
         (
@@ -446,7 +439,7 @@ def check_co4(order: int) -> VerificationReport:
             for m in range(0, n)
         ),
     )
-    return compare_series("co4", params, b, expected, started)
+    return _first_failing("co4", {"order": order}, b, [g + g * (shifted - a), expected], started)
 
 
 def check_th2(order: int) -> VerificationReport:
@@ -458,10 +451,6 @@ def check_th2(order: int) -> VerificationReport:
     assembled = MultiSeries.zero(caps)
     for m in range(1, order + 1):
         assembled = assembled + MultiSeries.monomial(caps, 1, v=m) * gf_A_m(m, order)
-    params = {"order": order}
-    rep = compare_series("th2", params, a, assembled, started)
-    if not rep.passed:
-        return rep
     recur = MultiSeries.from_terms(
         caps,
         (
@@ -470,9 +459,6 @@ def check_th2(order: int) -> VerificationReport:
             for m in range(1, n + 1)
         ),
     )
-    rep = compare_series("th2", params, a, recur, started)
-    if not rep.passed:
-        return rep
     closed = MultiSeries.from_terms(
         caps,
         (
@@ -481,7 +467,7 @@ def check_th2(order: int) -> VerificationReport:
             for m in range(1, n + 1)
         ),
     )
-    return compare_series("th2", params, a, closed, started)
+    return _first_failing("th2", {"order": order}, a, [assembled, recur, closed], started)
 
 
 def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSeries:
@@ -501,42 +487,31 @@ def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSerie
     return MultiSeries.from_terms(caps, terms)
 
 
+def _stable_letter_check(
+    identity: str, build, order: int, qmax: int, jmax: int, with_s: bool
+) -> VerificationReport:
+    """build(order, qmax, jmax) must not change at jmax + 1 and must match
+    the letter-count recurrences."""
+    started = time.perf_counter()
+    lhs = build(order, qmax, jmax)
+    params = {"order": order, "qmax": qmax, "jmax": jmax}
+    if lhs != build(order, qmax, jmax + 1):
+        reason = f"sum not stable between jmax={jmax} and {jmax + 1}"
+        return _report(identity, params, started, {"reason": reason})
+    expected = _letter_table(order, qmax, lhs.caps, with_s)
+    return compare_series(identity, params, lhs, expected, started)
+
+
 def check_th3(order: int, qmax: int, jmax: int) -> VerificationReport:
     """Four-variable sum against the letter-count recurrences, plus the
     jmax vs jmax+1 truncation-stability assertion."""
-    started = time.perf_counter()
-    lhs = gf_A4(order, qmax, jmax)
-    params = {"order": order, "qmax": qmax, "jmax": jmax}
-    again = gf_A4(order, qmax, jmax + 1)
-    if lhs != again:
-        return VerificationReport(
-            "th3",
-            params,
-            passed=False,
-            mismatch={"reason": f"sum not stable between jmax={jmax} and {jmax + 1}"},
-            millis=(time.perf_counter() - started) * 1000.0,
-        )
-    expected = _letter_table(order, qmax, lhs.caps, with_s=True)
-    return compare_series("th3", params, lhs, expected, started)
+    return _stable_letter_check("th3", gf_A4, order, qmax, jmax, with_s=True)
 
 
 def check_th4(order: int, qmax: int, jmax: int) -> VerificationReport:
     """Avoidance sum against the letter-count recurrences at s = 0, plus
     the truncation-stability assertion."""
-    started = time.perf_counter()
-    lhs = gf_A0(order, qmax, jmax)
-    params = {"order": order, "qmax": qmax, "jmax": jmax}
-    again = gf_A0(order, qmax, jmax + 1)
-    if lhs != again:
-        return VerificationReport(
-            "th4",
-            params,
-            passed=False,
-            mismatch={"reason": f"sum not stable between jmax={jmax} and {jmax + 1}"},
-            millis=(time.perf_counter() - started) * 1000.0,
-        )
-    expected = _letter_table(order, qmax, lhs.caps, with_s=False)
-    return compare_series("th4", params, lhs, expected, started)
+    return _stable_letter_check("th4", gf_A0, order, qmax, jmax, with_s=False)
 
 
 def check_cheb_det(jrange: int = 40) -> VerificationReport:
@@ -544,24 +519,15 @@ def check_cheb_det(jrange: int = 40) -> VerificationReport:
     started = time.perf_counter()
     caps = Caps.of(1)
     minus_one = LaurentSeries.monomial(caps, -1)
+    mismatch = None
     for j in range(0, jrange + 1):
         lhs = cheb_u(j - 2, caps) * cheb_u(j, caps) - cheb_u(j - 1, caps) * cheb_u(
             j - 1, caps
         )
         if lhs != minus_one:
-            return VerificationReport(
-                "cheb-det",
-                {"jrange": jrange},
-                passed=False,
-                mismatch={"j": j, "lhs": repr(sorted(lhs.terms())), "rhs": "-1"},
-                millis=(time.perf_counter() - started) * 1000.0,
-            )
-    return VerificationReport(
-        "cheb-det",
-        {"jrange": jrange},
-        passed=True,
-        millis=(time.perf_counter() - started) * 1000.0,
-    )
+            mismatch = {"j": j, "lhs": repr(sorted(lhs.terms())), "rhs": "-1"}
+            break
+    return _report("cheb-det", {"jrange": jrange}, started, mismatch)
 
 
 def check_cheb_shift(jrange: int = 40) -> VerificationReport:
@@ -573,23 +539,14 @@ def check_cheb_shift(jrange: int = 40) -> VerificationReport:
     started = time.perf_counter()
     caps = Caps.of(1)
     y = LaurentSeries.monomial(caps, 1, y=1)
+    mismatch = None
     for j in range(0, jrange + 1):
         lhs = cheb_u(j, caps) - y * cheb_u(j - 1, caps)
         rhs = y * cheb_u(j + 1, caps)
         if lhs != rhs:
-            return VerificationReport(
-                "cheb-shift",
-                {"jrange": jrange},
-                passed=False,
-                mismatch={"j": j, "lhs": repr(sorted(lhs.terms())), "rhs": repr(sorted(rhs.terms()))},
-                millis=(time.perf_counter() - started) * 1000.0,
-            )
-    return VerificationReport(
-        "cheb-shift",
-        {"jrange": jrange},
-        passed=True,
-        millis=(time.perf_counter() - started) * 1000.0,
-    )
+            mismatch = {"j": j, "lhs": repr(sorted(lhs.terms())), "rhs": repr(sorted(rhs.terms()))}
+            break
+    return _report("cheb-shift", {"jrange": jrange}, started, mismatch)
 
 
 def check_cheb_limit(jrange: int = 20) -> VerificationReport:
@@ -599,6 +556,7 @@ def check_cheb_limit(jrange: int = 20) -> VerificationReport:
     each convergent is computed with headroom and truncated to order j.
     """
     started = time.perf_counter()
+    mismatch = None
     for j in range(1, jrange + 1):
         big = Caps.of(2 * j)
         y = LaurentSeries.monomial(big, 1, y=1)
@@ -607,34 +565,19 @@ def check_cheb_limit(jrange: int = 20) -> VerificationReport:
             .truncate(Caps.of(j))
             .to_x_series()
         )
-        for k in range(0, j):
-            if conv.coeff(k) != counting.catalan_number(k):
-                return VerificationReport(
-                    "cheb-limit",
-                    {"jrange": jrange},
-                    passed=False,
-                    mismatch={
-                        "j": j,
-                        "exponents": [k, 0, 0, 0],
-                        "lhs": str(conv.coeff(k)),
-                        "rhs": str(counting.catalan_number(k)),
-                    },
-                    millis=(time.perf_counter() - started) * 1000.0,
-                )
-        if conv.coeff(j) == counting.catalan_number(j):
-            return VerificationReport(
-                "cheb-limit",
-                {"jrange": jrange},
-                passed=False,
-                mismatch={"j": j, "reason": f"no divergence at x^{j}"},
-                millis=(time.perf_counter() - started) * 1000.0,
-            )
-    return VerificationReport(
-        "cheb-limit",
-        {"jrange": jrange},
-        passed=True,
-        millis=(time.perf_counter() - started) * 1000.0,
-    )
+        k = next((k for k in range(0, j) if conv.coeff(k) != counting.catalan_number(k)), None)
+        if k is not None:
+            mismatch = {
+                "j": j,
+                "exponents": [k, 0, 0, 0],
+                "lhs": str(conv.coeff(k)),
+                "rhs": str(counting.catalan_number(k)),
+            }
+        elif conv.coeff(j) == counting.catalan_number(j):
+            mismatch = {"j": j, "reason": f"no divergence at x^{j}"}
+        if mismatch is not None:
+            break
+    return _report("cheb-limit", {"jrange": jrange}, started, mismatch)
 
 
 def check_remark2(order: int) -> VerificationReport:
@@ -651,54 +594,34 @@ def check_remark2(order: int) -> VerificationReport:
     return compare_series("remark2", {"order": order}, acc, xc, started)
 
 
-IDENTITIES = (
-    "l1",
-    "l2",
-    "co1",
-    "co2",
-    "co3",
-    "co4",
-    "th2",
-    "th3",
-    "th4",
-    "cheb-det",
-    "cheb-shift",
-    "cheb-limit",
-    "remark2",
-)
-
-
-def _runners(order: int, qmax: int, jmax: int) -> dict[str, Callable[[], VerificationReport]]:
-    return {
-        "l1": lambda: check_l1(order),
-        "l2": lambda: check_l2(order, jmax),
-        "co1": lambda: check_co1(order, jmax),
-        "co2": lambda: check_co2(order, jmax, order),
-        "co3": lambda: check_co3(order),
-        "co4": lambda: check_co4(order),
-        "th2": lambda: check_th2(order),
-        "th3": lambda: check_th3(order, qmax, jmax),
-        "th4": lambda: check_th4(order, qmax, jmax),
-        "cheb-det": lambda: check_cheb_det(max(40, jmax)),
-        "cheb-shift": lambda: check_cheb_shift(max(40, jmax)),
-        "cheb-limit": lambda: check_cheb_limit(20),
-        "remark2": lambda: check_remark2(order),
-    }
+# The identity suite in report order, as name -> runner(order, qmax, jmax).
+# Runners look the checks up when called, so wrappers installed later on
+# this module's attributes see every call.
+_SUITE = {
+    "l1": lambda o, q, j: check_l1(o),
+    "l2": lambda o, q, j: check_l2(o, j),
+    "co1": lambda o, q, j: check_co1(o, j),
+    "co2": lambda o, q, j: check_co2(o, j, o),
+    "co3": lambda o, q, j: check_co3(o),
+    "co4": lambda o, q, j: check_co4(o),
+    "th2": lambda o, q, j: check_th2(o),
+    "th3": lambda o, q, j: check_th3(o, q, j),
+    "th4": lambda o, q, j: check_th4(o, q, j),
+    "cheb-det": lambda o, q, j: check_cheb_det(max(40, j)),
+    "cheb-shift": lambda o, q, j: check_cheb_shift(max(40, j)),
+    "cheb-limit": lambda o, q, j: check_cheb_limit(20),
+    "remark2": lambda o, q, j: check_remark2(o),
+}
+IDENTITIES = tuple(_SUITE)
 
 
 def run_identity(name: str, order: int, qmax: int = 8, jmax: int | None = None) -> VerificationReport:
     """Run one named identity check with the suite's parameter defaults."""
-    if jmax is None:
-        jmax = order + 2
-    runners = _runners(order, qmax, jmax)
-    if name not in runners:
+    if name not in _SUITE:
         raise ValueError(f"unknown identity {name!r}")
-    return runners[name]()
+    return _SUITE[name](order, qmax, order + 2 if jmax is None else jmax)
 
 
 def verify_all(order: int = 20, qmax: int = 8, jmax: int | None = None) -> list[VerificationReport]:
     """Run the whole identity suite; one report per identity."""
-    if jmax is None:
-        jmax = order + 2
-    runners = _runners(order, qmax, jmax)
-    return [runners[name]() for name in IDENTITIES]
+    return [run_identity(name, order, qmax, jmax) for name in IDENTITIES]

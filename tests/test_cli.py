@@ -4,6 +4,7 @@ import pytest
 
 from catwords import cli
 from catwords.counting import catalan_number
+from test_cli_golden import ROUTE_PAIRS, SERIES_NAMES
 
 
 def run(capsys, *argv):
@@ -67,7 +68,7 @@ class TestCount:
     @pytest.mark.parametrize("table", ["zeros", "ones", "zeros-descents", "ones-zeros", "max-letter", "fine", "letter"])
     def test_sources_agree_byte_for_byte(self, capsys, table):
         outputs = []
-        for source in cli._TABLE_SOURCES[table]:
+        for source in cli.ROUTES[table]:
             argv = ["count", "--table", table, "--n", "9", "--source", source]
             if table == "letter":
                 argv += ["--i", "2"]
@@ -79,11 +80,17 @@ class TestCount:
     def test_sources_agree_at_n12(self, capsys):
         # the overlap-domain invariant at its full stated range
         outputs = []
-        for source in cli._TABLE_SOURCES["zeros"]:
+        for source in cli.ROUTES["zeros"]:
             code, out, _ = run(capsys, "count", "--table", "zeros", "--n", "12", "--source", source)
             assert code == 0
             outputs.append(out)
         assert all(o == outputs[0] for o in outputs)
+
+    def test_golden_grid_covers_every_route(self):
+        assert sorted(ROUTE_PAIRS) == sorted(
+            (table, source) for table, routes in cli.ROUTES.items() for source in routes
+        )
+        assert SERIES_NAMES == cli.SERIES_NAMES
 
     def test_unsupported_pair_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "count", "--table", "zeros-descents", "--n", "5", "--source", "closed") == 2
@@ -168,6 +175,13 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 1
         assert payload["mismatch"]["exponents"] == [2, 0, 0, 0]
+
+    def test_l2_truncated_fails_not_unstable(self, capsys):
+        # unlike `series --name A-lemma`, l2 takes any jmax and reports the gap
+        code, out, err = run(capsys, "verify", "--identity", "l2", "--order", "9", "--jmax", "2")
+        payload = json.loads(out)
+        assert code == 1 and err == ""
+        assert payload["mismatch"] == {"exponents": [3, 0, 1, 0], "lhs": "-1", "rhs": "0"}
 
     def test_all_small_order(self, capsys):
         code, out, _ = run(capsys, "verify", "--identity", "all", "--order", "5", "--qmax", "3")

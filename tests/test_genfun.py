@@ -5,7 +5,7 @@ import pytest
 
 from catwords import counting as ct
 from catwords import genfun as gf
-from catwords.series import Caps, MultiSeries, catalan_series
+from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series
 from conftest import PROFILE_MAX_N, project
 
 
@@ -233,3 +233,89 @@ class TestHarness:
 
     def test_single_identity_runner(self):
         assert gf.run_identity("remark2", 10).passed
+
+
+def _report_without_millis(rep):
+    payload = rep.to_jsonable()
+    del payload["millis"]
+    return payload
+
+
+class TestFaultInjection:
+    """Each failure branch of the checks, reached by poisoning one input."""
+
+    @pytest.fixture
+    def bumped_u3(self, monkeypatch):
+        """U_3 plus one; every other Chebyshev value untouched."""
+        orig = gf.cheb_u
+
+        def cheb_u(j, caps):
+            u = orig(j, caps)
+            return u + LaurentSeries.monomial(caps, 1) if j == 3 else u
+
+        monkeypatch.setattr(gf, "cheb_u", cheb_u)
+
+    def test_cheb_det_mismatch(self, bumped_u3):
+        assert _report_without_millis(gf.check_cheb_det(10)) == {
+            "identity": "cheb-det",
+            "params": {"jrange": 10},
+            "status": "fail",
+            "mismatch": {"j": 3, "lhs": "[((-1, 0, 0, 0), 1), ((0, 0, 0, 0), -1)]", "rhs": "-1"},
+        }
+
+    def test_cheb_shift_mismatch(self, bumped_u3):
+        assert _report_without_millis(gf.check_cheb_shift(10)) == {
+            "identity": "cheb-shift",
+            "params": {"jrange": 10},
+            "status": "fail",
+            "mismatch": {
+                "j": 2,
+                "lhs": "[((-2, 0, 0, 0), 1), ((0, 0, 0, 0), -2)]",
+                "rhs": "[((-2, 0, 0, 0), 1), ((0, 0, 0, 0), -2), ((1, 0, 0, 0), 1)]",
+            },
+        }
+
+    def test_cheb_limit_wrong_coefficient(self, monkeypatch):
+        orig = gf.cheb_u
+        monkeypatch.setattr(
+            gf, "cheb_u", lambda j, caps: LaurentSeries.monomial(caps, 2) if j == 0 else orig(j, caps)
+        )
+        assert _report_without_millis(gf.check_cheb_limit(5))["mismatch"] == {
+            "j": 1, "exponents": [0, 0, 0, 0], "lhs": "2", "rhs": "1",
+        }
+
+    def test_cheb_limit_no_divergence(self, monkeypatch):
+        # U_j/(y U_{j+1}) in place of U_{j-1}/(y U_j): one order too good
+        orig = gf.cheb_u
+        monkeypatch.setattr(gf, "cheb_u", lambda j, caps: orig(j + 1, caps))
+        assert _report_without_millis(gf.check_cheb_limit(5))["mismatch"] == {
+            "j": 1, "reason": "no divergence at x^1",
+        }
+
+    @pytest.mark.parametrize("identity, builder", [("th3", "gf_A4"), ("th4", "gf_A0")])
+    def test_letter_sum_not_stable(self, monkeypatch, identity, builder):
+        monkeypatch.setattr(
+            gf, builder, lambda order, qmax, jmax: MultiSeries.monomial(Caps.of(order, q=qmax), jmax)
+        )
+        assert _report_without_millis(gf.run_identity(identity, 4, 3, 5)) == {
+            "identity": identity,
+            "params": {"order": 4, "qmax": 3, "jmax": 5},
+            "status": "fail",
+            "mismatch": {"reason": "sum not stable between jmax=5 and 6"},
+        }
+
+    @pytest.mark.parametrize("stage", ["first", "last"])
+    def test_chain_reports_the_failing_stage(self, monkeypatch, stage):
+        # th2 compares A with three references; poison only the first or the last
+        if stage == "first":
+            orig = gf.gf_A_m
+            monkeypatch.setattr(
+                gf, "gf_A_m",
+                lambda m, order: orig(m, order) + MultiSeries.monomial(Caps.of(order), int(m == 2), x=5),
+            )
+        else:
+            orig = ct.a_zeros_closed
+            monkeypatch.setattr(gf.counting, "a_zeros_closed", lambda n, m: orig(n, m) + ((n, m) == (5, 2)))
+        assert _report_without_millis(gf.check_th2(6))["mismatch"] == {
+            "exponents": [5, 0, 2, 0], "lhs": "5", "rhs": "6",
+        }

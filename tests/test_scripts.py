@@ -1,0 +1,26 @@
+"""Smoke runs of the scripts, which import CLI and genfun internals."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("distribution_report.py", ["--max-n", "4"]),
+        ("run_identity_suite.py", ["--order", "5", "--qmax", "3"]),
+    ],
+)
+def test_script_exits_zero(script, args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
