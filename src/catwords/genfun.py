@@ -3,8 +3,9 @@ verified coefficient by coefficient.
 
 Every infinite sum over Chebyshev denominators is truncated by the
 tail-start property: the Laurent leading order of each summand is
-computed and asserted before truncation, so a finite cut is provably
-exact rather than numerically plausible.  When the requested number of
+computed and certified before truncation, so a finite cut is provably
+exact rather than numerically plausible; a failed certificate raises
+CertificateError, also under ``python -O``.  When the requested number of
 terms cannot cover the x or q caps, builders raise StabilityError
 instead of returning a silently short sum.
 """
@@ -12,6 +13,7 @@ instead of returning a silently short sum.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import counting
@@ -25,6 +27,7 @@ from .series import (
 )
 
 __all__ = [
+    "CertificateError",
     "StabilityError",
     "VerificationReport",
     "compare_series",
@@ -55,6 +58,13 @@ __all__ = [
 
 class StabilityError(ValueError):
     """Too few sum terms to cover the requested truncation orders."""
+
+
+class CertificateError(AssertionError):
+    """A leading-order certificate that justifies a truncation failed.
+
+    Raised explicitly, so ``python -O`` keeps it; not a ValueError, which
+    the CLI reports as a usage error."""
 
 
 @dataclass
@@ -192,7 +202,8 @@ def gf_fine(order: int) -> MultiSeries:
 
 def _assert_leading(obj: LaurentSeries, expected: int, what: str) -> None:
     lead = obj.min_y()
-    assert lead == expected, f"{what}: leading y order {lead}, expected {expected}"
+    if lead != expected:
+        raise CertificateError(f"{what}: leading y order {lead}, expected {expected}")
 
 
 def _lemma_A(order: int, jmax: int) -> MultiSeries:
@@ -253,22 +264,13 @@ def _a4_main_denominator(j: int, caps: Caps) -> LaurentSeries:
     return den
 
 
-def _a4_inner(caps: Caps, jmax: int, a_v: MultiSeries) -> MultiSeries:
-    """A(x, 1, v, q): the w = 1 slice that the four-variable sum subtracts."""
-    one = MultiSeries.one(caps)
-    v = MultiSeries.monomial(caps, 1, v=1)
-    num = MultiSeries.zero(caps)
-    den = one
-    for i in range(0, jmax + 1):
-        if 2 * i + 2 > 2 * caps.x or i + 1 > caps.q:
-            _uu_denominator(i, caps)  # assert the tail keeps starting higher
-            continue
-        g = _uu_inverse(i, caps)
-        qpow = MultiSeries.monomial(caps, 1, q=i + 1)
-        a_shift = _apply_A(v * l_family(i, one))
-        num = num + qpow * g * (a_shift - a_v)
-        den = den + qpow * g
-    return num * den.invert()
+def _l_chain(seed: MultiSeries, count: int) -> Iterator[MultiSeries]:
+    """L_0 .. L_(count-1) from L_{-1} = seed, each one l_family step from
+    the one before."""
+    cur = seed
+    for _ in range(count):
+        cur = l_family(0, cur)
+        yield cur
 
 
 def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
@@ -282,49 +284,102 @@ def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
     return caps
 
 
+def _letter_pieces(caps: Caps, jtop: int) -> tuple[list[LaurentSeries], list[MultiSeries]]:
+    """The jmax-independent pieces of both letter sums: for each term
+    j <= jtop that reaches the caps, y w q^(j+1) / den_j and
+    q^(j+1) / (y U_{j+2} U_{j+1}).
+
+    Term j starts at x^(j+1) q^(j+1), so the terms inside the caps are a
+    prefix.  Every denominator through jtop has its leading order
+    certified, so the skipped tail provably keeps starting higher.
+    """
+    mains: list[LaurentSeries] = []
+    weights: list[MultiSeries] = []
+    for j in range(jtop + 1):
+        den = _a4_main_denominator(j, caps)
+        if j + 1 > caps.x or j + 1 > caps.q:
+            _uu_denominator(j, caps)
+            continue
+        mains.append(LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1) * den.invert())
+        weights.append(MultiSeries.monomial(caps, 1, q=j + 1) * _uu_inverse(j, caps))
+    return mains, weights
+
+
+def _a4_pieces(caps: Caps, jtop: int):
+    """_letter_pieces plus the L_j pieces of the four-variable sum: the
+    inner numerators weight_i (A(x, v L_i(1)) - A(x, v)) and the
+    brackets A(x, v L_j(w)) - A(x, v)."""
+    mains, weights = _letter_pieces(caps, jtop)
+    v = MultiSeries.monomial(caps, 1, v=1)
+    a_v = _apply_A(v)
+    ones = _l_chain(MultiSeries.one(caps), len(weights))
+    numerators = [wt * (_apply_A(v * l) - a_v) for wt, l in zip(weights, ones)]
+    ws = _l_chain(MultiSeries.monomial(caps, 1, w=1), len(mains))
+    brackets = [_apply_A(v * l) - a_v for l in ws]
+    return mains, weights, numerators, brackets
+
+
+def _a4_inner(caps: Caps, pieces, jmax: int) -> MultiSeries:
+    """A(x, 1, v, q): the w = 1 slice that the four-variable sum subtracts."""
+    _, weights, numerators, _ = pieces
+    num = MultiSeries.zero(caps)
+    den = MultiSeries.one(caps)
+    for wt, top in zip(weights[: jmax + 1], numerators):
+        num = num + top
+        den = den + wt
+    return num * den.invert()
+
+
+def _a4_sums(order: int, qmax: int, jmaxes) -> list[MultiSeries]:
+    """gf_A4(order, qmax, jmax) for each jmax in jmaxes, every sum
+    assembled in full from one set of pieces."""
+    caps = _letter_caps(order, qmax, min(jmaxes))
+    pieces = _a4_pieces(caps, max(jmaxes))
+    mains, _, _, brackets = pieces
+    sums = []
+    for jmax in jmaxes:
+        inner = _a4_inner(caps, pieces, jmax)
+        acc = LaurentSeries.zero(caps)
+        for j, (main, bracket) in enumerate(zip(mains[: jmax + 1], brackets)):
+            term = main * (bracket - inner).to_laurent()
+            lead = term.min_y()
+            if lead is not None and lead < 2 * j + 2:
+                raise CertificateError(f"letter-sum term j={j} too low")
+            acc = acc + term
+        sums.append(acc.to_x_series())
+    return sums
+
+
+def _a0_sums(order: int, qmax: int, jmaxes) -> list[MultiSeries]:
+    """gf_A0(order, qmax, jmax) for each jmax in jmaxes, every sum
+    assembled in full from one set of pieces."""
+    caps = _letter_caps(order, qmax, min(jmaxes))
+    mains, weights = _letter_pieces(caps, max(jmaxes))
+    one = MultiSeries.one(caps)
+    geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
+    sums = []
+    for jmax in jmaxes:
+        num = LaurentSeries.zero(caps)
+        den = one
+        for j, (main, wt) in enumerate(zip(mains[: jmax + 1], weights)):
+            _assert_leading(main, 2 * j + 2, f"avoidance-sum term j={j}")
+            num = num + main
+            den = den + wt
+        sums.append(num.to_x_series() * geom_q * den.invert())
+    return sums
+
+
 def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
     """A(x, w, v, q): x^n w^t v^s q^i counts words with s copies of the
     letter i (s >= 1) and t zeros."""
-    caps = _letter_caps(order, qmax, jmax)
-    a_v = _apply_A(MultiSeries.monomial(caps, 1, v=1))
-    inner = _a4_inner(caps, jmax, a_v)
-    w_mono = MultiSeries.monomial(caps, 1, w=1)
-    v_mono = MultiSeries.monomial(caps, 1, v=1)
-    acc = LaurentSeries.zero(caps)
-    for j in range(0, jmax + 1):
-        den = _a4_main_denominator(j, caps)
-        if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
-            continue
-        bracket = _apply_A(v_mono * l_family(j, w_mono)) - a_v - inner
-        prefac = LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1)
-        term = prefac * den.invert() * bracket.to_laurent()
-        lead = term.min_y()
-        assert lead is None or lead >= 2 * j + 2, f"letter-sum term j={j} too low"
-        acc = acc + term
-    return acc.to_x_series()
+    return _a4_sums(order, qmax, (jmax,))[0]
 
 
 def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     """A(x, w, q | 0): x^n w^t q^i counts words with t zeros avoiding the
     letter i.  The q cap is a hard cap: avoidance counts stabilize in i,
     so the q degree per x^n is unbounded."""
-    caps = _letter_caps(order, qmax, jmax)
-    one = MultiSeries.one(caps)
-    num = LaurentSeries.zero(caps)
-    den = one
-    for j in range(0, jmax + 1):
-        d = _a4_main_denominator(j, caps)
-        _uu_denominator(j, caps)
-        if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
-            continue
-        prefac = LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1)
-        term = prefac * d.invert()
-        _assert_leading(term, 2 * j + 2, f"avoidance-sum term j={j}")
-        num = num + term
-        den = den + MultiSeries.monomial(caps, 1, q=j + 1) * _uu_inverse(j, caps)
-    q = MultiSeries.monomial(caps, 1, q=1)
-    geom_q = (one - q).invert()
-    return num.to_x_series() * geom_q * den.invert()
+    return _a0_sums(order, qmax, (jmax,))[0]
 
 
 # -- identity checks ---------------------------------------------------
@@ -488,14 +543,16 @@ def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSerie
 
 
 def _stable_letter_check(
-    identity: str, build, order: int, qmax: int, jmax: int, with_s: bool
+    identity: str, build_sums, order: int, qmax: int, jmax: int, with_s: bool
 ) -> VerificationReport:
-    """build(order, qmax, jmax) must not change at jmax + 1 and must match
-    the letter-count recurrences."""
+    """The sums build_sums(order, qmax, (jmax, jmax + 1)) must be equal and
+    must match the letter-count recurrences."""
     started = time.perf_counter()
-    lhs = build(order, qmax, jmax)
+    lhs, lhs_next = build_sums(order, qmax, (jmax, jmax + 1))
     params = {"order": order, "qmax": qmax, "jmax": jmax}
-    if lhs != build(order, qmax, jmax + 1):
+    stable = lhs == lhs_next
+    del lhs_next  # free before the letter table is built
+    if not stable:
         reason = f"sum not stable between jmax={jmax} and {jmax + 1}"
         return _report(identity, params, started, {"reason": reason})
     expected = _letter_table(order, qmax, lhs.caps, with_s)
@@ -505,13 +562,13 @@ def _stable_letter_check(
 def check_th3(order: int, qmax: int, jmax: int) -> VerificationReport:
     """Four-variable sum against the letter-count recurrences, plus the
     jmax vs jmax+1 truncation-stability assertion."""
-    return _stable_letter_check("th3", gf_A4, order, qmax, jmax, with_s=True)
+    return _stable_letter_check("th3", _a4_sums, order, qmax, jmax, with_s=True)
 
 
 def check_th4(order: int, qmax: int, jmax: int) -> VerificationReport:
     """Avoidance sum against the letter-count recurrences at s = 0, plus
     the truncation-stability assertion."""
-    return _stable_letter_check("th4", gf_A0, order, qmax, jmax, with_s=False)
+    return _stable_letter_check("th4", _a0_sums, order, qmax, jmax, with_s=False)
 
 
 def check_cheb_det(jrange: int = 40) -> VerificationReport:

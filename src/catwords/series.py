@@ -92,7 +92,7 @@ def _trim(coeffs: dict[int, Coeff], caps4: tuple[int, int, int, int]) -> dict[in
             or ((k >> _WSHIFT) & _FIELD) > wcap
         ):
             continue
-        if isinstance(c, Fraction) and c.denominator == 1:
+        if type(c) is Fraction and c.denominator == 1:
             c = c.numerator
         out[k] = c
     return out
@@ -221,8 +221,12 @@ class Caps:
 
 
 def _coerce_coeff(c) -> Coeff:
-    if isinstance(c, (int, Fraction)):
-        return c
+    # Subclasses (bool, Fraction subclasses) become exact int or Fraction:
+    # _trim canonicalizes Fractions by exact type.
+    if isinstance(c, Fraction):
+        return Fraction(c)
+    if isinstance(c, int):
+        return int(c)
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 

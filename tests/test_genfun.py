@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from catwords import counting as ct
 from catwords import genfun as gf
-from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series
+from catwords import series
+from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series, l_family
 from conftest import PROFILE_MAX_N, project
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestZerosGF:
@@ -188,8 +195,7 @@ class TestLetterGFs:
         # A(x,1,v,q): the q^i v^s slice counts words with s copies of the
         # letter i, no matter how many zeros
         caps = Caps.of(8, q=4)
-        a_v = gf._apply_A(MultiSeries.monomial(caps, 1, v=1))
-        inner = gf._a4_inner(caps, 10, a_v)
+        inner = gf._a4_inner(caps, gf._a4_pieces(caps, 10), 10)
         for n in range(1, 9):
             for i in range(1, 5):
                 for s in range(1, n + 1):
@@ -292,10 +298,11 @@ class TestFaultInjection:
             "j": 1, "reason": "no divergence at x^1",
         }
 
-    @pytest.mark.parametrize("identity, builder", [("th3", "gf_A4"), ("th4", "gf_A0")])
+    @pytest.mark.parametrize("identity, builder", [("th3", "_a4_sums"), ("th4", "_a0_sums")])
     def test_letter_sum_not_stable(self, monkeypatch, identity, builder):
         monkeypatch.setattr(
-            gf, builder, lambda order, qmax, jmax: MultiSeries.monomial(Caps.of(order, q=qmax), jmax)
+            gf, builder,
+            lambda order, qmax, jmaxes: [MultiSeries.monomial(Caps.of(order, q=qmax), j) for j in jmaxes],
         )
         assert _report_without_millis(gf.run_identity(identity, 4, 3, 5)) == {
             "identity": identity,
@@ -319,3 +326,157 @@ class TestFaultInjection:
         assert _report_without_millis(gf.check_th2(6))["mismatch"] == {
             "exponents": [5, 0, 2, 0], "lhs": "5", "rhs": "6",
         }
+
+
+# The letter sums as first written: every term rebuilds L_0..L_j with
+# l_family(j, seed), and each builder call computes all of its pieces.
+
+
+def _reference_a4(order, qmax, jmax):
+    caps = gf._letter_caps(order, qmax, jmax)
+    one = MultiSeries.one(caps)
+    v = MultiSeries.monomial(caps, 1, v=1)
+    a_v = gf._apply_A(v)
+    num = MultiSeries.zero(caps)
+    den = one
+    for i in range(0, jmax + 1):
+        if 2 * i + 2 > 2 * caps.x or i + 1 > caps.q:
+            gf._uu_denominator(i, caps)
+            continue
+        qg = MultiSeries.monomial(caps, 1, q=i + 1) * gf._uu_inverse(i, caps)
+        num = num + qg * (gf._apply_A(v * l_family(i, one)) - a_v)
+        den = den + qg
+    inner = num * den.invert()
+    w = MultiSeries.monomial(caps, 1, w=1)
+    acc = LaurentSeries.zero(caps)
+    for j in range(0, jmax + 1):
+        d = gf._a4_main_denominator(j, caps)
+        if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
+            continue
+        bracket = gf._apply_A(v * l_family(j, w)) - a_v - inner
+        prefac = LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1)
+        acc = acc + prefac * d.invert() * bracket.to_laurent()
+    return acc.to_x_series()
+
+
+def _reference_a0(order, qmax, jmax):
+    caps = gf._letter_caps(order, qmax, jmax)
+    one = MultiSeries.one(caps)
+    num = LaurentSeries.zero(caps)
+    den = one
+    for j in range(0, jmax + 1):
+        d = gf._a4_main_denominator(j, caps)
+        gf._uu_denominator(j, caps)
+        if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
+            continue
+        num = num + LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1) * d.invert()
+        den = den + MultiSeries.monomial(caps, 1, q=j + 1) * gf._uu_inverse(j, caps)
+    geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
+    return num.to_x_series() * geom_q * den.invert()
+
+
+# (order, qmax, jmax): jmax at, just above and well above the smallest
+# accepted value, qmax below, at and above the order.
+LETTER_GRID = [
+    (1, 1, 0), (1, 1, 2), (2, 1, 0), (2, 2, 1), (3, 1, 0), (3, 2, 1),
+    (3, 5, 2), (4, 2, 1), (4, 4, 3), (4, 4, 6), (5, 3, 2), (5, 3, 7),
+    (6, 2, 1), (6, 6, 5), (7, 3, 4), (8, 5, 6), (8, 8, 9),
+]
+
+
+class TestSharedPieces:
+    """The letter sums assembled from shared pieces equal the per-term
+    reference exactly, and th3/th4 compute each piece once."""
+
+    @pytest.mark.parametrize("order, qmax, jmax", LETTER_GRID)
+    def test_a4_equals_per_term_reference(self, order, qmax, jmax):
+        assert gf.gf_A4(order, qmax, jmax) == _reference_a4(order, qmax, jmax)
+
+    @pytest.mark.parametrize("order, qmax, jmax", LETTER_GRID)
+    def test_a0_equals_per_term_reference(self, order, qmax, jmax):
+        assert gf.gf_A0(order, qmax, jmax) == _reference_a0(order, qmax, jmax)
+
+    @pytest.mark.parametrize("sums, single", [("_a4_sums", "gf_A4"), ("_a0_sums", "gf_A0")])
+    def test_each_cut_equals_its_own_build(self, sums, single):
+        cuts = getattr(gf, sums)(6, 4, (3, 4, 7))
+        assert cuts == [getattr(gf, single)(6, 4, j) for j in (3, 4, 7)]
+
+    def test_th3_inverts_each_piece_once(self, monkeypatch):
+        calls = []
+        orig = series._invert
+        monkeypatch.setattr(series, "_invert", lambda *a: calls.append(1) or orig(*a))
+        assert gf.check_th3(12, 8, 14).passed
+        assert len(calls) <= 40  # 178 when each cut rebuilt every piece
+
+    def test_l_chain_steps_l_family(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(gf, "l_family", lambda j, seed: seen.append(j) or l_family(j, seed))
+        caps = Caps.of(5, q=3)
+        w = MultiSeries.monomial(caps, 1, w=1)
+        assert list(gf._l_chain(w, 4)) == [l_family(j, w) for j in range(4)]
+        assert seen == [0, 0, 0, 0]
+
+
+def _bump_lead(monkeypatch, j=3):
+    """U_j times 1/y: every denominator through U_j leads one order lower."""
+    orig = gf.cheb_u
+    monkeypatch.setattr(
+        gf, "cheb_u",
+        lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1) if k == j else orig(k, caps),
+    )
+
+
+class TestCertificates:
+    def test_not_a_usage_error(self):
+        assert issubclass(gf.CertificateError, AssertionError)
+        assert not issubclass(gf.CertificateError, ValueError)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gf.check_co1(4, 6),
+            lambda: gf.gf_A_via_lemma(4, 6),
+            lambda: gf.gf_A4(4, 3, 5),
+            lambda: gf.gf_A0(4, 3, 5),
+        ],
+    )
+    def test_poisoned_leading_order_raises(self, monkeypatch, build):
+        _bump_lead(monkeypatch)
+        with pytest.raises(gf.CertificateError, match="leading y order"):
+            build()
+
+    def test_letter_term_too_low_raises(self, monkeypatch):
+        orig = gf._letter_pieces
+
+        def lowered(caps, jtop):
+            # the brackets start at x^2, so main terms five y orders low
+            # give summands one order below their certified start
+            mains, weights = orig(caps, jtop)
+            shift = LaurentSeries.monomial(caps, 1, y=-5)
+            return [m * shift for m in mains], weights
+
+        monkeypatch.setattr(gf, "_letter_pieces", lowered)
+        with pytest.raises(gf.CertificateError, match="letter-sum term j=0 too low"):
+            gf.gf_A4(4, 3, 5)
+
+    def test_raised_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from catwords import genfun as gf\n"
+            "from catwords.series import LaurentSeries\n"
+            "assert False, 'asserts are on'\n"
+            "orig = gf.cheb_u\n"
+            "gf.cheb_u = lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1)"
+            " if k == 3 else orig(k, caps)\n"
+            "try:\n"
+            "    gf.check_co1(4, 6)\n"
+            "except gf.CertificateError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("CertificateError U-product denominator i=1"), proc.stdout

@@ -18,9 +18,19 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(script, args):
+    _assert_exits_zero([], script, args)
+
+
+# The genfun certificates are explicit raises, so -O must change nothing.
+@pytest.mark.parametrize("script, args", [("run_identity_suite.py", ["--order", "6", "--qmax", "3"])])
+def test_script_exits_zero_under_optimize(script, args):
+    _assert_exits_zero(["-O"], script, args)
+
+
+def _assert_exits_zero(flags, script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-B", str(ROOT / "scripts" / script), *args],
+        [sys.executable, *flags, "-B", str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -126,6 +126,24 @@ class TestMultiSeriesBasics:
         assert t.coeff(1) == 1
         assert isinstance(t.coeff(1), int)
 
+    def test_subclass_coefficients_are_canonical(self):
+        class Sub(Fraction):
+            pass
+
+        routes = [
+            MultiSeries.monomial(CAPS, Sub(6, 3), x=1),
+            MultiSeries.from_terms(CAPS, [((1, 0, 0, 0), Sub(6, 3))]),
+            X * Sub(6, 3),
+            LaurentSeries.monomial(CAPS, Sub(6, 3), y=2).to_x_series(),
+        ]
+        for s in routes:
+            assert type(s.coeff(1)) is int and s.coeff(1) == 2
+        half = MultiSeries.monomial(CAPS, Sub(1, 2))
+        assert type(half.coeff(0)) is Fraction and half.coeff(0) == Fraction(1, 2)
+        flag = MultiSeries.monomial(CAPS, True, x=1)
+        assert type(flag.coeff(1)) is int
+        assert flag.to_jsonable() == [{"exponents": [1, 0, 0, 0], "num": "1", "den": "1"}]
+
     def test_truncate(self):
         g = (ONE - X).invert()
         small = g.truncate(Caps.of(3))
