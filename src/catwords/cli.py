@@ -1,7 +1,8 @@
 """Batch command-line surface: enumerate, count, series, verify.
 
 Exit codes: 0 success / all identities pass, 1 verification failure,
-2 usage error.  Stdout carries data; stderr carries diagnostics.  All
+2 usage error, 3 internal error (one ``error: <Type>: <message>`` line on
+stderr).  Stdout carries data; stderr carries diagnostics.  All
 counts print as decimal strings since they outgrow 64 bits quickly.
 """
 
@@ -252,6 +253,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, genfun.StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import math
 from functools import cache
 
 __all__ = [
+    "ExactnessError",
     "binomial",
     "catalan_number",
     "a_desc",
@@ -37,6 +38,13 @@ __all__ = [
     "coeff_C_power",
     "fine_number",
 ]
+
+
+class ExactnessError(AssertionError):
+    """An exactness guarantee failed: an implementation bug, not bad input.
+
+    Raised explicitly, so ``python -O`` keeps it; not a ValueError, which
+    the CLI reports as a usage error."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -106,7 +114,8 @@ def a_zeros_closed(n: int, m: int) -> int:
         return 1 if n == 1 else 0
     num = (m - 1) * binomial(2 * n - m - 2, n - 2)
     quot, rem = divmod(num, n - 1)
-    assert rem == 0, f"a_zeros_closed: non-exact division at {(n, m)}"
+    if rem:
+        raise ExactnessError(f"a_zeros_closed: non-exact division at {(n, m)}")
     return quot
 
 
@@ -220,7 +229,8 @@ def coeff_C_power(n: int, m: int) -> int:
     num = m * math.factorial(2 * n + m - 1)
     den = math.factorial(n) * math.factorial(n + m)
     quot, rem = divmod(num, den)
-    assert rem == 0, f"coeff_C_power: non-exact division at {(n, m)}"
+    if rem:
+        raise ExactnessError(f"coeff_C_power: non-exact division at {(n, m)}")
     return quot
 
 

@@ -60,11 +60,8 @@ class StabilityError(ValueError):
     """Too few sum terms to cover the requested truncation orders."""
 
 
-class CertificateError(AssertionError):
-    """A leading-order certificate that justifies a truncation failed.
-
-    Raised explicitly, so ``python -O`` keeps it; not a ValueError, which
-    the CLI reports as a usage error."""
+class CertificateError(counting.ExactnessError):
+    """A leading-order certificate that justifies a truncation failed."""
 
 
 @dataclass
@@ -284,18 +281,17 @@ def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
     return caps
 
 
-def _letter_pieces(caps: Caps, jtop: int) -> tuple[list[LaurentSeries], list[MultiSeries]]:
-    """The jmax-independent pieces of both letter sums: for each term
-    j <= jtop that reaches the caps, y w q^(j+1) / den_j and
-    q^(j+1) / (y U_{j+2} U_{j+1}).
+def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[LaurentSeries], list[MultiSeries]]:
+    """The pieces shared by both letter sums: for each term j <= jmax
+    that reaches the caps, y w q^(j+1) / den_j and q^(j+1) / (y U_{j+2} U_{j+1}).
 
     Term j starts at x^(j+1) q^(j+1), so the terms inside the caps are a
-    prefix.  Every denominator through jtop has its leading order
+    prefix.  Every denominator through jmax has its leading order
     certified, so the skipped tail provably keeps starting higher.
     """
     mains: list[LaurentSeries] = []
     weights: list[MultiSeries] = []
-    for j in range(jtop + 1):
+    for j in range(jmax + 1):
         den = _a4_main_denominator(j, caps)
         if j + 1 > caps.x or j + 1 > caps.q:
             _uu_denominator(j, caps)
@@ -305,81 +301,54 @@ def _letter_pieces(caps: Caps, jtop: int) -> tuple[list[LaurentSeries], list[Mul
     return mains, weights
 
 
-def _a4_pieces(caps: Caps, jtop: int):
-    """_letter_pieces plus the L_j pieces of the four-variable sum: the
-    inner numerators weight_i (A(x, v L_i(1)) - A(x, v)) and the
-    brackets A(x, v L_j(w)) - A(x, v)."""
-    mains, weights = _letter_pieces(caps, jtop)
+def _a4_inner(weights: list[MultiSeries], a_v: MultiSeries) -> MultiSeries:
+    """A(x, 1, v, q) = sum_i weight_i (A(x, v L_i(1)) - A(x, v)) over
+    1 + sum_i weight_i: the w = 1 slice that the four-variable sum
+    subtracts, where a_v = A(x, v)."""
+    caps = a_v.caps
     v = MultiSeries.monomial(caps, 1, v=1)
-    a_v = _apply_A(v)
-    ones = _l_chain(MultiSeries.one(caps), len(weights))
-    numerators = [wt * (_apply_A(v * l) - a_v) for wt, l in zip(weights, ones)]
-    ws = _l_chain(MultiSeries.monomial(caps, 1, w=1), len(mains))
-    brackets = [_apply_A(v * l) - a_v for l in ws]
-    return mains, weights, numerators, brackets
-
-
-def _a4_inner(caps: Caps, pieces, jmax: int) -> MultiSeries:
-    """A(x, 1, v, q): the w = 1 slice that the four-variable sum subtracts."""
-    _, weights, numerators, _ = pieces
     num = MultiSeries.zero(caps)
     den = MultiSeries.one(caps)
-    for wt, top in zip(weights[: jmax + 1], numerators):
-        num = num + top
+    for wt, l in zip(weights, _l_chain(MultiSeries.one(caps), len(weights))):
+        num = num + wt * (_apply_A(v * l) - a_v)
         den = den + wt
     return num * den.invert()
-
-
-def _a4_sums(order: int, qmax: int, jmaxes) -> list[MultiSeries]:
-    """gf_A4(order, qmax, jmax) for each jmax in jmaxes, every sum
-    assembled in full from one set of pieces."""
-    caps = _letter_caps(order, qmax, min(jmaxes))
-    pieces = _a4_pieces(caps, max(jmaxes))
-    mains, _, _, brackets = pieces
-    sums = []
-    for jmax in jmaxes:
-        inner = _a4_inner(caps, pieces, jmax)
-        acc = LaurentSeries.zero(caps)
-        for j, (main, bracket) in enumerate(zip(mains[: jmax + 1], brackets)):
-            term = main * (bracket - inner).to_laurent()
-            lead = term.min_y()
-            if lead is not None and lead < 2 * j + 2:
-                raise CertificateError(f"letter-sum term j={j} too low")
-            acc = acc + term
-        sums.append(acc.to_x_series())
-    return sums
-
-
-def _a0_sums(order: int, qmax: int, jmaxes) -> list[MultiSeries]:
-    """gf_A0(order, qmax, jmax) for each jmax in jmaxes, every sum
-    assembled in full from one set of pieces."""
-    caps = _letter_caps(order, qmax, min(jmaxes))
-    mains, weights = _letter_pieces(caps, max(jmaxes))
-    one = MultiSeries.one(caps)
-    geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
-    sums = []
-    for jmax in jmaxes:
-        num = LaurentSeries.zero(caps)
-        den = one
-        for j, (main, wt) in enumerate(zip(mains[: jmax + 1], weights)):
-            _assert_leading(main, 2 * j + 2, f"avoidance-sum term j={j}")
-            num = num + main
-            den = den + wt
-        sums.append(num.to_x_series() * geom_q * den.invert())
-    return sums
 
 
 def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
     """A(x, w, v, q): x^n w^t v^s q^i counts words with s copies of the
     letter i (s >= 1) and t zeros."""
-    return _a4_sums(order, qmax, (jmax,))[0]
+    caps = _letter_caps(order, qmax, jmax)
+    mains, weights = _letter_pieces(caps, jmax)
+    v = MultiSeries.monomial(caps, 1, v=1)
+    a_v = _apply_A(v)
+    inner = _a4_inner(weights, a_v)
+    ws = _l_chain(MultiSeries.monomial(caps, 1, w=1), len(mains))
+    acc = LaurentSeries.zero(caps)
+    for j, (main, l) in enumerate(zip(mains, ws)):
+        term = main * (_apply_A(v * l) - a_v - inner).to_laurent()
+        lead = term.min_y()
+        if lead is not None and lead < 2 * j + 2:
+            raise CertificateError(f"letter-sum term j={j} too low")
+        acc = acc + term
+    return acc.to_x_series()
 
 
 def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     """A(x, w, q | 0): x^n w^t q^i counts words with t zeros avoiding the
     letter i.  The q cap is a hard cap: avoidance counts stabilize in i,
     so the q degree per x^n is unbounded."""
-    return _a0_sums(order, qmax, (jmax,))[0]
+    caps = _letter_caps(order, qmax, jmax)
+    mains, weights = _letter_pieces(caps, jmax)
+    one = MultiSeries.one(caps)
+    num = LaurentSeries.zero(caps)
+    den = one
+    for j, (main, wt) in enumerate(zip(mains, weights)):
+        _assert_leading(main, 2 * j + 2, f"avoidance-sum term j={j}")
+        num = num + main
+        den = den + wt
+    geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
+    return num.to_x_series() * geom_q * den.invert()
 
 
 # -- identity checks ---------------------------------------------------
@@ -422,11 +391,11 @@ def check_co1(order: int, jmax: int) -> VerificationReport:
     return compare_series("co1", {"order": order, "jmax": jmax}, acc, rhs, started)
 
 
-def check_co2(order: int, jmax: int, vmax: int | None = None) -> VerificationReport:
+def check_co2(order: int, jmax: int) -> VerificationReport:
     """sum_j 1/(y (U_{j-1} - v y U_{j-2})(U_j - v y U_{j-1}))
     = sum_m x^(m-1) v^(m-1) C^m = C / (1 - x v C)."""
     started = time.perf_counter()
-    caps = Caps.of(order, v=vmax)
+    caps = Caps.of(order)
     y = LaurentSeries.monomial(caps, 1, y=1)
     vy = LaurentSeries.monomial(caps, 1, y=1, v=1)
     acc = LaurentSeries.zero(caps)
@@ -452,7 +421,7 @@ def check_co2(order: int, jmax: int, vmax: int | None = None) -> VerificationRep
         p = p * xvc
         if not p:
             break
-    params = {"order": order, "jmax": jmax, "vmax": caps.v}
+    params = {"order": order, "jmax": jmax, "vmax": order}
     return _first_failing("co2", params, lhs, [mid, rhs_closed], started)
 
 
@@ -542,33 +511,32 @@ def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSerie
     return MultiSeries.from_terms(caps, terms)
 
 
-def _stable_letter_check(
-    identity: str, build_sums, order: int, qmax: int, jmax: int, with_s: bool
+def _letter_check(
+    identity: str, build, order: int, qmax: int, jmax: int, with_s: bool
 ) -> VerificationReport:
-    """The sums build_sums(order, qmax, (jmax, jmax + 1)) must be equal and
-    must match the letter-count recurrences."""
+    """build(order, qmax, jmax + 1) against the letter-count recurrences.
+
+    _letter_caps puts term jmax+1 beyond the caps, and building it
+    certifies the leading order of its denominators: the sum cut at jmax
+    and at jmax+1 is provably the same series."""
     started = time.perf_counter()
-    lhs, lhs_next = build_sums(order, qmax, (jmax, jmax + 1))
-    params = {"order": order, "qmax": qmax, "jmax": jmax}
-    stable = lhs == lhs_next
-    del lhs_next  # free before the letter table is built
-    if not stable:
-        reason = f"sum not stable between jmax={jmax} and {jmax + 1}"
-        return _report(identity, params, started, {"reason": reason})
+    _letter_caps(order, qmax, jmax)
+    lhs = build(order, qmax, jmax + 1)
     expected = _letter_table(order, qmax, lhs.caps, with_s)
+    params = {"order": order, "qmax": qmax, "jmax": jmax}
     return compare_series(identity, params, lhs, expected, started)
 
 
 def check_th3(order: int, qmax: int, jmax: int) -> VerificationReport:
-    """Four-variable sum against the letter-count recurrences, plus the
-    jmax vs jmax+1 truncation-stability assertion."""
-    return _stable_letter_check("th3", _a4_sums, order, qmax, jmax, with_s=True)
+    """Four-variable sum against the letter-count recurrences, with term
+    jmax+1 certified to start beyond the caps."""
+    return _letter_check("th3", gf_A4, order, qmax, jmax, with_s=True)
 
 
 def check_th4(order: int, qmax: int, jmax: int) -> VerificationReport:
-    """Avoidance sum against the letter-count recurrences at s = 0, plus
-    the truncation-stability assertion."""
-    return _stable_letter_check("th4", _a0_sums, order, qmax, jmax, with_s=False)
+    """Avoidance sum against the letter-count recurrences at s = 0, with
+    term jmax+1 certified to start beyond the caps."""
+    return _letter_check("th4", gf_A0, order, qmax, jmax, with_s=False)
 
 
 def check_cheb_det(jrange: int = 40) -> VerificationReport:
@@ -658,7 +626,7 @@ _SUITE = {
     "l1": lambda o, q, j: check_l1(o),
     "l2": lambda o, q, j: check_l2(o, j),
     "co1": lambda o, q, j: check_co1(o, j),
-    "co2": lambda o, q, j: check_co2(o, j, o),
+    "co2": lambda o, q, j: check_co2(o, j),
     "co3": lambda o, q, j: check_co3(o),
     "co4": lambda o, q, j: check_co4(o),
     "th2": lambda o, q, j: check_th2(o),

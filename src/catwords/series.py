@@ -3,7 +3,7 @@ series in y with y**2 = x.
 
 Both rings share one sparse representation: a dict mapping a packed
 exponent key to an exact coefficient (int, or Fraction when a division is
-not exact; integrality of combinatorial coefficients is asserted at
+not exact; integrality of combinatorial coefficients is checked at
 extraction, not assumed in between).  Packing the four exponents into a
 single integer keeps multiplication inside dict/int fast paths, and is
 bit-exact: field widths are validated against the caps so exponent sums
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .counting import catalan_number
+from .counting import ExactnessError, catalan_number
 
 __all__ = [
     "Caps",
@@ -365,10 +365,12 @@ class MultiSeries:
         return self.coeffs.get(_pack(2 * x, w, v, q), 0)
 
     def coeff_int(self, x: int, w: int = 0, v: int = 0, q: int = 0) -> int:
-        """Coefficient asserted to be an integer (combinatorial extraction)."""
+        """Coefficient checked to be an integer (combinatorial extraction);
+        ExactnessError otherwise."""
         c = self.coeff(x, w, v, q)
         if isinstance(c, Fraction):
-            assert c.denominator == 1, f"non-integer coefficient at {(x, w, v, q)}: {c}"
+            if c.denominator != 1:
+                raise ExactnessError(f"non-integer coefficient at {(x, w, v, q)}: {c}")
             return c.numerator
         return c
 

@@ -150,7 +150,7 @@ def test_09_identity_residuals():
         assert gf.check_l1(20).passed
         assert gf.check_l2(20, 22).passed
         assert gf.check_co1(30, 32).passed
-        assert gf.check_co2(20, 22, 20).passed
+        assert gf.check_co2(20, 22).passed
         assert gf.check_co4(20).passed
         assert gf.check_remark2(20).passed
         reports = gf.verify_all(20, 8, 22)

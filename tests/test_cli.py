@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from catwords import cli
+from catwords import cli, genfun
 from catwords.counting import catalan_number
 from test_cli_golden import ROUTE_PAIRS, SERIES_NAMES
 
@@ -192,3 +192,25 @@ class TestVerify:
 
     def test_unknown_identity_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "verify", "--identity", "bogus") == 2
+
+
+class TestInternalError:
+    """Exit 3 with one stderr line, so that a crash never reads as exit 1,
+    a failed identity."""
+
+    def test_route_crash(self, capsys, monkeypatch):
+        def crash(n, i):
+            raise RuntimeError("route crashed")
+
+        monkeypatch.setitem(cli.ROUTES["zeros"], "recurrence", crash)
+        code, out, err = run(capsys, "count", "--table", "zeros", "--n", "5")
+        assert (code, out, err) == (3, "", "error: RuntimeError: route crashed\n")
+
+    @pytest.mark.parametrize("identity", ["th3", "all"])
+    def test_certificate_failure(self, capsys, monkeypatch, identity):
+        def uncertified(order, qmax, jmax):
+            raise genfun.CertificateError("U-product denominator i=6")
+
+        monkeypatch.setattr(genfun, "check_th3", uncertified)
+        code, out, err = run(capsys, "verify", "--identity", identity, "--order", "4", "--qmax", "3")
+        assert (code, out, err) == (3, "", "error: CertificateError: U-product denominator i=6\n")

@@ -124,7 +124,7 @@ class TestChecks:
         assert rep.mismatch["exponents"] == [2, 0, 0, 0]
 
     def test_co2(self):
-        assert gf.check_co2(20, 22, 20).passed
+        assert gf.check_co2(20, 22).passed
 
     def test_co3_and_co4(self):
         assert gf.check_co3(20).passed
@@ -195,7 +195,8 @@ class TestLetterGFs:
         # A(x,1,v,q): the q^i v^s slice counts words with s copies of the
         # letter i, no matter how many zeros
         caps = Caps.of(8, q=4)
-        inner = gf._a4_inner(caps, gf._a4_pieces(caps, 10), 10)
+        _, weights = gf._letter_pieces(caps, 10)
+        inner = gf._a4_inner(weights, gf._apply_A(MultiSeries.monomial(caps, 1, v=1)))
         for n in range(1, 9):
             for i in range(1, 5):
                 for s in range(1, n + 1):
@@ -209,6 +210,13 @@ class TestLetterGFs:
             gf.gf_A4(10, 8, 3)
         with pytest.raises(gf.StabilityError):
             gf.gf_A0(10, 8, 3)
+
+    @pytest.mark.parametrize("check", ["check_th3", "check_th4"])
+    def test_check_rejects_jmax_one_short(self, check):
+        # th3/th4 build jmax + 1 terms, enough here, but jmax itself is not
+        with pytest.raises(gf.StabilityError):
+            getattr(gf, check)(6, 4, 2)
+        assert getattr(gf, check)(6, 4, 3).passed
 
 
 class TestHarness:
@@ -245,6 +253,15 @@ def _report_without_millis(rep):
     payload = rep.to_jsonable()
     del payload["millis"]
     return payload
+
+
+def _bump_lead(monkeypatch, j=3):
+    """U_j times 1/y: every denominator through U_j leads one order lower."""
+    orig = gf.cheb_u
+    monkeypatch.setattr(
+        gf, "cheb_u",
+        lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1) if k == j else orig(k, caps),
+    )
 
 
 class TestFaultInjection:
@@ -298,18 +315,16 @@ class TestFaultInjection:
             "j": 1, "reason": "no divergence at x^1",
         }
 
-    @pytest.mark.parametrize("identity, builder", [("th3", "_a4_sums"), ("th4", "_a0_sums")])
-    def test_letter_sum_not_stable(self, monkeypatch, identity, builder):
-        monkeypatch.setattr(
-            gf, builder,
-            lambda order, qmax, jmaxes: [MultiSeries.monomial(Caps.of(order, q=qmax), j) for j in jmaxes],
-        )
-        assert _report_without_millis(gf.run_identity(identity, 4, 3, 5)) == {
-            "identity": identity,
-            "params": {"order": 4, "qmax": 3, "jmax": 5},
-            "status": "fail",
-            "mismatch": {"reason": "sum not stable between jmax=5 and 6"},
-        }
+    @pytest.mark.parametrize("check", ["check_th3", "check_th4"])
+    def test_letter_term_past_jmax_is_certified(self, monkeypatch, check):
+        # U_8 first enters at term jmax+1 = 6, which starts beyond the caps:
+        # the cut at jmax is untouched, but th3/th4 certify that term too
+        order, qmax, jmax = 6, 4, 5
+        clean = gf.gf_A4(order, qmax, jmax), gf.gf_A0(order, qmax, jmax)
+        _bump_lead(monkeypatch, j=jmax + 3)
+        assert (gf.gf_A4(order, qmax, jmax), gf.gf_A0(order, qmax, jmax)) == clean
+        with pytest.raises(gf.CertificateError, match="U-product denominator i=6"):
+            getattr(gf, check)(order, qmax, jmax)
 
     @pytest.mark.parametrize("stage", ["first", "last"])
     def test_chain_reports_the_failing_stage(self, monkeypatch, stage):
@@ -390,16 +405,16 @@ class TestSharedPieces:
 
     @pytest.mark.parametrize("order, qmax, jmax", LETTER_GRID)
     def test_a4_equals_per_term_reference(self, order, qmax, jmax):
-        assert gf.gf_A4(order, qmax, jmax) == _reference_a4(order, qmax, jmax)
+        a4 = gf.gf_A4(order, qmax, jmax)
+        assert a4 == _reference_a4(order, qmax, jmax)
+        # term jmax+1 lies beyond the caps, so th3 may build one term more
+        assert a4 == gf.gf_A4(order, qmax, jmax + 1)
 
     @pytest.mark.parametrize("order, qmax, jmax", LETTER_GRID)
     def test_a0_equals_per_term_reference(self, order, qmax, jmax):
-        assert gf.gf_A0(order, qmax, jmax) == _reference_a0(order, qmax, jmax)
-
-    @pytest.mark.parametrize("sums, single", [("_a4_sums", "gf_A4"), ("_a0_sums", "gf_A0")])
-    def test_each_cut_equals_its_own_build(self, sums, single):
-        cuts = getattr(gf, sums)(6, 4, (3, 4, 7))
-        assert cuts == [getattr(gf, single)(6, 4, j) for j in (3, 4, 7)]
+        a0 = gf.gf_A0(order, qmax, jmax)
+        assert a0 == _reference_a0(order, qmax, jmax)
+        assert a0 == gf.gf_A0(order, qmax, jmax + 1)
 
     def test_th3_inverts_each_piece_once(self, monkeypatch):
         calls = []
@@ -415,15 +430,6 @@ class TestSharedPieces:
         w = MultiSeries.monomial(caps, 1, w=1)
         assert list(gf._l_chain(w, 4)) == [l_family(j, w) for j in range(4)]
         assert seen == [0, 0, 0, 0]
-
-
-def _bump_lead(monkeypatch, j=3):
-    """U_j times 1/y: every denominator through U_j leads one order lower."""
-    orig = gf.cheb_u
-    monkeypatch.setattr(
-        gf, "cheb_u",
-        lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1) if k == j else orig(k, caps),
-    )
 
 
 class TestCertificates:
@@ -460,23 +466,34 @@ class TestCertificates:
             gf.gf_A4(4, 3, 5)
 
     def test_raised_under_optimize(self):
-        code = (
-            "import sys\n"
-            "from catwords import genfun as gf\n"
-            "from catwords.series import LaurentSeries\n"
-            "assert False, 'asserts are on'\n"
-            "orig = gf.cheb_u\n"
-            "gf.cheb_u = lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1)"
-            " if k == 3 else orig(k, caps)\n"
-            "try:\n"
-            "    gf.check_co1(4, 6)\n"
-            "except gf.CertificateError as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-B", "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("CertificateError U-product denominator i=1"), proc.stdout
+        out = _certificate_under_optimize(3, "gf.check_co1(4, 6)")
+        assert out.startswith("CertificateError U-product denominator i=1"), out
+
+    @pytest.mark.parametrize("check", ["check_th3", "check_th4"])
+    def test_letter_term_past_jmax_under_optimize(self, check):
+        out = _certificate_under_optimize(8, f"gf.{check}(6, 4, 5)")
+        assert out.startswith("CertificateError U-product denominator i=6"), out
+
+
+def _certificate_under_optimize(poisoned, call):
+    """What `call` prints as CertificateError under python -O, with
+    U_poisoned leading one y order low."""
+    code = (
+        "from catwords import genfun as gf\n"
+        "from catwords.series import LaurentSeries\n"
+        "assert False, 'asserts are on'\n"
+        "orig = gf.cheb_u\n"
+        "gf.cheb_u = lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1)"
+        f" if k == {poisoned} else orig(k, caps)\n"
+        "try:\n"
+        f"    {call}\n"
+        "except gf.CertificateError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

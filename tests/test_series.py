@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +122,24 @@ class TestMultiSeriesBasics:
         half = MultiSeries.monomial(CAPS, Fraction(1, 2))
         with pytest.raises(AssertionError):
             half.coeff_int(0)
+
+    def test_coeff_int_raises_under_optimize(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from catwords.series import Caps, MultiSeries\n"
+            "assert False, 'asserts are on'\n"
+            "try:\n"
+            "    MultiSeries.monomial(Caps.of(2), Fraction(1, 2)).coeff_int(0)\n"
+            "except AssertionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ExactnessError non-integer coefficient at (0, 0, 0, 0): 1/2\n"
 
     def test_scalar_and_fraction_scaling(self):
         s = 2 * X + X
