@@ -1,9 +1,9 @@
 """catwords: exact combinatorics of the Catalan word family.
 
-Four layers: brute-force enumeration (words), memoized counting arrays
-and closed forms (counting), an exact truncated-series kernel (series),
-and generating-function identity verification (genfun), with a batch CLI
-on top.
+Four layers: brute-force enumeration (words), counting arrays filled
+bottom-up and closed forms (counting), an exact truncated-series kernel
+(series), and generating-function identity verification (genfun), with a
+batch CLI on top.
 """
 
 from .counting import (

@@ -1,9 +1,19 @@
 """Exact counting arrays for Catalan-word statistics.
 
-Each statistic has at least two independent routes: a memoized recurrence
-and (where one exists) a closed form.  All arithmetic is unbounded
-integers; closed-form divisions are performed in the integers and checked
-for exactness, which doubles as a self-test.
+Each statistic has at least two independent routes: a recurrence and
+(where one exists) a closed form.  All arithmetic is unbounded integers;
+closed-form divisions are performed in the integers and checked for
+exactness, which doubles as a self-test.
+
+The recurrences are filled bottom-up in n, into private tables that grow
+in place, one whole row of n at a time, so no evaluation recurses through
+n.  One weight table, W[m][j] = binom(j+m-1, j) - 1, serves every
+recurrence that has that weight.  The descent array is summed through a
+prefix array over its zero count, which makes each entry a single sum
+over the descents taken by the zeros.  The avoidance recurrence behind
+a_letter(i, n, 0, t) lowers n at every step, so its counts for a letter
+i > n equal those for i = n and the table holds i <= n only.  The public
+functions keep a cache of the values they answered.
 
 Arrays:
 
@@ -21,7 +31,9 @@ Arrays:
 from __future__ import annotations
 
 import math
+import threading
 from functools import cache
+from operator import mul
 
 __all__ = [
     "ExactnessError",
@@ -63,42 +75,106 @@ def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+# Tables grow under this lock and are only ever appended to, one finished
+# row at a time, so a reader that finds row n present may read it unlocked.
+_GROW = threading.RLock()
+
+# _W[m][j] = binom(j+m-1, j) - 1 for 1 <= m and m + j < len(_W); _W[0] is unused.
+_W: list[list[int]] = [[]]
+
+
+def _weights(n: int) -> list[list[int]]:
+    """The weight table, grown to hold every W[m][j] with m + j <= n.
+
+    Each new antidiagonal m + j = top is one Pascal step from the last:
+    W[1][j] = 0, W[m][0] = 0 and W[m][j] = W[m-1][j] + W[m][j-1] + 1.
+    """
+    W = _W
+    if len(W) <= n:
+        with _GROW:
+            for top in range(len(W), n + 1):
+                for m in range(1, top):
+                    j = top - m
+                    W[m].append(W[m - 1][j] + W[m][j - 1] + 1 if m > 1 else 0)
+                W.append([0])
+    return W
+
+
+# _DESC[n][k][m] = a_desc(n, m, k) for 0 <= k < n and 1 <= m <= n (m = 0 holds 0).
+_DESC: list[list[list[int]]] = [[]]
+# _DIAG[r][k][d] = S(r, d, k - d) for 1 <= d <= min(k, r) (d = 0 holds 0), where
+# S(r, d, k') = sum_j binom(j, d) * a_desc(r, j, k') is the descent array's
+# prefix array over the zero count j.
+_DIAG: list[list[list[int]]] = [[]]
+
+
+def _descents(n: int) -> list[list[list[int]]]:
+    """The descent array, grown to hold every row n' <= n.
+
+    a(n, m, k) = sum_d binom(m-1, d) * S(n-m, d, k-d): the recurrence's sum
+    over j is read from the prefix array S of row n - m, filled once per row.
+    """
+    A, D = _DESC, _DIAG
+    if len(A) <= n:
+        with _GROW:
+            pascal = [[math.comb(j, d) for d in range(j + 1)] for j in range(n + 1)]
+            cols = [[math.comb(j, d) for j in range(n + 1)] for d in range(n + 1)]
+            for r in range(len(A), n + 1):
+                row = [[0] * (r + 1) for _ in range(r)]  # row[k][m] = a(r, m, k)
+                row[0][r] = 1  # only the all-zeros word is descent-free
+                for m in range(1, r):
+                    diag, w = D[r - m], pascal[m - 1]
+                    for k in range(1, min(r, len(diag))):
+                        row[k][m] = sum(map(mul, w, diag[k]))
+                D.append([
+                    [0] + [
+                        sum(map(mul, cols[d], row[k - d])) if k - d < r else 0
+                        for d in range(1, min(k, r) + 1)
+                    ]
+                    for k in range(2 * r)
+                ])
+                A.append(row)
+    return A
+
+
+# _ZEROS[n][m] = a_zeros(n, m) for 1 <= m <= n (m = 0 holds 0).
+_ZEROS: list[list[int]] = [[0]]
+
+
+def _zeros(n: int) -> list[list[int]]:
+    """The zero array, grown to hold every row n' <= n."""
+    Z = _ZEROS
+    if len(Z) <= n:
+        with _GROW:
+            W = _weights(n)
+            for r in range(len(Z), n + 1):
+                Z.append([0] + [sum(map(mul, W[m], Z[r - m])) for m in range(1, r)] + [1])
+    return Z
+
+
 @cache
 def a_desc(n: int, m: int, k: int) -> int:
     """Words of length n with m zeros and k descents.
 
     Double-sum recurrence over the zero-deleting reduction; boundaries
-    a(n, n, k) = [k == 0] and a(n, m, 0) = [n == m].
+    a(n, n, k) = [k == 0] and a(n, m, 0) = [n == m].  No word of length n
+    has n descents, so the table holds k < n.
     """
     if n < 1 or not 1 <= m <= n or k < 0:
         raise ValueError(f"a_desc: parameters out of range: {(n, m, k)}")
-    if m == n:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0  # m < n here, and only the all-zeros word is descent-free
-    total = 0
-    for d in range(1, min(m, k) + 1):
-        w = binomial(m - 1, d)
-        if w == 0:
-            continue
-        for j in range(1, n - m + 1):
-            c = binomial(j, d)
-            if c:
-                total += w * c * a_desc(n - m, j, k - d)
-    return total
+    return _descents(n)[n][k][m] if k < n else 0
 
 
 @cache
 def a_zeros(n: int, m: int) -> int:
-    """Words of length n with m zeros, by the reduction recurrence."""
+    """Words of length n with m zeros, by the reduction recurrence.
+
+    a(n, m) = [m == n] + sum_j W[m][j] * a(n - m, j), a dot product of a
+    weight row with the zero array's row n - m.
+    """
     if n < 1 or not 1 <= m <= n:
         raise ValueError(f"a_zeros: parameters out of range: {(n, m)}")
-    if m == n:
-        return 1
-    return sum(
-        (binomial(j + m - 1, j) - 1) * a_zeros(n - m, j)
-        for j in range(1, n - m + 1)
-    )
+    return _zeros(n)[n][m]
 
 
 def a_zeros_closed(n: int, m: int) -> int:
@@ -128,10 +204,8 @@ def b_ones(n: int, m: int) -> int:
         return 1
     if m == n - 1:
         return 0
-    return sum(
-        (binomial(i + m - 1, m) - 1) * a_zeros(n - i, m)
-        for i in range(2, n - m + 1)
-    )
+    W, Z = _weights(n), _zeros(n - 2)
+    return sum(W[i][m] * Z[n - i][m] for i in range(2, n - m + 1))
 
 
 def b_ones_zeros(n: int, m: int, i: int) -> int:
@@ -174,31 +248,44 @@ def a_letter(i: int, n: int, s: int, t: int) -> int:
     if n < 1 or s < 0 or t < 1:
         raise ValueError(f"a_letter: parameters out of range: {(i, n, s, t)}")
     if s == 0:
-        return _a_avoid(i, n, t)
+        return _avoid(n)[n][min(i, n)][t] if t <= n else 0
     if s > n - t - 2 * (i - 1):
         return 0
+    W = _weights(n)
     if i == 1:
         if t < 2:
             return 0  # a one needs a zero on each side
-        return (binomial(s + t - 1, s) - 1) * a_zeros(n - t, s)
+        return W[t][s] * a_zeros(n - t, s)
     m = n - s - t - 2 * i + 4
-    return sum(
-        (binomial(ell + t - 1, ell) - 1) * a_letter(i - 1, n - t, s, ell)
-        for ell in range(2, m + 1)
-    )
+    return sum(W[t][ell] * a_letter(i - 1, n - t, s, ell) for ell in range(2, m + 1))
 
 
-@cache
-def _a_avoid(i: int, n: int, t: int) -> int:
-    """Words with t zeros avoiding the letter i; i = 0 is identically zero."""
-    if i == 0:
-        return 0
-    total = 1 if n == t else 0
-    for ell in range(1, n - t + 1):
-        w = binomial(ell + t - 1, ell) - 1
-        if w:
-            total += w * _a_avoid(i - 1, n - t, ell)
-    return total
+# _AVOID[n][i][t] = words of length n with t zeros avoiding the letter i, for
+# 0 <= i <= n and 1 <= t <= n (t = 0 holds 0; i = 0 is identically zero).
+_AVOID: list[list[list[int]]] = [[[0]]]
+
+
+def _avoid(n: int) -> list[list[list[int]]]:
+    """The avoidance table, grown to hold every row n' <= n.
+
+    AV(i, n, t) = [n == t] + sum_ell W[t][ell] * AV(i - 1, n - t, ell).  Each
+    step lowers n, so row n' answers every i >= n' with its layer n', and an
+    entry whose n - t < i - 1 repeats the entry of layer i - 1.
+    """
+    AV = _AVOID
+    if len(AV) <= n:
+        with _GROW:
+            W = _weights(n)
+            for r in range(len(AV), n + 1):
+                layers = [[0] * (r + 1)]
+                for i in range(1, r + 1):
+                    prev = layers[-1]
+                    layers.append([0] + [
+                        prev[t] if r - t < i - 1 else sum(map(mul, W[t], AV[r - t][i - 1]))
+                        for t in range(1, r)
+                    ] + [1])
+                AV.append(layers)
+    return AV
 
 
 def max_letter_count(n: int, i: int) -> int:

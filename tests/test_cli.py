@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from catwords import cli, genfun
-from catwords.counting import catalan_number
+from catwords.counting import a_zeros_closed, catalan_number
 from test_cli_golden import ROUTE_PAIRS, SERIES_NAMES
 
 
@@ -76,6 +80,17 @@ class TestCount:
             assert code == 0, (table, source)
             outputs.append(out)
         assert all(o == outputs[0] for o in outputs), table
+
+    def test_zeros_recurrence_at_n350(self):
+        # a fresh interpreter, so that the zero array fills from empty
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "catwords.cli", "count", "--table", "zeros", "--n", "350"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+        assert rows == [(m, a_zeros_closed(350, m)) for m in range(2, 351)]
 
     def test_sources_agree_at_n12(self, capsys):
         # the overlap-domain invariant at its full stated range

@@ -48,6 +48,13 @@ USAGE_ERRORS = (
     "series --help",
 )
 
+# The recurrence tables that the count-tables benchmark times, at its sizes.
+BENCHMARK_TABLES = (
+    "count --table zeros-descents --n 40 --source recurrence --format lines",
+    "count --table ones --n 200 --source recurrence --format lines",
+    "count --table max-letter --n 60 --source recurrence --format lines",
+)
+
 
 def _grid():
     for table, source in ROUTE_PAIRS:
@@ -65,6 +72,7 @@ def _grid():
     # a scalar table whose one row is zero, and a table with no rows
     yield "count --table fine --n 2 --source enum"
     yield "count --table ones-zeros --n 2 --source closed"
+    yield from BENCHMARK_TABLES
     yield from USAGE_ERRORS
 
 
@@ -297,6 +305,12 @@ GOLDEN = {
         (2, "7b49fb1b9727e69b6b43d1062e1d2e56d18620502481dd9772220386045c9ca6"),
     "series --name Am --m 0 --order 5":
         (2, "7b49fb1b9727e69b6b43d1062e1d2e56d18620502481dd9772220386045c9ca6"),
+    "count --table zeros-descents --n 40 --source recurrence --format lines":
+        (0, "99e0bfa66af18069480a9bf5ac6aace47624ac583c5884213e4cda86bad9c616"),
+    "count --table ones --n 200 --source recurrence --format lines":
+        (0, "676198d4fe59869aa19f0ad07a2035b30b62d0d2f8dbd2cae3b0c5aa1cf0e550"),
+    "count --table max-letter --n 60 --source recurrence --format lines":
+        (0, "26dc4e2cc27b1afd0e70ce67674d61b147fd6aabc908ae40c82593309db54e7a"),
     "series --name A4 --order 5":
         (2, "b09a5e6288ce3fa0f3c36a6a176ec0724985f1696a3a9f5ed6a3637d992104b5"),
     "series --name A0 --order 5":

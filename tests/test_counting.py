@@ -1,6 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,8 @@ import hypothesis.strategies as st
 
 from catwords import counting as ct
 from conftest import PROFILE_MAX_N, project
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def convolve(a, b, order):
@@ -275,8 +282,148 @@ class TestFineNumbers:
             ct.fine_number(0)
 
 
+# The memoized recursions that the bottom-up tables replaced, kept as the
+# reference the tables must equal.
+@cache
+def ref_a_desc(n, m, k):
+    if m == n:
+        return 1 if k == 0 else 0
+    if k == 0:
+        return 0
+    total = 0
+    for d in range(1, min(m, k) + 1):
+        w = ct.binomial(m - 1, d)
+        if w == 0:
+            continue
+        for j in range(1, n - m + 1):
+            c = ct.binomial(j, d)
+            if c:
+                total += w * c * ref_a_desc(n - m, j, k - d)
+    return total
+
+
+@cache
+def ref_a_zeros(n, m):
+    if m == n:
+        return 1
+    return sum(
+        (ct.binomial(j + m - 1, j) - 1) * ref_a_zeros(n - m, j)
+        for j in range(1, n - m + 1)
+    )
+
+
+@cache
+def ref_b_ones(n, m):
+    if m == 0:
+        return 1
+    if m == n - 1:
+        return 0
+    return sum(
+        (ct.binomial(i + m - 1, m) - 1) * ref_a_zeros(n - i, m)
+        for i in range(2, n - m + 1)
+    )
+
+
+@cache
+def ref_a_avoid(i, n, t):
+    if i == 0:
+        return 0
+    total = 1 if n == t else 0
+    for ell in range(1, n - t + 1):
+        w = ct.binomial(ell + t - 1, ell) - 1
+        if w:
+            total += w * ref_a_avoid(i - 1, n - t, ell)
+    return total
+
+
+def ref_max_letter_count(n, i):
+    if i == 0:
+        return 1
+    return sum(ref_a_avoid(i + 1, n, t) - ref_a_avoid(i, n, t) for t in range(1, n + 1))
+
+
+def assert_same_int(value, expected, where):
+    assert value == expected and type(value) is int, where
+
+
+class TestTablesMatchRecursions:
+    def test_descent_array(self):
+        for n in range(1, 15):
+            for m in range(1, n + 1):
+                for k in range(n + 2):
+                    assert_same_int(ct.a_desc(n, m, k), ref_a_desc(n, m, k), (n, m, k))
+
+    def test_zero_and_one_arrays(self):
+        for n in range(1, 61):
+            for m in range(1, n + 1):
+                assert_same_int(ct.a_zeros(n, m), ref_a_zeros(n, m), (n, m))
+            for m in range(n):
+                assert_same_int(ct.b_ones(n, m), ref_b_ones(n, m), (n, m))
+
+    def test_avoidance_table(self):
+        for n in range(1, 17):
+            for i in range(1, n + 4):
+                for t in range(1, n + 2):
+                    assert_same_int(ct.a_letter(i, n, 0, t), ref_a_avoid(i, n, t), (i, n, t))
+
+    def test_letter_far_past_n_reads_layer_n(self):
+        for t in range(1, 13):
+            assert ct.a_letter(10**6, 12, 0, t) == ct.a_zeros(12, t)
+
+
+def _run_fresh(code: str, timeout: int = 120) -> str:
+    """Stdout of `code` run in a fresh interpreter, whose tables start empty."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_depth_does_not_grow_with_n():
+    # Each check below needs a call depth near n under a recursive fill.
+    _run_fresh(
+        "import sys\n"
+        "sys.setrecursionlimit(120)\n"
+        "from catwords import counting as ct\n"
+        "n = 250\n"
+        "assert [ct.a_zeros(n, m) for m in range(1, n + 1)] == "
+        "[ct.a_zeros_closed(n, m) for m in range(1, n + 1)]\n"
+        "assert [ct.b_ones(n, m) for m in range(1, n)] == "
+        "[ct.b_ones_closed(n, m) for m in range(1, n)]\n"
+        "assert [sum(ct.a_desc(40, m, k) for k in range(40)) for m in range(1, 41)] == "
+        "[ct.a_zeros(40, m) for m in range(1, 41)]\n"
+        "assert sum(ct.max_letter_count(60, i) for i in range(60)) == ct.catalan_number(59)\n"
+        "assert all(ct.a_letter(i, 60, 0, t) == ct.a_zeros(60, t)\n"
+        "           for i in range(30, 62) for t in range(1, 61))\n"
+        "assert [ct.a_letter(i, 60, 0, 1) for i in range(1, 30)] == [0] * 29\n"
+    )
+
+
 def test_threaded_queries_are_consistent():
-    args = [(n, m) for n in range(1, 40) for m in range(1, n + 1)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda nm: ct.a_zeros(*nm), args))
-    assert results == [ct.a_zeros_closed(n, m) for n, m in args]
+    # Eight threads fill cold tables from shuffled queries of every size.
+    out = _run_fresh(
+        "import json, random, sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from catwords import counting as ct\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "queries = ([('a_zeros', n, m) for n in range(1, 40) for m in range(1, n + 1)]\n"
+        "           + [('a_desc', n, m, k) for n in range(1, 16) for m in range(1, n + 1)\n"
+        "              for k in range(n)]\n"
+        "           + [('max_letter_count', n, i) for n in range(1, 30) for i in range(n)])\n"
+        "random.Random(5).shuffle(queries)\n"
+        "with ThreadPoolExecutor(max_workers=8) as pool:\n"
+        "    values = list(pool.map(lambda q: getattr(ct, q[0])(*q[1:]), queries, timeout=60))\n"
+        "print(json.dumps([[*q, v] for q, v in zip(queries, values)]))\n"
+    )
+    reference = {
+        "a_zeros": ct.a_zeros_closed,
+        "a_desc": ref_a_desc,
+        "max_letter_count": ref_max_letter_count,
+    }
+    results = json.loads(out)
+    assert len(results) == 780 + 1240 + 435
+    for name, *args, value in results:
+        assert value == reference[name](*args), (name, args)
