@@ -229,11 +229,10 @@ def _cmd_series(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.order < 1:
         parser.error("--order must be >= 1")
-    jmax = args.jmax if args.jmax is not None else args.order + 2
     if args.identity == "all":
-        reports = genfun.verify_all(args.order, args.qmax, jmax)
+        reports = genfun.verify_all(args.order, args.qmax, args.jmax)
     else:
-        reports = [genfun.run_identity(args.identity, args.order, args.qmax, jmax)]
+        reports = [genfun.run_identity(args.identity, args.order, args.qmax, args.jmax)]
     payload = [r.to_jsonable() for r in reports]
     print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1

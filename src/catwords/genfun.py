@@ -1,13 +1,17 @@
 """Generating functions for the word statistics, built two ways each and
 verified coefficient by coefficient.
 
-Every infinite sum over Chebyshev denominators is truncated by the
-tail-start property: the Laurent leading order of each summand is
-computed and certified before truncation, so a finite cut is provably
-exact rather than numerically plausible; a failed certificate raises
-CertificateError, also under ``python -O``.  When the requested number of
-terms cannot cover the x or q caps, builders raise StabilityError
-instead of returning a silently short sum.
+Every Chebyshev sum is built from one term family, with U_j the
+Chebyshev value at t = 1/(2y): P_j(z) = U_j - z y U_{j-1} for z "v" or
+"w" (U_j for None) and T_j(z) = 1 / (y P_{j-1}(z) P_j(z)).  co1 sums
+T_{j+1}(0), co2 T_j(v) and the letter weights q^(j+1) T_{j+2}(0); the
+A-lemma and the letter mains invert P_{j-1}(z) P_j(z) without the y.
+Each sum is cut by the tail-start property: the leading order of every
+term is certified before truncation, so a finite cut is provably exact;
+a failed certificate raises CertificateError, also under ``python -O``,
+as in "T_8(0) denominator: leading y order -16, expected -15".  When
+the requested number of terms cannot cover the x or q caps, builders
+raise StabilityError instead of returning a silently short sum.
 """
 
 from __future__ import annotations
@@ -203,21 +207,44 @@ def _assert_leading(obj: LaurentSeries, expected: int, what: str) -> None:
         raise CertificateError(f"{what}: leading y order {lead}, expected {expected}")
 
 
+def _cheb_p(j: int, z: str | None, caps: Caps) -> LaurentSeries:
+    """P_j(z) = U_j - z y U_{j-1} for the variable z ("w" or "v"); U_j
+    when z is None."""
+    if z is None:
+        return cheb_u(j, caps)
+    zy = LaurentSeries.monomial(caps, 1, y=1, **{z: 1})
+    return cheb_u(j, caps) - zy * cheb_u(j - 1, caps)
+
+
+def _cheb_den(j: int, z: str | None, caps: Caps) -> LaurentSeries:
+    """P_{j-1}(z) P_j(z), leading order certified at y^-(2j-1)."""
+    den = _cheb_p(j - 1, z, caps) * _cheb_p(j, z, caps)
+    _assert_leading(den, -(2 * j - 1), f"T_{j}({z or 0}) denominator")
+    return den
+
+
+def _cheb_term(j: int, z: str | None, caps: Caps) -> MultiSeries:
+    """T_j(z) as an x series, certified to start at x^(j-1); past the x
+    cap it is zero, which its certified denominator proves."""
+    den = _cheb_den(j, z, caps)
+    if j - 1 > caps.x:
+        return MultiSeries.zero(caps)
+    inv = (LaurentSeries.monomial(caps, 1, y=1) * den).invert()
+    _assert_leading(inv, 2 * j - 2, f"T_{j}({z or 0}) inverse")
+    return inv.to_x_series()
+
+
 def _lemma_A(order: int, jmax: int) -> MultiSeries:
-    """v/C times sum_{j=1..jmax} y / ((U_{j-1} - v y U_{j-2}) (U_j - v y U_{j-1})).
+    """v/C times sum_{j=1..jmax} y^2 T_j(v), each term as y / (P_{j-1}(v) P_j(v)).
 
     Term j provably starts at y^(2j); terms past the y cap are skipped
     after their denominator's leading order is verified.
     """
     caps = Caps.of(order)
-    vy = LaurentSeries.monomial(caps, 1, y=1, v=1)
     y = LaurentSeries.monomial(caps, 1, y=1)
     acc = LaurentSeries.zero(caps)
     for j in range(1, jmax + 1):
-        den = (cheb_u(j - 1, caps) - vy * cheb_u(j - 2, caps)) * (
-            cheb_u(j, caps) - vy * cheb_u(j - 1, caps)
-        )
-        _assert_leading(den, -(2 * j - 1), f"A-lemma denominator j={j}")
+        den = _cheb_den(j, "v", caps)
         if 2 * j > 2 * caps.x:
             continue  # starts beyond the cap; the assertion above proves it
         term = y * den.invert()
@@ -236,29 +263,6 @@ def gf_A_via_lemma(order: int, jmax: int) -> MultiSeries:
             f"jmax={jmax} cannot cover order {order}: term j starts at x^j"
         )
     return _lemma_A(order, jmax)
-
-
-def _uu_denominator(i: int, caps: Caps) -> LaurentSeries:
-    """y U_{i+2} U_{i+1}, leading order verified at y^-(2i+2)."""
-    den = LaurentSeries.monomial(caps, 1, y=1) * cheb_u(i + 2, caps) * cheb_u(i + 1, caps)
-    _assert_leading(den, -(2 * i + 2), f"U-product denominator i={i}")
-    return den
-
-
-def _uu_inverse(i: int, caps: Caps) -> MultiSeries:
-    """1 / (y U_{i+2} U_{i+1}) as an x series; starts at x^(i+1)."""
-    inv = _uu_denominator(i, caps).invert()
-    _assert_leading(inv, 2 * i + 2, f"U-product inverse i={i}")
-    return inv.to_x_series()
-
-
-def _a4_main_denominator(j: int, caps: Caps) -> LaurentSeries:
-    wy = LaurentSeries.monomial(caps, 1, y=1, w=1)
-    den = (cheb_u(j + 1, caps) - wy * cheb_u(j, caps)) * (
-        cheb_u(j, caps) - wy * cheb_u(j - 1, caps)
-    )
-    _assert_leading(den, -(2 * j + 1), f"letter-sum denominator j={j}")
-    return den
 
 
 def _l_chain(seed: MultiSeries, count: int) -> Iterator[MultiSeries]:
@@ -283,7 +287,8 @@ def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
 
 def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[LaurentSeries], list[MultiSeries]]:
     """The pieces shared by both letter sums: for each term j <= jmax
-    that reaches the caps, y w q^(j+1) / den_j and q^(j+1) / (y U_{j+2} U_{j+1}).
+    that reaches the caps, the main y w q^(j+1) / (P_j(w) P_{j+1}(w)) and
+    the weight q^(j+1) T_{j+2}(0).
 
     Term j starts at x^(j+1) q^(j+1), so the terms inside the caps are a
     prefix.  Every denominator through jmax has its leading order
@@ -292,12 +297,12 @@ def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[LaurentSeries], list[Mul
     mains: list[LaurentSeries] = []
     weights: list[MultiSeries] = []
     for j in range(jmax + 1):
-        den = _a4_main_denominator(j, caps)
+        den = _cheb_den(j + 1, "w", caps)
         if j + 1 > caps.x or j + 1 > caps.q:
-            _uu_denominator(j, caps)
+            _cheb_den(j + 2, None, caps)
             continue
         mains.append(LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1) * den.invert())
-        weights.append(MultiSeries.monomial(caps, 1, q=j + 1) * _uu_inverse(j, caps))
+        weights.append(MultiSeries.monomial(caps, 1, q=j + 1) * _cheb_term(j + 2, None, caps))
     return mains, weights
 
 
@@ -377,37 +382,25 @@ def check_l2(order: int, jmax: int) -> VerificationReport:
 
 
 def check_co1(order: int, jmax: int) -> VerificationReport:
-    """sum_j 1/(y U_j U_{j+1}) = x C(x)^2."""
+    """sum_j T_{j+1}(0) = sum_j 1/(y U_j U_{j+1}) = x C(x)^2."""
     started = time.perf_counter()
     caps = Caps.of(order)
     acc = MultiSeries.zero(caps)
     for j in range(1, jmax + 1):
-        if 2 * j > 2 * caps.x:
-            _uu_denominator(j - 1, caps)
-            continue
-        acc = acc + _uu_inverse(j - 1, caps)
+        acc = acc + _cheb_term(j + 1, None, caps)
     c = catalan_series(caps)
     rhs = MultiSeries.monomial(caps, 1, x=1) * c * c
     return compare_series("co1", {"order": order, "jmax": jmax}, acc, rhs, started)
 
 
 def check_co2(order: int, jmax: int) -> VerificationReport:
-    """sum_j 1/(y (U_{j-1} - v y U_{j-2})(U_j - v y U_{j-1}))
+    """sum_j T_j(v) = sum_j 1/(y (U_{j-1} - v y U_{j-2})(U_j - v y U_{j-1}))
     = sum_m x^(m-1) v^(m-1) C^m = C / (1 - x v C)."""
     started = time.perf_counter()
     caps = Caps.of(order)
-    y = LaurentSeries.monomial(caps, 1, y=1)
-    vy = LaurentSeries.monomial(caps, 1, y=1, v=1)
-    acc = LaurentSeries.zero(caps)
+    lhs = MultiSeries.zero(caps)
     for j in range(1, jmax + 1):
-        den = y * (cheb_u(j - 1, caps) - vy * cheb_u(j - 2, caps)) * (
-            cheb_u(j, caps) - vy * cheb_u(j - 1, caps)
-        )
-        _assert_leading(den, -(2 * j - 2), f"co2 denominator j={j}")
-        if 2 * j - 2 > 2 * caps.x:
-            continue
-        acc = acc + den.invert()
-    lhs = acc.to_x_series()
+        lhs = lhs + _cheb_term(j, "v", caps)
     c = catalan_series(caps)
     one = MultiSeries.one(caps)
     x = MultiSeries.monomial(caps, 1, x=1)

@@ -28,9 +28,6 @@ __all__ = [
     "tally",
 ]
 
-STAT_KINDS = ("zeros", "ones", "descents", "letter", "max-letter")
-
-
 def _why_invalid(letters: tuple[int, ...]) -> str | None:
     """Return a reason the sequence is not a Catalan word, or None if it is."""
     if letters[0] != 0:
@@ -180,6 +177,17 @@ def max_letter(word: Sequence[int]) -> int:
     return max(word)
 
 
+# kind -> fn(word, letter); only "letter" reads the letter.
+_STATS = {
+    "zeros": lambda word, letter: count_letter(word, 0),
+    "ones": lambda word, letter: count_letter(word, 1),
+    "descents": lambda word, letter: count_descents(word),
+    "letter": count_letter,
+    "max-letter": lambda word, letter: max_letter(word),
+}
+STAT_KINDS = tuple(_STATS)
+
+
 @dataclass(frozen=True)
 class StatisticSpec:
     """One word statistic: zeros, ones, descents, letter(i) or max-letter."""
@@ -197,15 +205,7 @@ class StatisticSpec:
             raise ValueError(f"statistic {self.kind!r} takes no letter")
 
     def evaluate(self, word: Sequence[int]) -> int:
-        if self.kind == "zeros":
-            return count_letter(word, 0)
-        if self.kind == "ones":
-            return count_letter(word, 1)
-        if self.kind == "descents":
-            return count_descents(word)
-        if self.kind == "letter":
-            return count_letter(word, self.letter)  # type: ignore[arg-type]
-        return max_letter(word)
+        return _STATS[self.kind](word, self.letter)
 
 
 def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:

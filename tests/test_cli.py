@@ -224,8 +224,8 @@ class TestInternalError:
     @pytest.mark.parametrize("identity", ["th3", "all"])
     def test_certificate_failure(self, capsys, monkeypatch, identity):
         def uncertified(order, qmax, jmax):
-            raise genfun.CertificateError("U-product denominator i=6")
+            raise genfun.CertificateError("T_8(0) denominator")
 
         monkeypatch.setattr(genfun, "check_th3", uncertified)
         code, out, err = run(capsys, "verify", "--identity", identity, "--order", "4", "--qmax", "3")
-        assert (code, out, err) == (3, "", "error: CertificateError: U-product denominator i=6\n")
+        assert (code, out, err) == (3, "", "error: CertificateError: T_8(0) denominator\n")

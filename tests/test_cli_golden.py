@@ -54,6 +54,13 @@ BENCHMARK_TABLES = (
     "count --table ones --n 200 --source recurrence --format lines",
     "count --table max-letter --n 60 --source recurrence --format lines",
 )
+# The Chebyshev sums: A-lemma at the order the series-deep benchmark runs,
+# the letter sums at the verify suite's default qmax.
+BENCHMARK_SERIES = (
+    "series --name A-lemma --order 40",
+    "series --name A4 --order 12 --qmax 8",
+    "series --name A0 --order 12 --qmax 8",
+)
 
 
 def _grid():
@@ -73,6 +80,7 @@ def _grid():
     yield "count --table fine --n 2 --source enum"
     yield "count --table ones-zeros --n 2 --source closed"
     yield from BENCHMARK_TABLES
+    yield from BENCHMARK_SERIES
     yield from USAGE_ERRORS
 
 
@@ -311,6 +319,12 @@ GOLDEN = {
         (0, "676198d4fe59869aa19f0ad07a2035b30b62d0d2f8dbd2cae3b0c5aa1cf0e550"),
     "count --table max-letter --n 60 --source recurrence --format lines":
         (0, "26dc4e2cc27b1afd0e70ce67674d61b147fd6aabc908ae40c82593309db54e7a"),
+    "series --name A-lemma --order 40":
+        (0, "a0aab0957923377258aa16ea71e935d922749f6f29b4fbda2bf8eb71f76e58e8"),
+    "series --name A4 --order 12 --qmax 8":
+        (0, "8196e5bd2ec8d6da853816ff02da9778161c7f48cb24a93f7beb2079d0b59904"),
+    "series --name A0 --order 12 --qmax 8":
+        (0, "2fac7df672c28f84a7f1597f5c30f8f4f17df389fa56b8576ccac6888f9dfe7c"),
     "series --name A4 --order 5":
         (2, "b09a5e6288ce3fa0f3c36a6a176ec0724985f1696a3a9f5ed6a3637d992104b5"),
     "series --name A0 --order 5":

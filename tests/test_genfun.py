@@ -10,7 +10,7 @@ import pytest
 from catwords import counting as ct
 from catwords import genfun as gf
 from catwords import series
-from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series, l_family
+from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series, cheb_u, l_family
 from conftest import PROFILE_MAX_N, project
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -323,7 +323,7 @@ class TestFaultInjection:
         clean = gf.gf_A4(order, qmax, jmax), gf.gf_A0(order, qmax, jmax)
         _bump_lead(monkeypatch, j=jmax + 3)
         assert (gf.gf_A4(order, qmax, jmax), gf.gf_A0(order, qmax, jmax)) == clean
-        with pytest.raises(gf.CertificateError, match="U-product denominator i=6"):
+        with pytest.raises(gf.CertificateError, match=r"T_8\(0\) denominator"):
             getattr(gf, check)(order, qmax, jmax)
 
     @pytest.mark.parametrize("stage", ["first", "last"])
@@ -344,7 +344,32 @@ class TestFaultInjection:
 
 
 # The letter sums as first written: every term rebuilds L_0..L_j with
-# l_family(j, seed), and each builder call computes all of its pieces.
+# l_family(j, seed), each builder call computes all of its pieces, and
+# the denominators come from the U-product helpers below, written apart
+# from genfun's _cheb_* terms so that the comparison stays independent.
+
+
+def _uu_denominator(i, caps):
+    """y U_{i+2} U_{i+1}, leading order verified at y^-(2i+2)."""
+    den = LaurentSeries.monomial(caps, 1, y=1) * cheb_u(i + 2, caps) * cheb_u(i + 1, caps)
+    gf._assert_leading(den, -(2 * i + 2), f"U-product denominator i={i}")
+    return den
+
+
+def _uu_inverse(i, caps):
+    """1 / (y U_{i+2} U_{i+1}) as an x series; starts at x^(i+1)."""
+    inv = _uu_denominator(i, caps).invert()
+    gf._assert_leading(inv, 2 * i + 2, f"U-product inverse i={i}")
+    return inv.to_x_series()
+
+
+def _a4_main_denominator(j, caps):
+    wy = LaurentSeries.monomial(caps, 1, y=1, w=1)
+    den = (cheb_u(j + 1, caps) - wy * cheb_u(j, caps)) * (
+        cheb_u(j, caps) - wy * cheb_u(j - 1, caps)
+    )
+    gf._assert_leading(den, -(2 * j + 1), f"letter-sum denominator j={j}")
+    return den
 
 
 def _reference_a4(order, qmax, jmax):
@@ -356,16 +381,16 @@ def _reference_a4(order, qmax, jmax):
     den = one
     for i in range(0, jmax + 1):
         if 2 * i + 2 > 2 * caps.x or i + 1 > caps.q:
-            gf._uu_denominator(i, caps)
+            _uu_denominator(i, caps)
             continue
-        qg = MultiSeries.monomial(caps, 1, q=i + 1) * gf._uu_inverse(i, caps)
+        qg = MultiSeries.monomial(caps, 1, q=i + 1) * _uu_inverse(i, caps)
         num = num + qg * (gf._apply_A(v * l_family(i, one)) - a_v)
         den = den + qg
     inner = num * den.invert()
     w = MultiSeries.monomial(caps, 1, w=1)
     acc = LaurentSeries.zero(caps)
     for j in range(0, jmax + 1):
-        d = gf._a4_main_denominator(j, caps)
+        d = _a4_main_denominator(j, caps)
         if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
             continue
         bracket = gf._apply_A(v * l_family(j, w)) - a_v - inner
@@ -380,12 +405,12 @@ def _reference_a0(order, qmax, jmax):
     num = LaurentSeries.zero(caps)
     den = one
     for j in range(0, jmax + 1):
-        d = gf._a4_main_denominator(j, caps)
-        gf._uu_denominator(j, caps)
+        d = _a4_main_denominator(j, caps)
+        _uu_denominator(j, caps)
         if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
             continue
         num = num + LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1) * d.invert()
-        den = den + MultiSeries.monomial(caps, 1, q=j + 1) * gf._uu_inverse(j, caps)
+        den = den + MultiSeries.monomial(caps, 1, q=j + 1) * _uu_inverse(j, caps)
     geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
     return num.to_x_series() * geom_q * den.invert()
 
@@ -432,6 +457,18 @@ class TestSharedPieces:
         assert seen == [0, 0, 0, 0]
 
 
+class TestChebTerms:
+    @pytest.mark.parametrize("z", ["v", "w"])
+    def test_u_only_term_is_the_z0_slice(self, z):
+        # P_j(z) at z = 0 is U_j, so T_j(z) at z = 0 is the U-only term,
+        # including the zero terms that start beyond the x cap
+        order = 6
+        caps = Caps.of(order)
+        zero = MultiSeries.zero(caps)
+        for j in range(1, order + 3):
+            assert gf._cheb_term(j, z, caps).substitute(z, zero) == gf._cheb_term(j, None, caps), j
+
+
 class TestCertificates:
     def test_not_a_usage_error(self):
         assert issubclass(gf.CertificateError, AssertionError)
@@ -444,6 +481,8 @@ class TestCertificates:
             lambda: gf.gf_A_via_lemma(4, 6),
             lambda: gf.gf_A4(4, 3, 5),
             lambda: gf.gf_A0(4, 3, 5),
+            lambda: gf.check_co2(4, 6),
+            lambda: gf.check_l2(4, 6),
         ],
     )
     def test_poisoned_leading_order_raises(self, monkeypatch, build):
@@ -467,12 +506,12 @@ class TestCertificates:
 
     def test_raised_under_optimize(self):
         out = _certificate_under_optimize(3, "gf.check_co1(4, 6)")
-        assert out.startswith("CertificateError U-product denominator i=1"), out
+        assert out.startswith("CertificateError T_3(0) denominator"), out
 
     @pytest.mark.parametrize("check", ["check_th3", "check_th4"])
     def test_letter_term_past_jmax_under_optimize(self, check):
         out = _certificate_under_optimize(8, f"gf.{check}(6, 4, 5)")
-        assert out.startswith("CertificateError U-product denominator i=6"), out
+        assert out.startswith("CertificateError T_8(0) denominator"), out
 
 
 def _certificate_under_optimize(poisoned, call):
