@@ -9,7 +9,7 @@ import argparse
 import time
 
 from catwords import counting as ct
-from catwords.cli import ROUTES, count_table
+from catwords.cli import ROUTES, TABLES, count_table
 
 
 def report(table: str, n: int, i=None) -> None:
@@ -34,11 +34,10 @@ def main() -> None:
     for n in range(2, args.max_n + 1):
         total = ct.catalan_number(n - 1)
         print(f"n = {n}  ({total} words)")
-        for table in ("zeros", "ones", "zeros-descents", "max-letter", "fine"):
-            print(f" {table}:")
-            report(table, n)
-        print(" letter (i=2):")
-        report("letter", n, i=2)
+        for table in TABLES:
+            i = 2 if table == "letter" else None
+            print(f" {table}:" if i is None else f" {table} (i={i}):")
+            report(table, n, i)
         print()
 
 

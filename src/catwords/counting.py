@@ -10,10 +10,11 @@ in place, one whole row of n at a time, so no evaluation recurses through
 n.  One weight table, W[m][j] = binom(j+m-1, j) - 1, serves every
 recurrence that has that weight.  The descent array is summed through a
 prefix array over its zero count, which makes each entry a single sum
-over the descents taken by the zeros.  The avoidance recurrence behind
-a_letter(i, n, 0, t) lowers n at every step, so its counts for a letter
-i > n equal those for i = n and the table holds i <= n only.  The public
-functions keep a cache of the values they answered.
+over the descents taken by the zeros.  The letter counts come from one
+recurrence in the letter i, filled for each s layer by layer from the zero
+array; no word of length n has a letter above (n - 1) / 2, so layer
+(n + 1) // 2 answers every larger i.  The public functions keep a cache
+of the values they answered.
 
 Arrays:
 
@@ -233,59 +234,59 @@ def b_ones_closed(n: int, m: int) -> int:
     )
 
 
+# _LETTER[s][i][n][t] = a_letter(i, n, s, t), held layer by layer in i; layer 0
+# is [t == s] * a_zeros(n, s).  Each smaller positive letter occurs twice where
+# i does, so a row for s > 0 stops at t = n - s - 2(i-1), and a read past the
+# end of a row is 0.  Most rows for s > 0 are then the one empty tuple.
+_LETTER: list[list[list[tuple[int, ...]]]] = []
+
+
+def _letter_row(s: int, i: int, n: int) -> tuple[int, ...]:
+    """Row n of layer i of the letter table for s.
+
+    X(k, r, t) = [r == t][s == 0] + sum_ell W[t][ell] * X(k - 1, r - t, ell):
+    deleting the t zeros leaves a word of length r - t whose zeros were the
+    ones, with every letter lowered by one.  A missing row grows layer k to
+    row n - (i - k), and every layer above i to row n.
+    """
+    X = _LETTER
+    try:
+        return X[s][i][n]
+    except IndexError:
+        with _GROW:
+            W, Z = _weights(n), _zeros(n)
+            X.extend([] for _ in range(len(X), s + 1))
+            layers = X[s]
+            layers.extend([()] for _ in range(len(layers), i + 1))  # no word has length 0
+            for r in range(len(layers[0]), n - i + 1):
+                layers[0].append((0,) * s + (Z[r][s],) if s <= r else ())
+            for k in range(1, len(layers)):
+                prev, layer = layers[k - 1], layers[k]
+                for r in range(len(layer), n - max(i - k, 0) + 1):
+                    top = r - s - 2 * (k - 1) if s else r - 1
+                    row = [sum(map(mul, W[t], prev[r - t])) for t in range(1, top + 1)]
+                    if not s:
+                        row.append(1)  # t = r: the all-zeros word avoids every letter
+                    layer.append((0, *row) if row else ())
+    return X[s][i][n]
+
+
 @cache
 def a_letter(i: int, n: int, s: int, t: int) -> int:
     """Words of length n with exactly s copies of the letter i and t zeros.
 
-    Three recurrences, dispatched on (i, s): reduction for i > 1 with
-    s > 0; a direct product formula for i = 1 with s > 0; and an
-    avoidance recurrence for s = 0 that bottoms out at the zero array
-    for i = 0.  For the letter i to occur at all, every smaller positive
-    letter must occur twice, so s > n - t - 2(i-1) forces the count to 0.
+    Read at layer min(i, (n + 1) // 2) of the letter table, which answers
+    every larger i too: no word of length n has a letter above (n - 1) / 2.
     """
     if i < 1:
         raise ValueError("a_letter: i must be >= 1 (zeros have their own array)")
     if n < 1 or s < 0 or t < 1:
         raise ValueError(f"a_letter: parameters out of range: {(i, n, s, t)}")
-    if s == 0:
-        return _avoid(n)[n][min(i, n)][t] if t <= n else 0
-    if s > n - t - 2 * (i - 1):
-        return 0
-    W = _weights(n)
-    if i == 1:
-        if t < 2:
-            return 0  # a one needs a zero on each side
-        return W[t][s] * a_zeros(n - t, s)
-    m = n - s - t - 2 * i + 4
-    return sum(W[t][ell] * a_letter(i - 1, n - t, s, ell) for ell in range(2, m + 1))
-
-
-# _AVOID[n][i][t] = words of length n with t zeros avoiding the letter i, for
-# 0 <= i <= n and 1 <= t <= n (t = 0 holds 0; i = 0 is identically zero).
-_AVOID: list[list[list[int]]] = [[[0]]]
-
-
-def _avoid(n: int) -> list[list[list[int]]]:
-    """The avoidance table, grown to hold every row n' <= n.
-
-    AV(i, n, t) = [n == t] + sum_ell W[t][ell] * AV(i - 1, n - t, ell).  Each
-    step lowers n, so row n' answers every i >= n' with its layer n', and an
-    entry whose n - t < i - 1 repeats the entry of layer i - 1.
-    """
-    AV = _AVOID
-    if len(AV) <= n:
-        with _GROW:
-            W = _weights(n)
-            for r in range(len(AV), n + 1):
-                layers = [[0] * (r + 1)]
-                for i in range(1, r + 1):
-                    prev = layers[-1]
-                    layers.append([0] + [
-                        prev[t] if r - t < i - 1 else sum(map(mul, W[t], AV[r - t][i - 1]))
-                        for t in range(1, r)
-                    ] + [1])
-                AV.append(layers)
-    return AV
+    if s + t > n:
+        return 0  # s letters and t zeros do not fit in a word of length n
+    k = min(i, (n + 1) // 2)
+    row = _letter_row(s, k, n)
+    return row[t] if t < len(row) else 0
 
 
 def max_letter_count(n: int, i: int) -> int:

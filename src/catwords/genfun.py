@@ -488,20 +488,18 @@ def check_th2(order: int) -> VerificationReport:
 
 
 def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSeries:
-    terms = []
-    for n in range(1, order + 1):
-        for i in range(1, qmax + 1):
-            for t in range(1, n + 1):
-                if with_s:
-                    for s in range(1, n - t + 1):
-                        c = counting.a_letter(i, n, s, t)
-                        if c:
-                            terms.append(((n, t, s, i), c))
-                else:
-                    c = counting.a_letter(i, n, 0, t)
-                    if c:
-                        terms.append(((n, t, 0, i), c))
-    return MultiSeries.from_terms(caps, terms)
+    # Zeros are skipped here, not left to from_terms: their keys raised th3's peak RSS.
+    return MultiSeries.from_terms(
+        caps,
+        (
+            ((n, t, s, i), c)
+            for n in range(1, order + 1)
+            for i in range(1, qmax + 1)
+            for t in range(1, n + 1)
+            for s in (range(1, n - t + 1) if with_s else (0,))
+            if (c := counting.a_letter(i, n, s, t))
+        ),
+    )
 
 
 def _letter_check(

@@ -336,6 +336,25 @@ def ref_a_avoid(i, n, t):
     return total
 
 
+@cache
+def ref_a_letter(i, n, s, t):
+    # Three recursions, dispatched on (i, s): the avoidance recursion at s = 0,
+    # a product formula at i = 1, and the reduction in i otherwise.
+    if s == 0:
+        return ref_a_avoid(i, n, t) if t <= n else 0
+    if s > n - t - 2 * (i - 1):
+        return 0
+    if i == 1:
+        if t < 2:
+            return 0  # a one needs a zero on each side
+        return (ct.binomial(s + t - 1, s) - 1) * ref_a_zeros(n - t, s)
+    m = n - s - t - 2 * i + 4
+    return sum(
+        (ct.binomial(ell + t - 1, ell) - 1) * ref_a_letter(i - 1, n - t, s, ell)
+        for ell in range(2, m + 1)
+    )
+
+
 def ref_max_letter_count(n, i):
     if i == 0:
         return 1
@@ -365,6 +384,14 @@ class TestTablesMatchRecursions:
             for i in range(1, n + 4):
                 for t in range(1, n + 2):
                     assert_same_int(ct.a_letter(i, n, 0, t), ref_a_avoid(i, n, t), (i, n, t))
+
+    def test_letter_table(self):
+        for n in range(1, 17):
+            for i in range(1, n + 4):
+                for t in range(1, n + 2):
+                    for s in range(0, n - t + 2):
+                        where = (i, n, s, t)
+                        assert_same_int(ct.a_letter(i, n, s, t), ref_a_letter(i, n, s, t), where)
 
     def test_letter_far_past_n_reads_layer_n(self):
         for t in range(1, 13):
@@ -399,6 +426,8 @@ def test_depth_does_not_grow_with_n():
         "assert all(ct.a_letter(i, 60, 0, t) == ct.a_zeros(60, t)\n"
         "           for i in range(30, 62) for t in range(1, 61))\n"
         "assert [ct.a_letter(i, 60, 0, 1) for i in range(1, 30)] == [0] * 29\n"
+        "assert sum(ct.a_letter(45, 92, s, t) for t in range(1, 93) for s in range(0, 93 - t))"
+        " == ct.catalan_number(91)\n"
     )
 
 
@@ -412,7 +441,9 @@ def test_threaded_queries_are_consistent():
         "queries = ([('a_zeros', n, m) for n in range(1, 40) for m in range(1, n + 1)]\n"
         "           + [('a_desc', n, m, k) for n in range(1, 16) for m in range(1, n + 1)\n"
         "              for k in range(n)]\n"
-        "           + [('max_letter_count', n, i) for n in range(1, 30) for i in range(n)])\n"
+        "           + [('max_letter_count', n, i) for n in range(1, 30) for i in range(n)]\n"
+        "           + [('a_letter', i, n, s, t) for n in range(1, 15) for i in range(1, 5)\n"
+        "              for t in range(1, n + 1) for s in range(1, n - t + 1)])\n"
         "random.Random(5).shuffle(queries)\n"
         "with ThreadPoolExecutor(max_workers=8) as pool:\n"
         "    values = list(pool.map(lambda q: getattr(ct, q[0])(*q[1:]), queries, timeout=60))\n"
@@ -422,8 +453,9 @@ def test_threaded_queries_are_consistent():
         "a_zeros": ct.a_zeros_closed,
         "a_desc": ref_a_desc,
         "max_letter_count": ref_max_letter_count,
+        "a_letter": ref_a_letter,
     }
     results = json.loads(out)
-    assert len(results) == 780 + 1240 + 435
+    assert len(results) == 780 + 1240 + 435 + 1820
     for name, *args, value in results:
         assert value == reference[name](*args), (name, args)

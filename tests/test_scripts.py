@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("distribution_report.py", ["--max-n", "4"]),
+        ("distribution_report.py", ["--max-n", "6"]),
         ("run_identity_suite.py", ["--order", "5", "--qmax", "3"]),
     ],
 )
