@@ -25,6 +25,7 @@ from .series import (
     Caps,
     LaurentSeries,
     MultiSeries,
+    _unpack,
     catalan_series,
     cheb_u,
     l_family,
@@ -96,17 +97,27 @@ class VerificationReport:
 
 def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
     """First differing coefficient in lexicographic exponent order, within
-    the common caps."""
+    the common caps.
+
+    Packed keys order as their (x, w, v, q) exponents do, so the first
+    mismatch is the least differing key: both dicts are walked in place,
+    and no exponent set is built or sorted."""
     caps = lhs.caps.meet(rhs.caps)
-    exps = {e for e, _ in lhs.terms()} | {e for e, _ in rhs.terms()}
-    for e in sorted(exps):
-        x, w, v, q = e
-        if x > caps.x or w > caps.w or v > caps.v or q > caps.q:
-            continue
-        cl, cr = lhs.coeff(x, w, v, q), rhs.coeff(x, w, v, q)
-        if cl != cr:
-            return {"exponents": list(e), "lhs": str(cl), "rhs": str(cr)}
-    return None
+    first = None
+    for mine, other in ((lhs.coeffs, rhs.coeffs), (rhs.coeffs, lhs.coeffs)):
+        for k, c in mine.items():
+            if c != other.get(k, 0) and (first is None or k < first):
+                ey, w, v, q = _unpack(k)
+                if ey // 2 <= caps.x and w <= caps.w and v <= caps.v and q <= caps.q:
+                    first = k
+    if first is None:
+        return None
+    ey, w, v, q = _unpack(first)
+    return {
+        "exponents": [ey // 2, w, v, q],
+        "lhs": str(lhs.coeffs.get(first, 0)),
+        "rhs": str(rhs.coeffs.get(first, 0)),
+    }
 
 
 def _report(

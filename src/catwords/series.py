@@ -13,6 +13,13 @@ Truncation contract: every operation returns caps that are the
 componentwise minimum of its operands' caps, and never reports a
 coefficient beyond them.  Querying past the caps raises instead of
 returning a silently wrong zero.
+
+Inversion is exact by construction.  After normalising by the lowest
+pure unit c*y^e, the y-free slice (terms in w, v, q only) is inverted by
+its finite geometric series, which the w/v/q caps end; Newton steps
+b <- b + b*(1 - a*b) then double the y order the inverse is exact
+through until it covers the y cap, so an inversion costs O(log) products
+rather than one product per y order.
 """
 
 from __future__ import annotations
@@ -155,9 +162,18 @@ def _invert(
     caps4: tuple[int, int, int, int],
 ) -> dict[int, Coeff]:
     """Invert c*y^e*(1 + r) where the lowest y stratum must contain the
-    pure monomial c*y^e; r is then killed by the caps, so the geometric
-    series terminates.  caps4[0] is the y order the result must be exact
-    through."""
+    pure monomial c*y^e.  caps4[0] is the y order the result must be exact
+    through.
+
+    With a = 1 + r = a0 + a1, where a0 is the y-free slice (terms in w, v,
+    q only) and a1 starts at y order m, the inverse is built in two exact
+    stages.  First b = 1/a0 by the finite geometric series: every term of
+    a0 - 1 raises a w/v/q degree, so the caps end it.  Then a*b = 1 + a1*b
+    agrees with 1 through y order m - 1, and each Newton step
+    b <- b + b*(1 - a*b) doubles that precision (Brent & Kung, J. ACM
+    1978), truncated to it, until it passes caps4[0].  The inverse in the
+    truncated ring is unique, so the result equals the full geometric
+    series term by term; _trim turns integral Fractions back into ints."""
     if not coeffs:
         raise NonInvertibleError("the zero series has no inverse")
     emin = min(k >> _YSHIFT for k in coeffs) - _YOFF
@@ -177,12 +193,23 @@ def _invert(
         {k - shift: _div_coeff(-v, c) for k, v in coeffs.items() if k != unit_key},
         inner,
     )
-    total = {_ZERO: 1}
-    power = neg_r
+    y1 = _pack(1, 0, 0, 0)
+    neg_r0 = {k: v for k, v in neg_r.items() if k < y1}
+    b = {_ZERO: 1}
+    power = neg_r0
     while power:
-        total = _merge(total, power)
-        power = _mul(power, neg_r, inner)
-    return _trim({k - shift: _div_coeff(val, c) for k, val in total.items()}, caps4)
+        b = _merge(b, power)
+        power = _mul(power, neg_r0, inner)
+    if len(neg_r0) < len(neg_r):
+        a = _merge({_ZERO: 1}, neg_r, -1)
+        # b is exact below prec, the lowest y order of a's other terms
+        prec = (min(k for k in neg_r if k >= y1) >> _YSHIFT) - _YOFF
+        while prec <= inner[0]:
+            prec = min(2 * prec, inner[0] + 1)
+            step = (prec - 1, wcap, vcap, qcap)
+            err = _merge({_ZERO: 1}, _mul(a, b, step), -1)
+            b = _merge(b, _mul(b, err, step))
+    return _trim({k - shift: _div_coeff(val, c) for k, val in b.items()}, caps4)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,8 @@ BENCHMARK_TABLES = (
 # The Chebyshev sums: A-lemma at the order the series-deep benchmark runs,
 # the letter sums at the verify suite's default qmax.
 BENCHMARK_SERIES = (
+    "series --name B --order 60",
+    "series --name fine --order 300",
     "series --name A-lemma --order 40",
     "series --name A4 --order 12 --qmax 8",
     "series --name A0 --order 12 --qmax 8",
@@ -319,6 +321,10 @@ GOLDEN = {
         (0, "676198d4fe59869aa19f0ad07a2035b30b62d0d2f8dbd2cae3b0c5aa1cf0e550"),
     "count --table max-letter --n 60 --source recurrence --format lines":
         (0, "26dc4e2cc27b1afd0e70ce67674d61b147fd6aabc908ae40c82593309db54e7a"),
+    "series --name B --order 60":
+        (0, "d218daa52e21122083eaaa7b259f99783ab922d5945be09917d88cca329cedb6"),
+    "series --name fine --order 300":
+        (0, "c4c929b3453ba2ab2a90bc7355773aeb4f379a563d96e806f3944e6d4cb033a1"),
     "series --name A-lemma --order 40":
         (0, "a0aab0957923377258aa16ea71e935d922749f6f29b4fbda2bf8eb71f76e58e8"),
     "series --name A4 --order 12 --qmax 8":

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,53 @@ class TestOnesGF:
         b_tot = gf.gf_B(12).substitute("v", one)
         a_tot = gf.gf_A(12).substitute("v", one)
         assert gf._first_mismatch(b_tot, a_tot) is None
+
+
+def ref_first_mismatch(lhs, rhs):
+    """The sort-every-exponent comparison kept as a reference."""
+    caps = lhs.caps.meet(rhs.caps)
+    exps = {e for e, _ in lhs.terms()} | {e for e, _ in rhs.terms()}
+    for e in sorted(exps):
+        x, w, v, q = e
+        if x > caps.x or w > caps.w or v > caps.v or q > caps.q:
+            continue
+        cl, cr = lhs.coeff(x, w, v, q), rhs.coeff(x, w, v, q)
+        if cl != cr:
+            return {"exponents": list(e), "lhs": str(cl), "rhs": str(cr)}
+    return None
+
+
+class TestFirstMismatch:
+    def test_matches_sorted_reference(self):
+        found = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+
+            def caps():
+                return Caps(rng.randint(2, 6), *(rng.randint(1, 3) for _ in range(3)))
+
+            def exps():
+                return (rng.randint(0, 6), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+
+            def coeff():
+                return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+
+            terms = [(exps(), coeff()) for _ in range(rng.randint(0, 25))]
+            changed = list(terms)
+            for _ in range(rng.randint(0, 3)):
+                if changed and rng.random() < 0.3:
+                    changed.pop(rng.randrange(len(changed)))
+                else:
+                    changed.append((exps(), coeff()))
+            lcaps = caps()
+            rcaps = lcaps if rng.random() < 0.5 else caps()
+            lhs = MultiSeries.from_terms(lcaps, terms)
+            rhs = MultiSeries.from_terms(rcaps, changed)
+            for a, b in ((lhs, rhs), (rhs, lhs), (lhs, lhs)):
+                want = ref_first_mismatch(a, b)
+                assert gf._first_mismatch(a, b) == want
+                found += want is not None
+        assert found > 100
 
 
 class TestFineGF:

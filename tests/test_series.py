@@ -1,14 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from catwords import genfun, series
 from catwords.counting import catalan_number, coeff_C_power
 from catwords.series import (
     Caps,
@@ -204,6 +207,122 @@ class TestInversion:
         inv = base.invert()
         assert base * inv == unit
         assert inv * base == unit
+
+
+def ref_invert(coeffs, caps4):
+    """The geometric-series inversion kept as a reference: sums
+    1 + r + r**2 + ... one y order per product until the caps kill it."""
+    if not coeffs:
+        raise NonInvertibleError("the zero series has no inverse")
+    emin = min(k >> series._YSHIFT for k in coeffs) - series._YOFF
+    unit_key = series._pack(emin, 0, 0, 0)
+    c = coeffs.get(unit_key)
+    if not c:
+        raise NonInvertibleError(
+            "lowest-order term is not a unit (it carries w, v or q)"
+        )
+    ycap, wcap, vcap, qcap = caps4
+    inner = (ycap + emin, wcap, vcap, qcap)
+    if inner[0] < 0:
+        raise NonInvertibleError("inverse lies entirely above the y cap")
+    shift = emin << series._YSHIFT
+    neg_r = series._trim(
+        {k - shift: series._div_coeff(-v, c) for k, v in coeffs.items() if k != unit_key},
+        inner,
+    )
+    total = {series._ZERO: 1}
+    power = neg_r
+    while power:
+        total = series._merge(total, power)
+        power = series._mul(power, neg_r, inner)
+    return series._trim(
+        {k - shift: series._div_coeff(val, c) for k, val in total.items()}, caps4
+    )
+
+
+def _inverse_or_error(s):
+    try:
+        return s.invert()
+    except NonInvertibleError as exc:
+        return str(exc)
+
+
+class TestNewtonInversion:
+    """Newton doubling returns the geometric series' inverse, key for key
+    and type for type."""
+
+    @settings(max_examples=150, deadline=None)
+    @example("multi", 4, 0, 1, [(0, 0, 0, 1, -1)], None)  # 1 - q
+    @example("multi", 4, 0, 1, [(0, 1, 1, 0, -1), (2, 0, 0, 0, 1)], None)  # 1 - wv + x
+    @example("laurent", 3, -3, 2, [(7, 0, 0, 0, 1)], None)  # rest above the cap
+    @example("laurent", 4, -2, Fraction(-2, 3), [(1, 1, 0, 0, 3), (3, 0, 0, 0, 1)], 5)
+    @given(
+        st.sampled_from(["multi", "laurent"]),
+        st.integers(1, 6),
+        st.integers(-5, 4),
+        st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 14),
+                st.integers(0, 2),
+                st.integers(0, 2),
+                st.integers(0, 2),
+                coeffs(),
+            ),
+            max_size=6,
+        ),
+        st.none() | st.integers(-4, 12),
+    )
+    def test_matches_geometric_series(self, kind, cap, e, unit, rest, horizon):
+        caps = Caps(cap, 2, 2, 2)
+        if kind == "multi":
+            lead = 1 if e == 4 else 0  # a zero constant term is rejected
+            terms = [((lead, 0, 0, 0), unit)]
+            terms += [
+                ((lead + dy // 2, w, v, q), c)
+                for dy, w, v, q, c in rest
+                if dy // 2 or w or v or q
+            ]
+            s = MultiSeries.from_terms(caps, terms)
+        else:
+            coeffs4 = {series._pack(e, 0, 0, 0): unit}
+            for dy, w, v, q, c in rest:
+                if (dy or w or v or q) and e + dy <= 2 * cap:
+                    key = series._pack(e + dy, w, v, q)
+                    coeffs4[key] = coeffs4.get(key, 0) + c
+            s = LaurentSeries(coeffs4, caps, ylim=horizon)
+        got = _inverse_or_error(s)
+        with mock.patch.object(series, "_invert", ref_invert):
+            want = _inverse_or_error(s)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got == want
+        assert getattr(got, "ylim", None) == getattr(want, "ylim", None)
+        assert [type(c) for _, c in sorted(got.coeffs.items())] == [
+            type(c) for _, c in sorted(want.coeffs.items())
+        ]
+
+    def test_product_count_is_logarithmic(self, monkeypatch):
+        order = 300
+        caps = Caps.of(order)
+        c = catalan_series(caps)
+        x2 = MultiSeries.monomial(caps, 1, x=2)
+        a = MultiSeries.one(caps) - x2 * c * c
+        calls = []
+        mul = series._mul
+        monkeypatch.setattr(series, "_mul", lambda *args: calls.append(1) or mul(*args))
+        inv = a.invert()
+        assert len(calls) <= 2 * math.ceil(math.log2(order)) + 2
+        monkeypatch.undo()
+        assert a * inv == MultiSeries.one(caps)
+
+    def test_th3_inversion_count(self, monkeypatch):
+        calls = []
+        invert = series._invert
+        monkeypatch.setattr(series, "_invert", lambda *args: calls.append(1) or invert(*args))
+        assert genfun.check_th3(12, 8, 14).passed
+        assert len(calls) == 33
 
 
 class TestSubstitution:
