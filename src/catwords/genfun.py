@@ -154,16 +154,21 @@ def _first_failing(
 # -- closed-form builders ---------------------------------------------
 
 
-def _apply_A(u: MultiSeries) -> MultiSeries:
+def _x_catalan(caps: Caps) -> MultiSeries:
+    """x*C(x) at the given caps."""
+    return MultiSeries.monomial(caps, 1, x=1) * catalan_series(caps)
+
+
+def _apply_A(u: MultiSeries, xc: MultiSeries) -> MultiSeries:
     """The zeros generating function evaluated at second argument u:
-    x*u / (1 - x*u*C(x)) = sum_m (x*u)^m C^(m-1).
+    x*u / (1 - x*u*C(x)) = sum_m (x*u)^m C^(m-1), where xc = x*C(x) is
+    built once by the caller.
 
     Exact under truncation for any u, since every summand carries x^m.
     """
-    caps = u.caps
-    step = MultiSeries.monomial(caps, 1, x=1) * u * catalan_series(caps)
-    p = MultiSeries.monomial(caps, 1, x=1) * u
-    acc = MultiSeries.zero(caps)
+    step = u * xc
+    p = MultiSeries.monomial(u.caps, 1, x=1) * u
+    acc = MultiSeries.zero(u.caps)
     while p:
         acc = acc + p
         p = p * step
@@ -173,7 +178,7 @@ def _apply_A(u: MultiSeries) -> MultiSeries:
 def gf_A(order: int) -> MultiSeries:
     """A(x, v): coefficient of x^n v^m counts words with m zeros."""
     caps = Caps.of(order)
-    return _apply_A(MultiSeries.monomial(caps, 1, v=1))
+    return _apply_A(MultiSeries.monomial(caps, 1, v=1), _x_catalan(caps))
 
 
 def gf_A_m(m: int, order: int) -> MultiSeries:
@@ -317,16 +322,16 @@ def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[LaurentSeries], list[Mul
     return mains, weights
 
 
-def _a4_inner(weights: list[MultiSeries], a_v: MultiSeries) -> MultiSeries:
+def _a4_inner(weights: list[MultiSeries], a_v: MultiSeries, xc: MultiSeries) -> MultiSeries:
     """A(x, 1, v, q) = sum_i weight_i (A(x, v L_i(1)) - A(x, v)) over
     1 + sum_i weight_i: the w = 1 slice that the four-variable sum
-    subtracts, where a_v = A(x, v)."""
+    subtracts, where a_v = A(x, v) and xc = x*C(x)."""
     caps = a_v.caps
     v = MultiSeries.monomial(caps, 1, v=1)
     num = MultiSeries.zero(caps)
     den = MultiSeries.one(caps)
     for wt, l in zip(weights, _l_chain(MultiSeries.one(caps), len(weights))):
-        num = num + wt * (_apply_A(v * l) - a_v)
+        num = num + wt * (_apply_A(v * l, xc) - a_v)
         den = den + wt
     return num * den.invert()
 
@@ -337,12 +342,13 @@ def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
     caps = _letter_caps(order, qmax, jmax)
     mains, weights = _letter_pieces(caps, jmax)
     v = MultiSeries.monomial(caps, 1, v=1)
-    a_v = _apply_A(v)
-    inner = _a4_inner(weights, a_v)
+    xc = _x_catalan(caps)
+    a_v = _apply_A(v, xc)
+    inner = _a4_inner(weights, a_v, xc)
     ws = _l_chain(MultiSeries.monomial(caps, 1, w=1), len(mains))
     acc = LaurentSeries.zero(caps)
     for j, (main, l) in enumerate(zip(mains, ws)):
-        term = main * (_apply_A(v * l) - a_v - inner).to_laurent()
+        term = main * (_apply_A(v * l, xc) - a_v - inner).to_laurent()
         lead = term.min_y()
         if lead is not None and lead < 2 * j + 2:
             raise CertificateError(f"letter-sum term j={j} too low")
@@ -439,7 +445,7 @@ def check_co3(order: int) -> VerificationReport:
     for m in range(1, order + 1, 2):
         odd = odd + gf_A_m(m, order)
     one = MultiSeries.one(caps)
-    xc = MultiSeries.monomial(caps, 1, x=1) * catalan_series(caps)
+    xc = _x_catalan(caps)
     algebraic = xc * (one + xc).invert()
     expected = MultiSeries.from_terms(
         caps,
@@ -612,7 +618,7 @@ def check_remark2(order: int) -> VerificationReport:
     started = time.perf_counter()
     caps = Caps.of(order)
     one = MultiSeries.one(caps)
-    xc = MultiSeries.monomial(caps, 1, x=1) * catalan_series(caps)
+    xc = _x_catalan(caps)
     acc = MultiSeries.zero(caps)
     p = xc
     while p:

@@ -14,6 +14,14 @@ componentwise minimum of its operands' caps, and never reports a
 coefficient beyond them.  Querying past the caps raises instead of
 returning a silently wrong zero.
 
+Stored coefficients are always trimmed: each one is nonzero, lies inside
+its series' caps (for a Laurent series, at y order at most
+min(ylim, 2 * caps.x)), and is a Fraction only when it is not an
+integer.  Construction from outside data goes through _trim; every
+operation keeps the invariant.  Addition and subtraction rely on it:
+they merge the two stores without walking them again, and trim an
+operand only when its caps or its cut reach past the result's.
+
 Inversion is exact by construction.  After normalising by the lowest
 pure unit c*y^e, the y-free slice (terms in w, v, q only) is inverted by
 its finite geometric series, which the w/v/q caps end; Newton steps
@@ -106,13 +114,18 @@ def _trim(coeffs: dict[int, Coeff], caps4: tuple[int, int, int, int]) -> dict[in
 
 
 def _merge(a: dict[int, Coeff], b: dict[int, Coeff], sign: int = 1) -> dict[int, Coeff]:
+    """a + sign*b.  Zeros are dropped and integral Fractions become ints on
+    the keys b touches, so two trimmed stores within the same caps merge
+    into a trimmed store."""
     out = dict(a)
     for k, c in b.items():
         nc = out.get(k, 0) + (c if sign > 0 else -c)
-        if nc:
+        if not nc:
+            out.pop(k, None)
+        elif type(nc) is Fraction and nc.denominator == 1:
+            out[k] = nc.numerator
+        else:
             out[k] = nc
-        elif k in out:
-            del out[k]
     return out
 
 
@@ -298,13 +311,18 @@ class MultiSeries:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
+    def _plus(self, other: "MultiSeries", sign: int) -> "MultiSeries":
+        # Stores are trimmed to their own caps: only an operand whose caps
+        # are wider than the result's is trimmed again.
         caps = self.caps.meet(other.caps)
-        return MultiSeries(_merge(self.coeffs, other.coeffs), caps)
+        a, b = (s.coeffs if s.caps == caps else _trim(s.coeffs, caps._y4) for s in (self, other))
+        return MultiSeries(_merge(a, b, sign), caps, _trusted=True)
+
+    def __add__(self, other: "MultiSeries") -> "MultiSeries":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        caps = self.caps.meet(other.caps)
-        return MultiSeries(_merge(self.coeffs, other.coeffs, -1), caps)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "MultiSeries":
         return MultiSeries(_scale(self.coeffs, -1), self.caps, _trusted=True)
@@ -527,15 +545,28 @@ class LaurentSeries:
     def _max_y(self) -> int:
         return (max(self.coeffs) >> _YSHIFT) - _YOFF
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def _plus(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
+        # Stores are trimmed to their own caps and to y order
+        # min(ylim, 2 * caps.x): only an operand that reaches past the
+        # result's is trimmed again, by the checked constructor, which
+        # lowers the horizon if real support above the cut is dropped.
         caps = self.caps.meet(other.caps)
         ylim = min(self.ylim, other.ylim)
-        return LaurentSeries(_merge(self.coeffs, other.coeffs), caps, ylim=ylim)
+        cut = min(ylim, 2 * caps.x)
+        stores = []
+        for s in (self, other):
+            c = s.caps
+            if (c.w, c.v, c.q) != (caps.w, caps.v, caps.q) or min(s.ylim, 2 * c.x) > cut:
+                s = LaurentSeries(s.coeffs, caps, ylim=ylim)
+                ylim = s.ylim
+            stores.append(s.coeffs)
+        return LaurentSeries(_merge(*stores, sign), caps, ylim=ylim, _trusted=True)
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        caps = self.caps.meet(other.caps)
-        ylim = min(self.ylim, other.ylim)
-        return LaurentSeries(_merge(self.coeffs, other.coeffs, -1), caps, ylim=ylim)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(

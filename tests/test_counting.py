@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -459,3 +460,39 @@ def test_threaded_queries_are_consistent():
     assert len(results) == 780 + 1240 + 435 + 1820
     for name, *args, value in results:
         assert value == reference[name](*args), (name, args)
+
+
+def test_reader_waits_for_a_row_being_filled(monkeypatch):
+    # The builder, in the middle of filling row n of a cold letter layer,
+    # wakes a reader of that same row and gives it a moment to answer.  A
+    # row published before it is filled would answer at once, with a
+    # partial row; a published row is only ever a finished one, so the
+    # reader must wait on the lock until the fill is done.
+    s, i, n = 0, 1, 12
+    monkeypatch.setattr(ct, "_LETTER", [])
+    ct._zeros(n)  # every other table the fill reads is warm
+    ct._letter_row(s, i, n - 1)
+    reader_started, reader_done = threading.Event(), threading.Event()
+    read = []
+
+    def reader():
+        reader_started.set()
+        read.append(tuple(ct._letter_row(s, i, n)))
+        reader_done.set()
+
+    answered_mid_fill = []
+    thread = threading.Thread(target=reader, daemon=True)
+
+    def mul(a, b):
+        if not answered_mid_fill:
+            thread.start()
+            reader_started.wait(10)
+            answered_mid_fill.append(reader_done.wait(0.5))
+        return a * b
+
+    monkeypatch.setattr(ct, "mul", mul)
+    built = tuple(ct._letter_row(s, i, n))
+    thread.join(10)
+    assert answered_mid_fill == [False]
+    assert read == [built]
+    assert built == tuple(ref_a_letter(i, n, s, t) if t else 0 for t in range(n + 1))

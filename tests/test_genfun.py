@@ -245,7 +245,8 @@ class TestLetterGFs:
         # letter i, no matter how many zeros
         caps = Caps.of(8, q=4)
         _, weights = gf._letter_pieces(caps, 10)
-        inner = gf._a4_inner(weights, gf._apply_A(MultiSeries.monomial(caps, 1, v=1)))
+        xc = gf._x_catalan(caps)
+        inner = gf._a4_inner(weights, gf._apply_A(MultiSeries.monomial(caps, 1, v=1), xc), xc)
         for n in range(1, 9):
             for i in range(1, 5):
                 for s in range(1, n + 1):
@@ -425,7 +426,8 @@ def _reference_a4(order, qmax, jmax):
     caps = gf._letter_caps(order, qmax, jmax)
     one = MultiSeries.one(caps)
     v = MultiSeries.monomial(caps, 1, v=1)
-    a_v = gf._apply_A(v)
+    xc = gf._x_catalan(caps)
+    a_v = gf._apply_A(v, xc)
     num = MultiSeries.zero(caps)
     den = one
     for i in range(0, jmax + 1):
@@ -433,7 +435,7 @@ def _reference_a4(order, qmax, jmax):
             _uu_denominator(i, caps)
             continue
         qg = MultiSeries.monomial(caps, 1, q=i + 1) * _uu_inverse(i, caps)
-        num = num + qg * (gf._apply_A(v * l_family(i, one)) - a_v)
+        num = num + qg * (gf._apply_A(v * l_family(i, one), xc) - a_v)
         den = den + qg
     inner = num * den.invert()
     w = MultiSeries.monomial(caps, 1, w=1)
@@ -442,7 +444,7 @@ def _reference_a4(order, qmax, jmax):
         d = _a4_main_denominator(j, caps)
         if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
             continue
-        bracket = gf._apply_A(v * l_family(j, w)) - a_v - inner
+        bracket = gf._apply_A(v * l_family(j, w), xc) - a_v - inner
         prefac = LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1)
         acc = acc + prefac * d.invert() * bracket.to_laurent()
     return acc.to_x_series()

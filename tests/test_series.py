@@ -325,6 +325,152 @@ class TestNewtonInversion:
         assert len(calls) == 33
 
 
+def ref_merge(a, b, sign=1):
+    """The merge as it was while sums were re-trimmed: it drops zeros but
+    leaves integral Fractions to the trim."""
+    out = dict(a)
+    for k, c in b.items():
+        nc = out.get(k, 0) + (c if sign > 0 else -c)
+        if nc:
+            out[k] = nc
+        elif k in out:
+            del out[k]
+    return out
+
+
+def ref_plus(a, b, sign):
+    """a + sign*b through the checked constructor, which re-trims the
+    whole merged store (and lowers a Laurent horizon if it must)."""
+    caps = a.caps.meet(b.caps)
+    merged = ref_merge(a.coeffs, b.coeffs, sign)
+    if isinstance(a, MultiSeries):
+        return MultiSeries(merged, caps)
+    return LaurentSeries(merged, caps, ylim=min(a.ylim, b.ylim))
+
+
+def _assert_plus_matches_reference(a, b):
+    for sign, got in ((1, a + b), (-1, a - b)):
+        want = ref_plus(a, b, sign)
+        assert got == want
+        assert getattr(got, "ylim", None) == getattr(want, "ylim", None)
+        assert [(k, type(c)) for k, c in sorted(got.coeffs.items())] == [
+            (k, type(c)) for k, c in sorted(want.coeffs.items())
+        ]
+
+
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+PLUS_POOL = [1, -1, 2, -3, HALF, -HALF, THIRD, -THIRD, 2 * THIRD, -2 * THIRD]
+
+
+def _store(kind, terms):
+    """Packed coefficients from (first exponent, w, v, q, coeff) terms; the
+    first exponent is x for MultiSeries and y for LaurentSeries."""
+    coeffs = {}
+    for e, w, v, q, c in terms:
+        key = series._pack(2 * e if kind == "multi" else e, w, v, q)
+        coeffs[key] = coeffs.get(key, 0) + c
+    return coeffs
+
+
+def _operand(kind, caps, terms, horizon=None):
+    if kind == "multi":
+        return MultiSeries(_store(kind, terms), caps)
+    return LaurentSeries(_store(kind, terms), caps, ylim=horizon)
+
+
+@st.composite
+def plus_operands(draw):
+    """Two series of one kind with equal or unequal caps and horizons,
+    whose supports overlap often enough to cancel and to sum Fractions."""
+    kind = draw(st.sampled_from(["multi", "laurent"]))
+    lo = 0 if kind == "multi" else -3
+    exps = st.tuples(
+        st.integers(lo, 9), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
+    )
+    caps = st.builds(
+        Caps, st.integers(1, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
+    )
+    horizon = st.sampled_from([None, series._YEXACT]) | st.integers(-3, 9)
+    ca = draw(caps)
+    cb = draw(st.just(ca) | caps)
+    a_terms = draw(st.lists(st.tuples(exps, st.sampled_from(PLUS_POOL)), max_size=8))
+    shared = st.sampled_from([e for e, _ in a_terms]) if a_terms else exps
+    b_terms = draw(
+        st.lists(st.tuples(shared | exps, st.sampled_from(PLUS_POOL)), max_size=8)
+    )
+    a = _operand(kind, ca, [(*e, c) for e, c in a_terms], draw(horizon))
+    b = _operand(kind, cb, [(*e, c) for e, c in b_terms], draw(horizon))
+    return a, b
+
+
+class TestAddWithoutRetrim:
+    """Sums merge trimmed stores without re-trimming them, and still equal
+    the checked construction key for key, type for type and horizon for
+    horizon."""
+
+    def test_th3_trim_work(self, monkeypatch):
+        # The re-trimming sums visited 41,559 keys here.
+        series.cheb_u.cache_clear()
+        visited = []
+        trim = series._trim
+        monkeypatch.setattr(
+            series, "_trim", lambda coeffs, caps4: visited.append(len(coeffs)) or trim(coeffs, caps4)
+        )
+        assert genfun.check_th3(12, 8, 14).passed
+        assert sum(visited) < 12_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(plus_operands())
+    def test_matches_checked_construction(self, pair):
+        a, b = pair
+        _assert_plus_matches_reference(a, b)
+        _assert_plus_matches_reference(b, a)
+
+    @pytest.mark.parametrize("kind", ["multi", "laurent"])
+    @pytest.mark.parametrize(
+        "ca, cb",
+        [(Caps(3, 2, 2, 2), Caps(3, 2, 2, 2)), (Caps(3, 2, 2, 2), Caps(2, 1, 2, 3))],
+    )
+    @pytest.mark.parametrize(
+        "x, y",
+        [(HALF, HALF), (THIRD, -2 * THIRD), (HALF, -HALF), (3, -3), (-HALF, 2)],
+    )
+    def test_fractions_and_cancellation(self, kind, ca, cb, x, y):
+        # 1/2 + 1/2 and 1/3 - (-2/3) are the int 1; equal terms cancel.
+        a = _operand(kind, ca, [(1, 1, 0, 0, x), (0, 0, 0, 0, 1), (2, 0, 2, 1, x)])
+        b = _operand(kind, cb, [(1, 1, 0, 0, y), (2, 0, 2, 1, y), (1, 0, 0, 1, y)])
+        _assert_plus_matches_reference(a, b)
+        _assert_plus_matches_reference(b, a)
+
+    def test_exact_fraction_sum_is_int(self):
+        a = MultiSeries.monomial(CAPS, HALF, x=1)
+        one = (a + a).coeff(1)
+        assert one == 1 and type(one) is int
+        b = MultiSeries.monomial(CAPS, -2 * THIRD, x=1)
+        one = (MultiSeries.monomial(CAPS, THIRD, x=1) - b).coeff(1)
+        assert one == 1 and type(one) is int
+        assert (a - a).coeffs == {}
+
+    def test_horizons(self):
+        caps = Caps.of(4)
+        below = LaurentSeries({series._pack(0, 0, 0, 0): 1}, caps, ylim=5)
+        above = LaurentSeries.monomial(caps, 2, y=7)
+        inside = LaurentSeries.monomial(caps, 3, y=4)
+        # the horizon 5 cuts `above` away; it is no wider than the cut
+        assert (below + above).ylim == 5
+        assert (below + above).coeffs == below.coeffs
+        # an exact operand inside a narrower cut keeps the exact horizon
+        assert (inside + LaurentSeries.monomial(Caps.of(2), 1)).ylim == series._YEXACT
+        # support above the narrower cap's cut lowers the horizon to that cut
+        narrow = LaurentSeries.monomial(Caps.of(3), 1, y=-1)
+        for total in (above + narrow, narrow - above):
+            assert total.ylim == 6
+            assert total.coeffs == narrow.coeffs
+        for a, b in ((below, above), (inside, above), (above, narrow)):
+            _assert_plus_matches_reference(a, b)
+            _assert_plus_matches_reference(b, a)
+
+
 class TestSubstitution:
     def test_collapse_v(self):
         s = (ONE - X * V).invert()
