@@ -362,20 +362,16 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 PLUS_POOL = [1, -1, 2, -3, HALF, -HALF, THIRD, -THIRD, 2 * THIRD, -2 * THIRD]
 
 
-def _store(kind, terms):
-    """Packed coefficients from (first exponent, w, v, q, coeff) terms; the
+def _operand(kind, caps, terms, horizon=None):
+    """A checked series from (first exponent, w, v, q, coeff) terms; the
     first exponent is x for MultiSeries and y for LaurentSeries."""
     coeffs = {}
     for e, w, v, q, c in terms:
         key = series._pack(2 * e if kind == "multi" else e, w, v, q)
         coeffs[key] = coeffs.get(key, 0) + c
-    return coeffs
-
-
-def _operand(kind, caps, terms, horizon=None):
     if kind == "multi":
-        return MultiSeries(_store(kind, terms), caps)
-    return LaurentSeries(_store(kind, terms), caps, ylim=horizon)
+        return MultiSeries(coeffs, caps)
+    return LaurentSeries(coeffs, caps, ylim=horizon)
 
 
 @st.composite
