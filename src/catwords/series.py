@@ -538,9 +538,8 @@ class LaurentSeries:
     def _lead(self) -> int:
         """Leading y order for horizon arithmetic; an empty store means
         the first possibly nonzero order is just past the horizon."""
-        if not self.coeffs:
-            return self.ylim + 1
-        return (min(self.coeffs) >> _YSHIFT) - _YOFF
+        lead = self.min_y()
+        return self.ylim + 1 if lead is None else lead
 
     def _max_y(self) -> int:
         return (max(self.coeffs) >> _YSHIFT) - _YOFF

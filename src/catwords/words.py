@@ -53,13 +53,19 @@ def _why_invalid(letters: tuple[int, ...]) -> str | None:
     return None
 
 
-def validate(seq: Sequence[int]) -> bool:
-    """True iff the non-empty sequence satisfies both membership rules."""
-    letters = tuple(seq)
+def _check_letters(letters: tuple[int, ...]) -> None:
+    """Reject what is not a sequence of letters at all: the empty one and
+    one with a negative letter."""
     if not letters:
         raise ValueError("empty sequence: Catalan words have length >= 1")
     if any(a < 0 for a in letters):
         raise ValueError("letters must be non-negative integers")
+
+
+def validate(seq: Sequence[int]) -> bool:
+    """True iff the non-empty sequence satisfies both membership rules."""
+    letters = tuple(seq)
+    _check_letters(letters)
     return _why_invalid(letters) is None
 
 
@@ -74,10 +80,7 @@ class CatalanWord(tuple):
 
     def __new__(cls, letters: Iterable[int]) -> "CatalanWord":
         word = tuple.__new__(cls, letters)
-        if not word:
-            raise ValueError("empty sequence: Catalan words have length >= 1")
-        if any(a < 0 for a in word):
-            raise ValueError("letters must be non-negative integers")
+        _check_letters(word)
         reason = _why_invalid(word)
         if reason is not None:
             raise ValueError(f"not a Catalan word: {reason}")
@@ -97,15 +100,25 @@ class CatalanWord(tuple):
 def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
     """Yield every Catalan word of length n exactly once, lexicographically.
 
-    Depth-first search over extensions u in [max(0, v-1), M+1], where v is
-    the last letter written and M the running maximum.  u > M+1 is
-    impossible (its first occurrence would lack a u-1 on the left), which
-    also caps letters at floor((n-1)/2).  Writing M+1 for the first time
-    creates the obligation "write M again later"; writing u discharges the
-    pending obligation with target u.  A branch is cut when the remaining
-    slots cannot reach the smallest pending target, since a descent must
-    pass through every intermediate value.  Disabling ``prune`` keeps the
-    stream identical and merely filters at full length.
+    Depth-first search over a word's state (u, M, p): its last letter u,
+    its running maximum M and its lowest pending target p, where writing
+    M+1 for the first time creates the target "write M again later".  The
+    next letter v ranges over [max(0, u-1), M+1]; a larger v would lack a
+    v-1 on its left, which also caps letters at floor((n-1)/2).  "Nothing
+    pending" is the sentinel p = n, above every letter.  The lowest target
+    is all the state needs:
+
+      - every pending target lies below the last letter;
+      - letters drop by at most one, so reaching p passes through every
+        pending target and discharges it;
+      - writing any other letter leaves the minimum unchanged.
+
+    So v = p leaves nothing pending, v = M+1 with nothing pending makes M
+    the target, and every other v keeps p.  A word is valid iff nothing is
+    pending at full length.  Each depth holds only its own state, computed
+    from the depth before, so backtracking undoes nothing.  A branch is cut
+    when the remaining slots cannot descend from u to p; disabling
+    ``prune`` keeps the stream identical and merely filters at full length.
 
     The generator is the visitor interface: stop consuming it to terminate
     early.
@@ -118,46 +131,33 @@ def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
 
     word = [0] * n
     maxs = [0] * n
-    nxt = [0] * n
-    discharged = [False] * n
-    obliged = [False] * n
-    applied = [False] * n
-    pending: set[int] = set()
-
+    low = [n] * n
     d = 1
-    nxt[1] = 0
-    while d >= 1:
-        if applied[d]:
-            u = word[d]
-            if discharged[d]:
-                pending.add(u)
-            if obliged[d]:
-                pending.remove(u - 1)
-            applied[d] = False
-            nxt[d] = u + 1
-        u = nxt[d]
-        if u > maxs[d - 1] + 1:
+    word[1] = -1  # each depth tries word[d] + 1 next
+    while d:
+        v = word[d] + 1
+        m = maxs[d - 1]
+        if v > m + 1:
             d -= 1
             continue
-        hit = u in pending
-        rise = u > maxs[d - 1]
-        if hit:
-            pending.remove(u)
-        if rise:
-            pending.add(u - 1)
-        word[d] = u
-        maxs[d] = u if rise else maxs[d - 1]
-        applied[d] = True
-        discharged[d] = hit
-        obliged[d] = rise
+        p = low[d - 1]
+        if v == p:
+            p = n
+        elif v > m:
+            if p == n:
+                p = m
+            m = v
+        word[d] = v
+        maxs[d] = m
+        low[d] = p
         if d == n - 1:
-            if not pending:
+            if p == n:
                 yield tuple.__new__(CatalanWord, word)
             continue
-        if prune and pending and n - 1 - d < u - min(pending):
+        if prune and n - 1 - d < v - p:
             continue
         d += 1
-        nxt[d] = u - 1 if u > 0 else 0
+        word[d] = v - 2 if v else -1
 
 
 def count_letter(word: Sequence[int], i: int) -> int:

@@ -147,6 +147,64 @@ class TestEnumerate:
         assert all(r == results[0] for r in results)
 
 
+def ref_enumerate_words(n, *, prune=True):
+    """The pending-set search kept as a reference: it tracks every pending
+    target in a set and undoes each depth's changes when it backtracks."""
+    if n == 1:
+        yield (0,)
+        return
+    word = [0] * n
+    maxs = [0] * n
+    nxt = [0] * n
+    discharged = [False] * n
+    obliged = [False] * n
+    applied = [False] * n
+    pending = set()
+    d = 1
+    nxt[1] = 0
+    while d >= 1:
+        if applied[d]:
+            u = word[d]
+            if discharged[d]:
+                pending.add(u)
+            if obliged[d]:
+                pending.remove(u - 1)
+            applied[d] = False
+            nxt[d] = u + 1
+        u = nxt[d]
+        if u > maxs[d - 1] + 1:
+            d -= 1
+            continue
+        hit = u in pending
+        rise = u > maxs[d - 1]
+        if hit:
+            pending.remove(u)
+        if rise:
+            pending.add(u - 1)
+        word[d] = u
+        maxs[d] = u if rise else maxs[d - 1]
+        applied[d] = True
+        discharged[d] = hit
+        obliged[d] = rise
+        if d == n - 1:
+            if not pending:
+                yield tuple(word)
+            continue
+        if prune and pending and n - 1 - d < u - min(pending):
+            continue
+        d += 1
+        nxt[d] = u - 1 if u > 0 else 0
+
+
+class TestStateEnumeration:
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_pending_set_search(self, n, prune):
+        got = list(enumerate_words(n, prune=prune))
+        assert [tuple(w) for w in got] == list(ref_enumerate_words(n, prune=prune))
+        assert all(type(w) is CatalanWord for w in got)
+
+
 class TestStatistics:
     def test_count_letter(self):
         assert count_letter((0, 1, 0, 2, 1), 0) == 2
