@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from . import counting, genfun, words
 from .series import Caps, MultiSeries, catalan_series
@@ -185,15 +186,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Words per sys.stdout.write of an `enumerate` listing.
+_CHUNK_WORDS = 4096
+
+# format -> (encode a chunk of words, separator between chunks, opening,
+# closing).  Written chunk by chunk, a listing is byte for byte one print
+# per word (lines, csv) or one print of json.dumps of the whole list; json
+# writes a word, a tuple, as an array.
+_LINES = (lambda chunk: "\n".join(map(str, chunk)), "\n", "", "\n")
+_LISTINGS: dict[str, tuple[Callable[[list], str], str, str, str]] = {
+    "lines": _LINES,
+    "csv": _LINES,
+    "json": (lambda chunk: json.dumps(chunk)[1:-1], ", ", "[", "]\n"),
+}
+
+
+def _write_listing(stream: Iterable[words.CatalanWord], fmt: str) -> None:
+    encode, sep, opening, closing = _LISTINGS[fmt]
+    write = sys.stdout.write
+    lead = opening
+    while chunk := list(islice(stream, _CHUNK_WORDS)):
+        write(lead + encode(chunk))
+        lead = sep
+    write(closing)
+
+
 def _cmd_enumerate(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
-    if args.format == "json":
-        out = [list(word) for word in words.enumerate_words(args.n)]
-        print(json.dumps(out))
-    else:
-        for word in words.enumerate_words(args.n):
-            print(word)
+    _write_listing(words.enumerate_words(args.n), args.format)
     return 0
 
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cache
+from itertools import tee
+from operator import gt, methodcaller
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "CatalanWord",
@@ -91,10 +94,16 @@ class CatalanWord(tuple):
         return cls(int(part) for part in text.split(","))
 
     def __str__(self) -> str:
-        return ",".join(str(a) for a in self)
+        return _letters_format(len(self)) % self
 
     def __repr__(self) -> str:
-        return f"CatalanWord(({', '.join(str(a) for a in self)}))"
+        return f"CatalanWord({tuple.__repr__(self)})"
+
+
+@cache
+def _letters_format(k: int) -> str:
+    """The format string that writes k letters as CatalanWord.__str__ does."""
+    return ",".join(["%d"] * k)
 
 
 def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
@@ -164,12 +173,12 @@ def count_letter(word: Sequence[int], i: int) -> int:
     """Number of positions holding the letter i."""
     if i < 0:
         raise ValueError("letter must be non-negative")
-    return sum(1 for a in word if a == i)
+    return word.count(i)
 
 
 def count_descents(word: Sequence[int]) -> int:
     """Number of adjacent pairs with left letter strictly greater."""
-    return sum(1 for a, b in zip(word, word[1:]) if a > b)
+    return sum(map(gt, word, word[1:]))
 
 
 def max_letter(word: Sequence[int]) -> int:
@@ -177,13 +186,15 @@ def max_letter(word: Sequence[int]) -> int:
     return max(word)
 
 
-# kind -> fn(word, letter); only "letter" reads the letter.
-_STATS = {
-    "zeros": lambda word, letter: count_letter(word, 0),
-    "ones": lambda word, letter: count_letter(word, 1),
-    "descents": lambda word, letter: count_descents(word),
-    "letter": count_letter,
-    "max-letter": lambda word, letter: max_letter(word),
+# kind -> letter -> the statistic as a one-argument function of the word;
+# only "letter" reads the letter.  The letter counts and the maximum bind
+# to C callables, so a tally runs no bytecode for them.
+_STATS: dict[str, Callable[[int | None], Callable[[Sequence[int]], int]]] = {
+    "zeros": lambda letter: methodcaller("count", 0),
+    "ones": lambda letter: methodcaller("count", 1),
+    "descents": lambda letter: count_descents,
+    "letter": lambda letter: methodcaller("count", letter),
+    "max-letter": lambda letter: max,
 }
 STAT_KINDS = tuple(_STATS)
 
@@ -204,20 +215,26 @@ class StatisticSpec:
         elif self.letter is not None:
             raise ValueError(f"statistic {self.kind!r} takes no letter")
 
+    def bind(self) -> Callable[[Sequence[int]], int]:
+        """This statistic as a one-argument function of the word."""
+        return _STATS[self.kind](self.letter)
+
     def evaluate(self, word: Sequence[int]) -> int:
-        return _STATS[self.kind](word, self.letter)
+        return self.bind()(word)
 
 
 def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
     """Joint distribution of the given statistics over all words of length n.
 
     Keys are tuples of statistic values in spec order; counts sum to C(n-1).
+    Each statistic maps over its own copy of the word stream, zip builds
+    the key tuples and Counter counts them, so per word only a statistic
+    written in Python (descents) runs bytecode.  zip draws from the copies
+    in turn, so tee holds a single word.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     if not specs:
         raise ValueError("need at least one statistic")
-    table: Counter[tuple[int, ...]] = Counter()
-    for word in enumerate_words(n):
-        table[tuple(spec.evaluate(word) for spec in specs)] += 1
-    return table
+    fns = [spec.bind() for spec in specs]
+    return Counter(zip(*map(map, fns, tee(enumerate_words(n), len(fns)))))

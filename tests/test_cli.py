@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from catwords import cli, genfun
 from catwords.counting import a_zeros_closed, catalan_number
+from catwords.words import enumerate_words
 from test_cli_golden import ROUTE_PAIRS, SERIES_NAMES
 
 
@@ -49,6 +52,33 @@ class TestEnumerate:
         assert len(words) == 14
         assert words[0] == [0, 0, 0, 0, 0]
         assert json.loads(json.dumps(words)) == words
+
+    def test_json_listing_streams(self, monkeypatch):
+        """At n = 11 the JSON listing (16,796 words, five chunks) is written
+        chunk by chunk: the same bytes as json.dumps of the whole list, with
+        a traced peak well under what holding every word as a list takes
+        (about 6.3 MiB with CPython 3.11)."""
+        digest = hashlib.sha256()
+
+        class Sink:
+            def write(self, text):
+                digest.update(text.encode())
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            code = cli.main(["enumerate", "--n", "11", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = json.dumps([list(w) for w in enumerate_words(11)]) + "\n"
+        assert code == 0
+        assert digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+        assert peak < 5 * 2**20
 
 
 class TestCount:

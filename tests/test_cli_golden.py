@@ -76,6 +76,9 @@ def _grid():
             yield f"series --name {name} --order 6{extra} --format {fmt}"
     for fmt in FORMATS:
         yield f"enumerate --n 5 --format {fmt}"
+    # 4,862 words: the listing spans two of the CLI's 4,096-word chunks
+    for fmt in FORMATS:
+        yield f"enumerate --n 10 --format {fmt}"
     yield "verify --identity all --order 6 --qmax 3"
     yield "verify --identity co1 --order 3 --jmax 1"
     # a scalar table whose one row is zero, and a table with no rows
@@ -287,6 +290,12 @@ GOLDEN = {
         (0, "ccba39be20180ac114a51c0e08b66645c4a1e029b7711d0e3991a7253167df99"),
     "enumerate --n 5 --format json":
         (0, "29a3b77df0833274a0dd3d4359c0d7d3f6d3a8922db801b4f0e32b59e5e062c8"),
+    "enumerate --n 10 --format lines":
+        (0, "420558f43a4a99da41a0a6f3033d8156d0be3ea46fefae61677a6bb3e0552ff7"),
+    "enumerate --n 10 --format csv":
+        (0, "420558f43a4a99da41a0a6f3033d8156d0be3ea46fefae61677a6bb3e0552ff7"),
+    "enumerate --n 10 --format json":
+        (0, "e704b193825f3e18a9d656ef185b8c1cfdd003b338b20173f8013de305a9c2f1"),
     "verify --identity all --order 6 --qmax 3":
         (0, "083a6d6c55d32733f6620b49874c7c880b169614edab39d5ab94061f96a5b317"),
     "verify --identity co1 --order 3 --jmax 1":

@@ -107,6 +107,15 @@ class TestCatalanWord:
     def test_orders_as_tuple(self):
         assert CatalanWord((0, 0, 1, 0)) < CatalanWord((0, 1, 0, 0))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_repr_evaluates_back(self, n):
+        for w in enumerate_words(n):
+            back = eval(repr(w))
+            assert back == w and type(back) is CatalanWord
+
+    def test_repr_of_one_letter_word(self):
+        assert repr(CatalanWord((0,))) == "CatalanWord((0,))"
+
 
 class TestEnumerate:
     def test_single_letter(self):
@@ -257,6 +266,95 @@ class TestTally:
             tally(0, [StatisticSpec("zeros")])
         with pytest.raises(ValueError):
             tally(3, [])
+
+
+# Reference forms of the statistics and of CatalanWord.__str__, one Python
+# generator per word, as they were written before the builtin forms.  The
+# builtin forms must agree with them exactly.
+def ref_count_letter(word, i):
+    return sum(1 for a in word if a == i)
+
+
+def ref_count_descents(word):
+    return sum(1 for a, b in zip(word, word[1:]) if a > b)
+
+
+def ref_str(word):
+    return ",".join(str(a) for a in word)
+
+
+REF_STATS = {
+    "zeros": lambda word, letter: ref_count_letter(word, 0),
+    "ones": lambda word, letter: ref_count_letter(word, 1),
+    "descents": lambda word, letter: ref_count_descents(word),
+    "letter": ref_count_letter,
+    "max-letter": lambda word, letter: max(word),
+}
+ALL_SPECS = [
+    StatisticSpec("zeros"),
+    StatisticSpec("ones"),
+    StatisticSpec("descents"),
+    StatisticSpec("max-letter"),
+    *(StatisticSpec("letter", i) for i in range(4)),
+]
+
+
+def ref_tally(columns, specs):
+    """The one-word-at-a-time tally loop over the reference values:
+    columns[spec][k] is the spec's reference statistic of the k-th word."""
+    table = Counter()
+    for key in zip(*(columns[spec] for spec in specs)):
+        table[key] += 1
+    return table
+
+
+def peak_word(k):
+    """0,1,...,k,...,1,0: a valid word of length 2k + 1 whose maximum is k."""
+    return CatalanWord((*range(k + 1), *range(k - 1, -1, -1)))
+
+
+class TestBuiltinForms:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_tally_matches_reference(self, n):
+        ws = list(enumerate_words(n))
+        columns = {s: [REF_STATS[s.kind](w, s.letter) for w in ws] for s in ALL_SPECS}
+        for spec in ALL_SPECS:
+            assert tally(n, [spec]) == ref_tally(columns, [spec])
+        for pair in itertools.product(ALL_SPECS, repeat=2):
+            assert tally(n, pair) == ref_tally(columns, pair)
+
+    def test_str_matches_reference(self):
+        for n in range(1, 13):
+            for w in enumerate_words(n):
+                assert str(w) == ref_str(w)
+
+    @pytest.mark.parametrize("k", [10, 11, 12, 15])
+    def test_str_with_wide_letters(self, k):
+        peak = peak_word(k)
+        # a plateau and a second peak after the first, still a valid word
+        long = CatalanWord((*peak, 0, 1, 1, 2, 1, 0))
+        for w in (peak, long):
+            assert len(w) >= 21 and max(w) >= 10
+            assert str(w) == ref_str(w)
+            assert CatalanWord.parse(str(w)) == w
+        assert str(peak_word(10)) == "0,1,2,3,4,5,6,7,8,9,10,9,8,7,6,5,4,3,2,1,0"
+
+    def test_statistics_on_lists_and_tuples(self):
+        samples = [(0,), *enumerate_words(8), tuple(peak_word(11))]
+        for w in samples:
+            for seq in (tuple(w), list(w), w):
+                assert count_descents(seq) == ref_count_descents(w)
+                for i in range(13):
+                    assert count_letter(seq, i) == ref_count_letter(w, i)
+        assert count_letter([0], 0) == 1 and count_letter([0], 1) == 0
+        assert count_descents([0]) == 0 and count_descents((0,)) == 0
+        with pytest.raises(ValueError):
+            count_letter([0], -1)
+
+    def test_evaluate_matches_bind(self):
+        for spec in ALL_SPECS:
+            for w in enumerate_words(7):
+                assert spec.evaluate(w) == spec.bind()(w) == REF_STATS[spec.kind](w, spec.letter)
 
 
 @settings(max_examples=30, deadline=None)
