@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Sequence
 
 from . import counting, genfun, words
@@ -189,11 +189,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # Words per sys.stdout.write of an `enumerate` listing.
 _CHUNK_WORDS = 4096
 
+
+def _encode_lines(chunk: list[words.CatalanWord]) -> str:
+    """One word per line, as str(word) writes it, by one % format for the
+    whole chunk; every word of a listing has the same length."""
+    fmt = words._letters_format(len(chunk[0]))
+    return "\n".join([fmt] * len(chunk)) % tuple(chain.from_iterable(chunk))
+
+
 # format -> (encode a chunk of words, separator between chunks, opening,
 # closing).  Written chunk by chunk, a listing is byte for byte one print
 # per word (lines, csv) or one print of json.dumps of the whole list; json
 # writes a word, a tuple, as an array.
-_LINES = (lambda chunk: "\n".join(map(str, chunk)), "\n", "", "\n")
+_LINES = (_encode_lines, "\n", "", "\n")
 _LISTINGS: dict[str, tuple[Callable[[list], str], str, str, str]] = {
     "lines": _LINES,
     "csv": _LINES,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .counting import ExactnessError, catalan_number
 
@@ -95,14 +95,20 @@ def _unpack(key: int) -> tuple[int, int, int, int]:
 def _trim(coeffs: dict[int, Coeff], caps4: tuple[int, int, int, int]) -> dict[int, Coeff]:
     """Drop monomials beyond the caps and zero coefficients; canonicalize
     integral Fractions back to int."""
-    ycap, wcap, vcap, qcap = caps4
-    ylim = (ycap + _YOFF + 1) << _YSHIFT
+    ylim = (caps4[0] + _YOFF + 1) << _YSHIFT
+    return _fit((item for item in coeffs.items() if item[0] < ylim), caps4)
+
+
+def _fit(items: Iterable[tuple[int, Coeff]], caps4: tuple[int, int, int, int]) -> dict[int, Coeff]:
+    """_trim for terms already below the y cap: drop monomials beyond the
+    w/v/q caps and zero coefficients; canonicalize integral Fractions back
+    to int."""
+    _, wcap, vcap, qcap = caps4
     out: dict[int, Coeff] = {}
-    for k, c in coeffs.items():
-        if not c or k >= ylim:
-            continue
+    for k, c in items:
         if (
-            (k & _FIELD) > qcap
+            not c
+            or (k & _FIELD) > qcap
             or ((k >> _VSHIFT) & _FIELD) > vcap
             or ((k >> _WSHIFT) & _FIELD) > wcap
         ):
@@ -135,7 +141,8 @@ def _mul(
     caps4: tuple[int, int, int, int],
 ) -> dict[int, Coeff]:
     """Truncated product.  Keys sort by y first, so iterating the second
-    factor in key order allows an early break once the y cap is passed."""
+    factor in key order allows an early break once the y cap is passed;
+    only the w/v/q caps are left for _fit."""
     if not a or not b:
         return {}
     if len(a) > len(b):
@@ -152,7 +159,7 @@ def _mul(
                 break
             kk = base + kb
             out[kk] = get(kk, 0) + ca * cb
-    return _trim(out, caps4)
+    return _fit(out.items(), caps4)
 
 
 def _scale(coeffs: dict[int, Coeff], c: Coeff) -> dict[int, Coeff]:

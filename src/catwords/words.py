@@ -9,13 +9,21 @@ A Catalan word is a sequence of non-negative integers that
 The words of a fixed length n form a Catalan family: there are C(n-1)
 of them.  Everything here is brute force by design; the counting and
 series modules are checked against this one.
+
+Enumeration walks a prefix's state (u, M, p): its last letter, its
+maximum and its lowest pending target.  The state decides every later
+transition and whether the word ends valid, so the completions of a
+prefix depend only on the state and the number of slots left.  The
+search therefore walks each word's first n - _TAIL letters one by one
+and finishes every prefix with a block of tails looked up under the key
+(u, M, p, r) in a memo that lives for one call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import tee
 from operator import gt, methodcaller
 from typing import Callable, Iterable, Iterator, Sequence
@@ -124,49 +132,96 @@ def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
 
     So v = p leaves nothing pending, v = M+1 with nothing pending makes M
     the target, and every other v keeps p.  A word is valid iff nothing is
-    pending at full length.  Each depth holds only its own state, computed
-    from the depth before, so backtracking undoes nothing.  A branch is cut
-    when the remaining slots cannot descend from u to p; disabling
-    ``prune`` keeps the stream identical and merely filters at full length.
+    pending at full length.  A branch is cut when the remaining slots
+    cannot descend from u to p; disabling ``prune`` keeps the stream
+    identical and merely filters at full length.
+
+    The search walks only the first k = max(n - _TAIL, 1) letters, one
+    stack entry per depth, each computed from the depth before, so
+    backtracking undoes nothing.  The state decides every later transition
+    and the final test, so the completions of a prefix depend only on
+    (u, M, p) and the r = n - k slots left: each prefix is finished with
+    the block tails[u, M, p, r] (see _TailBlocks), built once by the same
+    transitions and cut, and its words are built from the block in C.  The
+    memo belongs to the call and is freed with the stream.
 
     The generator is the visitor interface: stop consuming it to terminate
     early.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if n == 1:
-        yield tuple.__new__(CatalanWord, (0,))
+    tails = _TailBlocks(n, prune)
+    new = partial(tuple.__new__, CatalanWord)
+    k = max(n - _TAIL, 1)  # prefix length
+    if k == 1:
+        yield from map(new, map((0,).__add__, tails[0, 0, n, n - 1]))
         return
 
-    word = [0] * n
-    maxs = [0] * n
-    low = [n] * n
+    word = [0] * k
+    maxs = [0] * k
+    low = [n] * k
     d = 1
     word[1] = -1  # each depth tries word[d] + 1 next
     while d:
         v = word[d] + 1
-        m = maxs[d - 1]
-        if v > m + 1:
+        if v > maxs[d - 1] + 1:
             d -= 1
             continue
-        p = low[d - 1]
-        if v == p:
-            p = n
-        elif v > m:
-            if p == n:
-                p = m
-            m = v
+        m, p = _step(v, maxs[d - 1], low[d - 1], n)
         word[d] = v
+        if d == k - 1:
+            yield from map(new, map(tuple(word).__add__, tails[v, m, p, n - k]))
+            continue
         maxs[d] = m
         low[d] = p
-        if d == n - 1:
-            if p == n:
-                yield tuple.__new__(CatalanWord, word)
-            continue
         if prune and n - 1 - d < v - p:
             continue
         d += 1
         word[d] = v - 2 if v else -1
+
+
+def _step(v: int, m: int, p: int, n: int) -> tuple[int, int]:
+    """The maximum and the lowest pending target after writing v to a
+    prefix with maximum m and lowest pending target p (n: none)."""
+    if v == p:
+        return m, n
+    if v > m:
+        return v, m if p == n else p
+    return m, p
+
+
+# Letters per memoized tail: enumerate_words searches all but the last
+# _TAIL letters of a word one by one.
+_TAIL = 6
+
+
+class _TailBlocks(dict):
+    """tails[u, M, p, r] for words of length n: every r-letter tuple, in
+    lexicographic order, that completes a prefix in state (u, M, p), by the
+    transitions and the cut of enumerate_words.  A block is built on its
+    first lookup, from the blocks one letter shorter, and kept."""
+
+    __slots__ = ("n", "prune")
+
+    def __init__(self, n: int, prune: bool) -> None:
+        super().__init__()
+        self.n = n
+        self.prune = prune
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
+        u, m, p, r = key
+        n = self.n
+        if not r:
+            block = ((),) if p == n else ()
+        elif self.prune and r < u - p:
+            block = ()
+        else:
+            out: list[tuple[int, ...]] = []
+            for v in range(u - 1 if u else 0, m + 2):
+                out += map((v,).__add__, self[(v, *_step(v, m, p, n), r - 1)])
+            block = tuple(out)
+        self[key] = block
+        return block
 
 
 def count_letter(word: Sequence[int], i: int) -> int:

@@ -54,6 +54,13 @@ BENCHMARK_TABLES = (
     "count --table ones --n 200 --source recurrence --format lines",
     "count --table max-letter --n 60 --source recurrence --format lines",
 )
+# The enumerate-tally benchmark's listing (in its default format) and its
+# two tallies, at n = 13: 208,012 words.
+BENCHMARK_WORDS = (
+    "enumerate --n 13",
+    *(f"count --table {table} --n 13 --source enum --format {fmt}"
+      for table in ("zeros-descents", "letter --i 2") for fmt in FORMATS),
+)
 # The Chebyshev sums: A-lemma at the order the series-deep benchmark runs,
 # the letter sums at the verify suite's default qmax.
 BENCHMARK_SERIES = (
@@ -85,6 +92,7 @@ def _grid():
     yield "count --table fine --n 2 --source enum"
     yield "count --table ones-zeros --n 2 --source closed"
     yield from BENCHMARK_TABLES
+    yield from BENCHMARK_WORDS
     yield from BENCHMARK_SERIES
     yield from USAGE_ERRORS
 
@@ -330,6 +338,20 @@ GOLDEN = {
         (0, "676198d4fe59869aa19f0ad07a2035b30b62d0d2f8dbd2cae3b0c5aa1cf0e550"),
     "count --table max-letter --n 60 --source recurrence --format lines":
         (0, "26dc4e2cc27b1afd0e70ce67674d61b147fd6aabc908ae40c82593309db54e7a"),
+    "enumerate --n 13":
+        (0, "914c89e3ce1c689be4e0ecc91954fd10590de7bd71c770eaaea0c6f14dfd50d6"),
+    "count --table zeros-descents --n 13 --source enum --format lines":
+        (0, "94da464b8a758ca036e69c2d604aa613c3fa504a4ac65517dc7b3d4e675ff360"),
+    "count --table zeros-descents --n 13 --source enum --format csv":
+        (0, "84211c727cfc1bb77c0980f540916e24ea53ada78f5005a5596d4d10e9e26029"),
+    "count --table zeros-descents --n 13 --source enum --format json":
+        (0, "f0bd51d03eb84ca5940678a9af6a3708865b8b96f2736469c4eec263616ed87b"),
+    "count --table letter --i 2 --n 13 --source enum --format lines":
+        (0, "0aa7da547d5e41d9e1aaaf450b07cdd62b3144c47d1554b4ca0b102c37709c06"),
+    "count --table letter --i 2 --n 13 --source enum --format csv":
+        (0, "fbe40a752b89a37472179c63645e23fab50965eb0a1b6d04e96b5de39f24244a"),
+    "count --table letter --i 2 --n 13 --source enum --format json":
+        (0, "2f7a09581132a76fc4161640f13dfecac052b3f984f5bb2bab7bc0a183a0285f"),
     "series --name B --order 60":
         (0, "d218daa52e21122083eaaa7b259f99783ab922d5945be09917d88cca329cedb6"),
     "series --name fine --order 300":

@@ -22,7 +22,15 @@ def test_script_exits_zero(script, args):
 
 
 # The genfun certificates are explicit raises, so -O must change nothing.
-@pytest.mark.parametrize("script, args", [("run_identity_suite.py", ["--order", "6", "--qmax", "3"])])
+# At n = 9 the distribution report checks enumeration, by a prefix walk
+# and memoized tails, against every other route.
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_identity_suite.py", ["--order", "6", "--qmax", "3"]),
+        ("distribution_report.py", ["--max-n", "9"]),
+    ],
+)
 def test_script_exits_zero_under_optimize(script, args):
     _assert_exits_zero(["-O"], script, args)
 

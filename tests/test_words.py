@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -212,6 +213,76 @@ class TestStateEnumeration:
         got = list(enumerate_words(n, prune=prune))
         assert [tuple(w) for w in got] == list(ref_enumerate_words(n, prune=prune))
         assert all(type(w) is CatalanWord for w in got)
+
+
+def ref_dfs_enumerate(n, *, prune=True):
+    """The state search over every depth, kept as a reference: the same
+    (u, M, p) walk without the memoized tail blocks."""
+    if n == 1:
+        yield tuple.__new__(CatalanWord, (0,))
+        return
+    word = [0] * n
+    maxs = [0] * n
+    low = [n] * n
+    d = 1
+    word[1] = -1
+    while d:
+        v = word[d] + 1
+        m = maxs[d - 1]
+        if v > m + 1:
+            d -= 1
+            continue
+        p = low[d - 1]
+        if v == p:
+            p = n
+        elif v > m:
+            if p == n:
+                p = m
+            m = v
+        word[d] = v
+        maxs[d] = m
+        low[d] = p
+        if d == n - 1:
+            if p == n:
+                yield tuple.__new__(CatalanWord, word)
+            continue
+        if prune and n - 1 - d < v - p:
+            continue
+        d += 1
+        word[d] = v - 2 if v else -1
+
+
+class TestPrefixTailEnumeration:
+    """n <= 7 is all tail; from n = 8 on a prefix walk feeds the tails."""
+
+    @pytest.mark.parametrize(
+        "n, prune", [(n, True) for n in range(1, 14)] + [(n, False) for n in range(1, 11)]
+    )
+    def test_matches_state_dfs(self, n, prune):
+        # pairwise, so n = 13 never holds either list of 208,012 words
+        count = 0
+        for got, want in itertools.zip_longest(
+            enumerate_words(n, prune=prune), ref_dfs_enumerate(n, prune=prune)
+        ):
+            assert got == want
+            assert type(got) is CatalanWord
+            count += 1
+        assert count == catalan_number(n - 1)
+
+    def test_streaming_memory(self):
+        # Holding the 208,012 words of n = 13 would take about 30 MiB; the
+        # tail blocks take about 2.4 MiB and go when the stream ends.
+        tracemalloc.start()
+        try:
+            count = 0
+            for _ in enumerate_words(13):
+                count += 1
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == catalan_number(12)
+        assert peak < 8 * 2**20
+        assert current < 2**20
 
 
 class TestStatistics:
