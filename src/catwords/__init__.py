@@ -35,10 +35,8 @@ from .genfun import (
 )
 from .series import (
     Caps,
-    LaurentSeries,
     MultiSeries,
     NonInvertibleError,
-    ParityError,
     catalan_series,
     cheb_u,
     l_closed,

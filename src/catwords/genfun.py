@@ -1,17 +1,17 @@
 """Generating functions for the word statistics, built two ways each and
 verified coefficient by coefficient.
 
-Every Chebyshev sum is built from one term family, with U_j the
-Chebyshev value at t = 1/(2y): P_j(z) = U_j - z y U_{j-1} for z "v" or
-"w" (U_j for None) and T_j(z) = 1 / (y P_{j-1}(z) P_j(z)).  co1 sums
-T_{j+1}(0), co2 T_j(v) and the letter weights q^(j+1) T_{j+2}(0); the
-A-lemma and the letter mains invert P_{j-1}(z) P_j(z) without the y.
-Each sum is cut by the tail-start property: the leading order of every
-term is certified before truncation, so a finite cut is provably exact;
-a failed certificate raises CertificateError, also under ``python -O``,
-as in "T_8(0) denominator: leading y order -16, expected -15".  When
-the requested number of terms cannot cover the x or q caps, builders
-raise StabilityError instead of returning a silently short sum.
+Every Chebyshev sum is built from one term family in x.  With u_j =
+cheb_u(j) (U_j at t = 1/(2y) times y^j, y^2 = x: an integer polynomial
+with constant term 1), p_j(z) = u_j - z x u_{j-1} for z "v" or "w" (u_j
+for None) and T_j(z) = x^(j-1) / (p_{j-1}(z) p_j(z)).  co1 sums
+T_{j+1}(0), co2 T_j(v), the A-lemma x T_j(v), the letter mains
+x w q^(j+1) T_{j+1}(w) and the weights q^(j+1) T_{j+2}(0).  A term's
+start x^k is explicit, so each sum is cut exactly where x^k passes the x
+cap.  The one certificate is a denominator's constant term: if it is not
+1, CertificateError names the term, also under ``python -O``.  When the
+requested number of terms cannot cover the x or q caps, builders raise
+StabilityError instead of returning a silently short sum.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from . import counting
 from .series import (
     Caps,
-    LaurentSeries,
     MultiSeries,
+    _cheb_p,
     _unpack,
     catalan_series,
-    cheb_u,
     l_family,
 )
 
@@ -66,7 +65,7 @@ class StabilityError(ValueError):
 
 
 class CertificateError(counting.ExactnessError):
-    """A leading-order certificate that justifies a truncation failed."""
+    """A certificate that justifies a truncation failed."""
 
 
 @dataclass
@@ -217,58 +216,33 @@ def gf_fine(order: int) -> MultiSeries:
 # -- Chebyshev-sum builders -------------------------------------------
 
 
-def _assert_leading(obj: LaurentSeries, expected: int, what: str) -> None:
-    lead = obj.min_y()
-    if lead != expected:
-        raise CertificateError(f"{what}: leading y order {lead}, expected {expected}")
+def _cheb_term(j: int, z: str | None, caps: Caps, k: int | None = None) -> MultiSeries:
+    """x^k / (p_{j-1}(z) p_j(z)), which is T_j(z) for the default k = j - 1.
 
-
-def _cheb_p(j: int, z: str | None, caps: Caps) -> LaurentSeries:
-    """P_j(z) = U_j - z y U_{j-1} for the variable z ("w" or "v"); U_j
-    when z is None."""
-    if z is None:
-        return cheb_u(j, caps)
-    zy = LaurentSeries.monomial(caps, 1, y=1, **{z: 1})
-    return cheb_u(j, caps) - zy * cheb_u(j - 1, caps)
-
-
-def _cheb_den(j: int, z: str | None, caps: Caps) -> LaurentSeries:
-    """P_{j-1}(z) P_j(z), leading order certified at y^-(2j-1)."""
-    den = _cheb_p(j - 1, z, caps) * _cheb_p(j, z, caps)
-    _assert_leading(den, -(2 * j - 1), f"T_{j}({z or 0}) denominator")
-    return den
-
-
-def _cheb_term(j: int, z: str | None, caps: Caps) -> MultiSeries:
-    """T_j(z) as an x series, certified to start at x^(j-1); past the x
-    cap it is zero, which its certified denominator proves."""
-    den = _cheb_den(j, z, caps)
-    if j - 1 > caps.x:
+    The denominator is built and inverted at the x cap lowered by k, then
+    shifted back by x^k; a term whose x^k passes the x cap is zero and is
+    never built."""
+    if k is None:
+        k = j - 1
+    if k > caps.x:
         return MultiSeries.zero(caps)
-    inv = (LaurentSeries.monomial(caps, 1, y=1) * den).invert()
-    _assert_leading(inv, 2 * j - 2, f"T_{j}({z or 0}) inverse")
-    return inv.to_x_series()
+    low = Caps(caps.x - k, caps.w, caps.v, caps.q)
+    den = _cheb_p(j - 1, z, low) * _cheb_p(j, z, low)
+    c = den.coeff(0)
+    if c != 1:
+        raise CertificateError(f"T_{j}({z or 0}) denominator: constant term {c}, expected 1")
+    return den.invert().times_x(k)
 
 
 def _lemma_A(order: int, jmax: int) -> MultiSeries:
-    """v/C times sum_{j=1..jmax} y^2 T_j(v), each term as y / (P_{j-1}(v) P_j(v)).
-
-    Term j provably starts at y^(2j); terms past the y cap are skipped
-    after their denominator's leading order is verified.
-    """
+    """v/C times sum_{j=1..jmax} x T_j(v) = x^j / (p_{j-1}(v) p_j(v)); the
+    terms past the x cap are zero."""
     caps = Caps.of(order)
-    y = LaurentSeries.monomial(caps, 1, y=1)
-    acc = LaurentSeries.zero(caps)
-    for j in range(1, jmax + 1):
-        den = _cheb_den(j, "v", caps)
-        if 2 * j > 2 * caps.x:
-            continue  # starts beyond the cap; the assertion above proves it
-        term = y * den.invert()
-        _assert_leading(term, 2 * j, f"A-lemma term j={j}")
-        acc = acc + term
-    v = LaurentSeries.monomial(caps, 1, v=1)
-    inv_c = catalan_series(caps).to_laurent().invert()
-    return (v * inv_c * acc).to_x_series()
+    acc = MultiSeries.zero(caps)
+    for j in range(1, min(jmax, caps.x) + 1):
+        acc = acc + _cheb_term(j, "v", caps, j)
+    v = MultiSeries.monomial(caps, 1, v=1)
+    return v * catalan_series(caps).invert() * acc
 
 
 def gf_A_via_lemma(order: int, jmax: int) -> MultiSeries:
@@ -301,24 +275,18 @@ def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
     return caps
 
 
-def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[LaurentSeries], list[MultiSeries]]:
-    """The pieces shared by both letter sums: for each term j <= jmax
-    that reaches the caps, the main y w q^(j+1) / (P_j(w) P_{j+1}(w)) and
-    the weight q^(j+1) T_{j+2}(0).
-
-    Term j starts at x^(j+1) q^(j+1), so the terms inside the caps are a
-    prefix.  Every denominator through jmax has its leading order
-    certified, so the skipped tail provably keeps starting higher.
-    """
-    mains: list[LaurentSeries] = []
+def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[MultiSeries], list[MultiSeries]]:
+    """The pieces shared by both letter sums, for each term j <= jmax
+    that reaches the caps: the main x w q^(j+1) T_{j+1}(w) and the weight
+    q^(j+1) T_{j+2}(0).  Term j starts at x^(j+1) q^(j+1), so the terms
+    inside the caps are a prefix."""
+    mains: list[MultiSeries] = []
     weights: list[MultiSeries] = []
-    for j in range(jmax + 1):
-        den = _cheb_den(j + 1, "w", caps)
-        if j + 1 > caps.x or j + 1 > caps.q:
-            _cheb_den(j + 2, None, caps)
-            continue
-        mains.append(LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1) * den.invert())
-        weights.append(MultiSeries.monomial(caps, 1, q=j + 1) * _cheb_term(j + 2, None, caps))
+    w = MultiSeries.monomial(caps, 1, w=1)
+    for j in range(min(jmax, caps.x - 1, caps.q - 1) + 1):
+        q = MultiSeries.monomial(caps, 1, q=j + 1)
+        mains.append(w * q * _cheb_term(j + 1, "w", caps, j + 1))
+        weights.append(q * _cheb_term(j + 2, None, caps))
     return mains, weights
 
 
@@ -346,14 +314,10 @@ def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
     a_v = _apply_A(v, xc)
     inner = _a4_inner(weights, a_v, xc)
     ws = _l_chain(MultiSeries.monomial(caps, 1, w=1), len(mains))
-    acc = LaurentSeries.zero(caps)
-    for j, (main, l) in enumerate(zip(mains, ws)):
-        term = main * (_apply_A(v * l, xc) - a_v - inner).to_laurent()
-        lead = term.min_y()
-        if lead is not None and lead < 2 * j + 2:
-            raise CertificateError(f"letter-sum term j={j} too low")
-        acc = acc + term
-    return acc.to_x_series()
+    acc = MultiSeries.zero(caps)
+    for main, l in zip(mains, ws):
+        acc = acc + main * (_apply_A(v * l, xc) - a_v - inner)
+    return acc
 
 
 def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
@@ -363,14 +327,10 @@ def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     caps = _letter_caps(order, qmax, jmax)
     mains, weights = _letter_pieces(caps, jmax)
     one = MultiSeries.one(caps)
-    num = LaurentSeries.zero(caps)
-    den = one
-    for j, (main, wt) in enumerate(zip(mains, weights)):
-        _assert_leading(main, 2 * j + 2, f"avoidance-sum term j={j}")
-        num = num + main
-        den = den + wt
+    num = sum(mains, MultiSeries.zero(caps))
+    den = sum(weights, one)
     geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
-    return num.to_x_series() * geom_q * den.invert()
+    return num * geom_q * den.invert()
 
 
 # -- identity checks ---------------------------------------------------
@@ -399,11 +359,11 @@ def check_l2(order: int, jmax: int) -> VerificationReport:
 
 
 def check_co1(order: int, jmax: int) -> VerificationReport:
-    """sum_j T_{j+1}(0) = sum_j 1/(y U_j U_{j+1}) = x C(x)^2."""
+    """sum_j T_{j+1}(0) = sum_j x^j / (u_j u_{j+1}) = x C(x)^2."""
     started = time.perf_counter()
     caps = Caps.of(order)
     acc = MultiSeries.zero(caps)
-    for j in range(1, jmax + 1):
+    for j in range(1, min(jmax, caps.x) + 1):
         acc = acc + _cheb_term(j + 1, None, caps)
     c = catalan_series(caps)
     rhs = MultiSeries.monomial(caps, 1, x=1) * c * c
@@ -411,12 +371,12 @@ def check_co1(order: int, jmax: int) -> VerificationReport:
 
 
 def check_co2(order: int, jmax: int) -> VerificationReport:
-    """sum_j T_j(v) = sum_j 1/(y (U_{j-1} - v y U_{j-2})(U_j - v y U_{j-1}))
+    """sum_j T_j(v) = sum_j x^(j-1) / (p_{j-1}(v) p_j(v))
     = sum_m x^(m-1) v^(m-1) C^m = C / (1 - x v C)."""
     started = time.perf_counter()
     caps = Caps.of(order)
     lhs = MultiSeries.zero(caps)
-    for j in range(1, jmax + 1):
+    for j in range(1, min(jmax, caps.x + 1) + 1):
         lhs = lhs + _cheb_term(j, "v", caps)
     c = catalan_series(caps)
     one = MultiSeries.one(caps)
@@ -522,82 +482,69 @@ def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSerie
 def _letter_check(
     identity: str, build, order: int, qmax: int, jmax: int, with_s: bool
 ) -> VerificationReport:
-    """build(order, qmax, jmax + 1) against the letter-count recurrences.
-
-    _letter_caps puts term jmax+1 beyond the caps, and building it
-    certifies the leading order of its denominators: the sum cut at jmax
-    and at jmax+1 is provably the same series."""
+    """build(order, qmax, jmax) against the letter-count recurrences."""
     started = time.perf_counter()
-    _letter_caps(order, qmax, jmax)
-    lhs = build(order, qmax, jmax + 1)
+    lhs = build(order, qmax, jmax)
     expected = _letter_table(order, qmax, lhs.caps, with_s)
     params = {"order": order, "qmax": qmax, "jmax": jmax}
     return compare_series(identity, params, lhs, expected, started)
 
 
 def check_th3(order: int, qmax: int, jmax: int) -> VerificationReport:
-    """Four-variable sum against the letter-count recurrences, with term
-    jmax+1 certified to start beyond the caps."""
+    """Four-variable sum against the letter-count recurrences."""
     return _letter_check("th3", gf_A4, order, qmax, jmax, with_s=True)
 
 
 def check_th4(order: int, qmax: int, jmax: int) -> VerificationReport:
-    """Avoidance sum against the letter-count recurrences at s = 0, with
-    term jmax+1 certified to start beyond the caps."""
+    """Avoidance sum against the letter-count recurrences at s = 0."""
     return _letter_check("th4", gf_A0, order, qmax, jmax, with_s=False)
 
 
 def check_cheb_det(jrange: int = 40) -> VerificationReport:
-    """U_{j-2} U_j - U_{j-1}^2 = -1, exactly, for 0 <= j <= jrange."""
+    """u_{j-2} u_j - u_{j-1}^2 = -x^(j-1), exactly, for 1 <= j <= jrange:
+    U_{j-2} U_j - U_{j-1}^2 = -1 rescaled by y^(2j-2)."""
     started = time.perf_counter()
-    caps = Caps.of(1)
-    minus_one = LaurentSeries.monomial(caps, -1)
     mismatch = None
-    for j in range(0, jrange + 1):
-        lhs = cheb_u(j - 2, caps) * cheb_u(j, caps) - cheb_u(j - 1, caps) * cheb_u(
-            j - 1, caps
-        )
-        if lhs != minus_one:
-            mismatch = {"j": j, "lhs": repr(sorted(lhs.terms())), "rhs": "-1"}
+    for j in range(1, jrange + 1):
+        caps = Caps.of(j)
+        u2, u1, u0 = (_cheb_p(i, None, caps) for i in (j - 2, j - 1, j))
+        found = _first_mismatch(u2 * u0 - u1 * u1, MultiSeries.monomial(caps, -1, x=j - 1))
+        if found is not None:
+            mismatch = {"j": j, **found}
             break
     return _report("cheb-det", {"jrange": jrange}, started, mismatch)
 
 
 def check_cheb_shift(jrange: int = 40) -> VerificationReport:
-    """U_j - y U_{j-1} = y U_{j+1} for 0 <= j <= jrange.
+    """u_j from the recurrence u_j = u_{j-1} - x u_{j-2} equals the closed
+    sum_k (-1)^k C(j-k, k) x^k for 0 <= j <= jrange.
 
-    Equivalent to the forward recurrence at t = 1/(2y); checked on its
-    own because the sum simplifications lean on exactly this rewriting.
-    """
+    The recurrence is the shift identity U_j - y U_{j-1} = y U_{j+1}
+    rescaled by y^j; the sums lean on exactly this rewriting, so it is
+    checked against a formula that does not use it."""
     started = time.perf_counter()
-    caps = Caps.of(1)
-    y = LaurentSeries.monomial(caps, 1, y=1)
     mismatch = None
     for j in range(0, jrange + 1):
-        lhs = cheb_u(j, caps) - y * cheb_u(j - 1, caps)
-        rhs = y * cheb_u(j + 1, caps)
-        if lhs != rhs:
-            mismatch = {"j": j, "lhs": repr(sorted(lhs.terms())), "rhs": repr(sorted(rhs.terms()))}
+        caps = Caps.of(j)
+        closed = MultiSeries.from_terms(
+            caps,
+            (((k, 0, 0, 0), (-1) ** k * counting.binomial(j - k, k)) for k in range(j // 2 + 1)),
+        )
+        found = _first_mismatch(_cheb_p(j, None, caps), closed)
+        if found is not None:
+            mismatch = {"j": j, **found}
             break
     return _report("cheb-shift", {"jrange": jrange}, started, mismatch)
 
 
 def check_cheb_limit(jrange: int = 20) -> VerificationReport:
-    """U_{j-1}/(y U_j) matches C(x) through x^(j-1) and differs at x^j.
-
-    U_{j-1} leads at y^-(j-1), which lowers the exactness horizon, so
-    each convergent is computed with headroom and truncated to order j.
-    """
+    """u_{j-1}/u_j, the convergent U_{j-1}/(y U_j), matches C(x) through
+    x^(j-1) and differs at x^j."""
     started = time.perf_counter()
     mismatch = None
     for j in range(1, jrange + 1):
-        big = Caps.of(2 * j)
-        y = LaurentSeries.monomial(big, 1, y=1)
-        conv = (
-            (cheb_u(j - 1, big) * (y * cheb_u(j, big)).invert())
-            .truncate(Caps.of(j))
-            .to_x_series()
-        )
+        caps = Caps.of(j)
+        conv = _cheb_p(j - 1, None, caps) * _cheb_p(j, None, caps).invert()
         k = next((k for k in range(0, j) if conv.coeff(k) != counting.catalan_number(k)), None)
         if k is not None:
             mismatch = {

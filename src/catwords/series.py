@@ -1,13 +1,12 @@
-"""Exact truncated formal series: power series in x, w, v, q and Laurent
-series in y with y**2 = x.
+"""Exact truncated formal power series in x, w, v, q, and the Chebyshev
+polynomials the generating-function sums are built from.
 
-Both rings share one sparse representation: a dict mapping a packed
-exponent key to an exact coefficient (int, or Fraction when a division is
-not exact; integrality of combinatorial coefficients is checked at
-extraction, not assumed in between).  Packing the four exponents into a
-single integer keeps multiplication inside dict/int fast paths, and is
-bit-exact: field widths are validated against the caps so exponent sums
-can never carry.
+A series is a sparse dict mapping a packed exponent key to an exact
+coefficient (int, or Fraction when a division is not exact; integrality
+of combinatorial coefficients is checked at extraction, not assumed in
+between).  Packing the four exponents into a single integer keeps
+multiplication inside dict/int fast paths, and is bit-exact: field widths
+are validated against the caps so exponent sums can never carry.
 
 Truncation contract: every operation returns caps that are the
 componentwise minimum of its operands' caps, and never reports a
@@ -15,19 +14,22 @@ coefficient beyond them.  Querying past the caps raises instead of
 returning a silently wrong zero.
 
 Stored coefficients are always trimmed: each one is nonzero, lies inside
-its series' caps (for a Laurent series, at y order at most
-min(ylim, 2 * caps.x)), and is a Fraction only when it is not an
-integer.  Construction from outside data goes through _trim; every
-operation keeps the invariant.  Addition and subtraction rely on it:
-they merge the two stores without walking them again, and trim an
-operand only when its caps or its cut reach past the result's.
+its series' caps, and is a Fraction only when it is not an integer.
+Construction from outside data goes through _trim; every operation keeps
+the invariant.  Addition and subtraction rely on it: they merge the two
+stores without walking them again, and trim an operand only when its
+caps reach past the result's.
 
-Inversion is exact by construction.  After normalising by the lowest
-pure unit c*y^e, the y-free slice (terms in w, v, q only) is inverted by
-its finite geometric series, which the w/v/q caps end; Newton steps
-b <- b + b*(1 - a*b) then double the y order the inverse is exact
-through until it covers the y cap, so an inversion costs O(log) products
-rather than one product per y order.
+Inversion is exact by construction.  After normalising by the constant
+term, the x-free slice (terms in w, v, q only) is inverted by its finite
+geometric series, which the w/v/q caps end; Newton steps
+b <- b + b*(1 - a*b) then double the x order the inverse is exact
+through until it covers the x cap, so an inversion costs O(log) products
+rather than one product per x order.
+
+cheb_u(j) is the Chebyshev value U_j at t = 1/(2y), y = sqrt(x), rescaled
+by y^j into an integer polynomial in x with constant term 1, so the
+Chebyshev sums need no Laurent arithmetic (see genfun).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 from .counting import ExactnessError, catalan_number
@@ -42,9 +45,7 @@ from .counting import ExactnessError, catalan_number
 __all__ = [
     "Caps",
     "MultiSeries",
-    "LaurentSeries",
     "NonInvertibleError",
-    "ParityError",
     "catalan_series",
     "cheb_u",
     "l_family",
@@ -407,6 +408,18 @@ class MultiSeries:
         caps = self.caps.meet(caps)
         return MultiSeries(_trim(self.coeffs, caps._y4), caps, _trusted=True)
 
+    def times_x(self, k: int) -> "MultiSeries":
+        """x^k times this series, k >= 0: exact through x order caps.x + k,
+        so a factor inverted at the x cap lowered by k shifts back to full
+        caps."""
+        shift = 2 * k << _YSHIFT
+        c = self.caps
+        return MultiSeries(
+            {key + shift: val for key, val in self.coeffs.items()},
+            Caps(c.x + k, c.w, c.v, c.q),
+            _trusted=True,
+        )
+
     # -- queries ------------------------------------------------------
 
     def coeff(self, x: int, w: int = 0, v: int = 0, q: int = 0) -> Coeff:
@@ -437,9 +450,6 @@ class MultiSeries:
             items.append(((ey // 2, ew, ev, eq), c))
         items.sort(key=lambda t: t[0])
         return iter(items)
-
-    def to_laurent(self) -> "LaurentSeries":
-        return LaurentSeries(dict(self.coeffs), self.caps, _trusted=True)
 
     # -- serialization ------------------------------------------------
 
@@ -485,6 +495,7 @@ def _check_var(var: str) -> str:
 _YEXACT = 1 << 32
 
 
+# Used by nothing in catwords; perfbench/tracer.py still looks it up by name.
 class LaurentSeries:
     """Truncated Laurent series in y (y**2 = x) with w, v, q content.
 
@@ -698,26 +709,30 @@ def catalan_series(caps: Caps) -> MultiSeries:
 
 
 @lru_cache(maxsize=None)
-def cheb_u(j: int, caps: Caps) -> LaurentSeries:
-    """Chebyshev value U_j at t = 1/(2y), a Laurent polynomial in y.
-
-    Forward recurrence U_j = U_{j-1}/y - U_{j-2} from U_0 = 1, U_1 = 1/y;
-    indices down to -3 extend backwards (U_{-1} = 0, U_{-2} = -1,
-    U_{-3} = -1/y), as the closed L forms at j in {-1, 0} require.
-    """
-    if j < -3:
-        raise ValueError("Chebyshev index below -3 is never needed")
-    if j == -3:
-        return LaurentSeries.monomial(caps, -1, y=-1)
-    if j == -2:
-        return LaurentSeries.monomial(caps, -1)
+def cheb_u(j: int) -> tuple[int, ...]:
+    """The coefficients of u_j = y^j U_j(1/(2y)), y^2 = x, from x^0 up:
+    u_j = u_{j-1} - x u_{j-2} from u_{-1} = 0 (the empty tuple) and
+    u_0 = 1, filled by a loop, not by recursion in j."""
+    if j < -1:
+        raise ValueError("Chebyshev index below -1 is never needed")
     if j == -1:
-        return LaurentSeries.zero(caps)
-    if j == 0:
-        return LaurentSeries.monomial(caps, 1)
-    inv_y = LaurentSeries.monomial(caps, 1, y=-1)
-    prev, cur = cheb_u(j - 2, caps), cheb_u(j - 1, caps)
-    return inv_y * cur - prev
+        return ()
+    prev, cur = (), (1,)  # u_{-1}, u_0
+    for _ in range(j):
+        prev, cur = cur, tuple(a - b for a, b in zip_longest(cur, (0, *prev), fillvalue=0))
+    return cur
+
+
+def _cheb_p(j: int, z: str | None, caps: Caps) -> MultiSeries:
+    """p_j(z) = u_j - z x u_{j-1} for z "w" or "v", read from cheb_u with no
+    series product; u_j when z is None, and p_{-1}(z) = z."""
+    terms = [((k, 0, 0, 0), c) for k, c in enumerate(cheb_u(j))]
+    if z is not None:
+        zw, zv = (1, 0) if _check_var(z) == "w" else (0, 1)
+        if j == -1:
+            return MultiSeries.monomial(caps, 1, w=zw, v=zv)
+        terms += [((k + 1, zw, zv, 0), -c) for k, c in enumerate(cheb_u(j - 1))]
+    return MultiSeries.from_terms(caps, terms)
 
 
 def l_family(j: int, seed: MultiSeries) -> MultiSeries:
@@ -734,21 +749,9 @@ def l_family(j: int, seed: MultiSeries) -> MultiSeries:
 
 
 def l_closed(j: int, caps: Caps, var: str = "v") -> MultiSeries:
-    """Closed form of L_j via Chebyshev values, returned as an x series.
-
-    Evaluates (E*U_{j-1} - U_{j-2}) / (y*(E*U_j - U_{j-1})) in the Laurent
-    ring, with E = (1 - x*var)/y, then converts; odd powers must cancel.
-    The numerator's leading order is y^-j, which costs ~j/2 x orders of
-    exactness, so the evaluation runs with headroom and truncates back.
-    """
+    """Closed form of L_j as the ratio p_j(var) / p_{j+1}(var), where
+    p_{j+1} has constant term 1; p_{-1}(var) = var gives L_{-1} = var."""
     if j < -1:
         raise ValueError("l_closed is defined for j >= -1")
     _check_var(var)
-    big = Caps(caps.x + max(2, (j + 1) // 2 + 1), caps.w, caps.v, caps.q)
-    e = LaurentSeries.monomial(big, 1, y=-1) + LaurentSeries.monomial(
-        big, -1, y=1, **{var: 1}
-    )
-    y = LaurentSeries.monomial(big, 1, y=1)
-    num = e * cheb_u(j - 1, big) - cheb_u(j - 2, big)
-    den = y * (e * cheb_u(j, big) - cheb_u(j - 1, big))
-    return (num * den.invert()).truncate(caps).to_x_series()
+    return _cheb_p(j, var, caps) * _cheb_p(j + 1, var, caps).invert()

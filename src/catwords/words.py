@@ -114,7 +114,7 @@ def _letters_format(k: int) -> str:
     return ",".join(["%d"] * k)
 
 
-def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
+def enumerate_words(n: int) -> Iterator[CatalanWord]:
     """Yield every Catalan word of length n exactly once, lexicographically.
 
     Depth-first search over a word's state (u, M, p): its last letter u,
@@ -133,8 +133,8 @@ def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
     So v = p leaves nothing pending, v = M+1 with nothing pending makes M
     the target, and every other v keeps p.  A word is valid iff nothing is
     pending at full length.  A branch is cut when the remaining slots
-    cannot descend from u to p; disabling ``prune`` keeps the stream
-    identical and merely filters at full length.
+    cannot descend from u to p; the cut only drops branches that the
+    final test would reject.
 
     The search walks only the first k = max(n - _TAIL, 1) letters, one
     stack entry per depth, each computed from the depth before, so
@@ -150,7 +150,7 @@ def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    tails = _TailBlocks(n, prune)
+    tails = _TailBlocks(n)
     new = partial(tuple.__new__, CatalanWord)
     k = max(n - _TAIL, 1)  # prefix length
     if k == 1:
@@ -174,7 +174,7 @@ def enumerate_words(n: int, *, prune: bool = True) -> Iterator[CatalanWord]:
             continue
         maxs[d] = m
         low[d] = p
-        if prune and n - 1 - d < v - p:
+        if n - 1 - d < v - p:
             continue
         d += 1
         word[d] = v - 2 if v else -1
@@ -201,19 +201,18 @@ class _TailBlocks(dict):
     transitions and the cut of enumerate_words.  A block is built on its
     first lookup, from the blocks one letter shorter, and kept."""
 
-    __slots__ = ("n", "prune")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, prune: bool) -> None:
+    def __init__(self, n: int) -> None:
         super().__init__()
         self.n = n
-        self.prune = prune
 
     def __missing__(self, key: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
         u, m, p, r = key
         n = self.n
         if not r:
             block = ((),) if p == n else ()
-        elif self.prune and r < u - p:
+        elif r < u - p:
             block = ()
         else:
             out: list[tuple[int, ...]] = []

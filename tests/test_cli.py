@@ -235,6 +235,15 @@ class TestVerify:
         assert len(reports) == len(json.loads(json.dumps(reports)))
         assert all(r["status"] == "pass" for r in reports)
 
+    @pytest.mark.parametrize("identity", ["th3", "th4"])
+    def test_letter_sum_jmax_one_short_is_usage_error(self, capsys, identity):
+        # jmax must reach min(order, qmax) - 1 = 3 here
+        code, out, err = run(
+            capsys, "verify", "--identity", identity, "--order", "6", "--qmax", "4", "--jmax", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: jmax=2 cannot cover order 6, qmax 4")
+
     def test_unknown_identity_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "verify", "--identity", "bogus") == 2
 

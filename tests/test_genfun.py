@@ -1,6 +1,8 @@
+import functools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import pytest
 from catwords import counting as ct
 from catwords import genfun as gf
 from catwords import series
-from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series, cheb_u, l_family
+from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series, l_family
 from conftest import PROFILE_MAX_N, project
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -305,13 +307,15 @@ def _report_without_millis(rep):
     return payload
 
 
-def _bump_lead(monkeypatch, j=3):
-    """U_j times 1/y: every denominator through U_j leads one order lower."""
-    orig = gf.cheb_u
-    monkeypatch.setattr(
-        gf, "cheb_u",
-        lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1) if k == j else orig(k, caps),
-    )
+def _poison_constant(monkeypatch, j=3):
+    """u_j with constant term 2; every other Chebyshev polynomial untouched."""
+    orig = series.cheb_u
+
+    def cheb_u(k):
+        u = orig(k)
+        return (u[0] + 1, *u[1:]) if k == j else u
+
+    monkeypatch.setattr(series, "cheb_u", cheb_u)
 
 
 class TestFaultInjection:
@@ -319,21 +323,16 @@ class TestFaultInjection:
 
     @pytest.fixture
     def bumped_u3(self, monkeypatch):
-        """U_3 plus one; every other Chebyshev value untouched."""
-        orig = gf.cheb_u
-
-        def cheb_u(j, caps):
-            u = orig(j, caps)
-            return u + LaurentSeries.monomial(caps, 1) if j == 3 else u
-
-        monkeypatch.setattr(gf, "cheb_u", cheb_u)
+        """u_3 plus one; every other Chebyshev polynomial untouched."""
+        _poison_constant(monkeypatch, 3)
 
     def test_cheb_det_mismatch(self, bumped_u3):
+        # u_1 u_3 - u_2^2 = (2 - 2x) - (1 - x)^2 = 1 - x^2, not -x^2
         assert _report_without_millis(gf.check_cheb_det(10)) == {
             "identity": "cheb-det",
             "params": {"jrange": 10},
             "status": "fail",
-            "mismatch": {"j": 3, "lhs": "[((-1, 0, 0, 0), 1), ((0, 0, 0, 0), -1)]", "rhs": "-1"},
+            "mismatch": {"j": 3, "exponents": [0, 0, 0, 0], "lhs": "1", "rhs": "0"},
         }
 
     def test_cheb_shift_mismatch(self, bumped_u3):
@@ -341,40 +340,32 @@ class TestFaultInjection:
             "identity": "cheb-shift",
             "params": {"jrange": 10},
             "status": "fail",
-            "mismatch": {
-                "j": 2,
-                "lhs": "[((-2, 0, 0, 0), 1), ((0, 0, 0, 0), -2)]",
-                "rhs": "[((-2, 0, 0, 0), 1), ((0, 0, 0, 0), -2), ((1, 0, 0, 0), 1)]",
-            },
+            "mismatch": {"j": 3, "exponents": [0, 0, 0, 0], "lhs": "2", "rhs": "1"},
         }
 
     def test_cheb_limit_wrong_coefficient(self, monkeypatch):
-        orig = gf.cheb_u
-        monkeypatch.setattr(
-            gf, "cheb_u", lambda j, caps: LaurentSeries.monomial(caps, 2) if j == 0 else orig(j, caps)
-        )
+        orig = series.cheb_u
+        monkeypatch.setattr(series, "cheb_u", lambda j: (2,) if j == 0 else orig(j))
         assert _report_without_millis(gf.check_cheb_limit(5))["mismatch"] == {
             "j": 1, "exponents": [0, 0, 0, 0], "lhs": "2", "rhs": "1",
         }
 
     def test_cheb_limit_no_divergence(self, monkeypatch):
-        # U_j/(y U_{j+1}) in place of U_{j-1}/(y U_j): one order too good
-        orig = gf.cheb_u
-        monkeypatch.setattr(gf, "cheb_u", lambda j, caps: orig(j + 1, caps))
+        # u_j/u_{j+1} in place of u_{j-1}/u_j: one order too good
+        orig = series.cheb_u
+        monkeypatch.setattr(series, "cheb_u", lambda j: orig(j + 1))
         assert _report_without_millis(gf.check_cheb_limit(5))["mismatch"] == {
             "j": 1, "reason": "no divergence at x^1",
         }
 
-    @pytest.mark.parametrize("check", ["check_th3", "check_th4"])
-    def test_letter_term_past_jmax_is_certified(self, monkeypatch, check):
-        # U_8 first enters at term jmax+1 = 6, which starts beyond the caps:
-        # the cut at jmax is untouched, but th3/th4 certify that term too
+    def test_term_past_the_caps_is_never_built(self, monkeypatch):
+        # u_8 first enters at letter term 6, which starts beyond the caps
         order, qmax, jmax = 6, 4, 5
         clean = gf.gf_A4(order, qmax, jmax), gf.gf_A0(order, qmax, jmax)
-        _bump_lead(monkeypatch, j=jmax + 3)
+        _poison_constant(monkeypatch, jmax + 3)
         assert (gf.gf_A4(order, qmax, jmax), gf.gf_A0(order, qmax, jmax)) == clean
-        with pytest.raises(gf.CertificateError, match=r"T_8\(0\) denominator"):
-            getattr(gf, check)(order, qmax, jmax)
+        assert gf.check_th3(order, qmax, jmax).passed
+        assert gf.check_th4(order, qmax, jmax).passed
 
     @pytest.mark.parametrize("stage", ["first", "last"])
     def test_chain_reports_the_failing_stage(self, monkeypatch, stage):
@@ -393,33 +384,88 @@ class TestFaultInjection:
         }
 
 
-# The letter sums as first written: every term rebuilds L_0..L_j with
-# l_family(j, seed), each builder call computes all of its pieces, and
-# the denominators come from the U-product helpers below, written apart
-# from genfun's _cheb_* terms so that the comparison stays independent.
+# The Laurent route the Chebyshev sums took before they moved to the x
+# ring, kept as a reference: U_j is a Laurent polynomial in y = sqrt(x),
+# every denominator and inverse has its leading y order checked, and each
+# term is converted back to an x series.  The letter sums below are as
+# first written: every term rebuilds L_0..L_j with l_family(j, seed), and
+# each builder call computes all of its pieces.  These references test
+# LaurentSeries as well, and go when the class goes.
+
+
+@functools.lru_cache(maxsize=None)
+def ref_cheb_u(j, caps):
+    """U_j at t = 1/(2y) by U_j = U_{j-1}/y - U_{j-2}, from U_{-3} = -1/y,
+    U_{-2} = -1, U_{-1} = 0 and U_0 = 1."""
+    if j < 1:
+        return {
+            -3: LaurentSeries.monomial(caps, -1, y=-1),
+            -2: LaurentSeries.monomial(caps, -1),
+            -1: LaurentSeries.zero(caps),
+            0: LaurentSeries.monomial(caps, 1),
+        }[j]
+    inv_y = LaurentSeries.monomial(caps, 1, y=-1)
+    return inv_y * ref_cheb_u(j - 1, caps) - ref_cheb_u(j - 2, caps)
+
+
+def _leading(obj, expected, what):
+    lead = obj.min_y()
+    assert lead == expected, f"{what}: leading y order {lead}, expected {expected}"
+    return obj
+
+
+def _laurent(ms):
+    return LaurentSeries(dict(ms.coeffs), ms.caps)
+
+
+def ref_cheb_p(j, z, caps):
+    """P_j(z) = U_j - z y U_{j-1}; U_j when z is None."""
+    if z is None:
+        return ref_cheb_u(j, caps)
+    zy = LaurentSeries.monomial(caps, 1, y=1, **{z: 1})
+    return ref_cheb_u(j, caps) - zy * ref_cheb_u(j - 1, caps)
+
+
+def ref_cheb_term(j, z, caps):
+    """T_j(z) = 1 / (y P_{j-1}(z) P_j(z)) as an x series; zero past the x
+    cap."""
+    what = f"T_{j}({z or 0})"
+    den = _leading(ref_cheb_p(j - 1, z, caps) * ref_cheb_p(j, z, caps), 1 - 2 * j, what)
+    if j - 1 > caps.x:
+        return MultiSeries.zero(caps)
+    inv = (LaurentSeries.monomial(caps, 1, y=1) * den).invert()
+    return _leading(inv, 2 * j - 2, f"{what} inverse").to_x_series()
+
+
+def ref_lemma_A(order, jmax):
+    """v/C times sum_j y / (P_{j-1}(v) P_j(v)), summed in the Laurent ring."""
+    caps = Caps.of(order)
+    y = LaurentSeries.monomial(caps, 1, y=1)
+    acc = LaurentSeries.zero(caps)
+    for j in range(1, min(jmax, order) + 1):
+        den = ref_cheb_p(j - 1, "v", caps) * ref_cheb_p(j, "v", caps)
+        acc = acc + _leading(y * den.invert(), 2 * j, f"A-lemma term j={j}")
+    v = LaurentSeries.monomial(caps, 1, v=1)
+    return (v * _laurent(catalan_series(caps)).invert() * acc).to_x_series()
 
 
 def _uu_denominator(i, caps):
     """y U_{i+2} U_{i+1}, leading order verified at y^-(2i+2)."""
-    den = LaurentSeries.monomial(caps, 1, y=1) * cheb_u(i + 2, caps) * cheb_u(i + 1, caps)
-    gf._assert_leading(den, -(2 * i + 2), f"U-product denominator i={i}")
-    return den
+    den = LaurentSeries.monomial(caps, 1, y=1) * ref_cheb_u(i + 2, caps) * ref_cheb_u(i + 1, caps)
+    return _leading(den, -(2 * i + 2), f"U-product denominator i={i}")
 
 
 def _uu_inverse(i, caps):
-    """1 / (y U_{i+2} U_{i+1}) as an x series; starts at x^(i+1)."""
+    """1 / (y U_{i+2} U_{i+1}) as an x series: the letter weight without
+    its q^(i+1); starts at x^(i+1)."""
     inv = _uu_denominator(i, caps).invert()
-    gf._assert_leading(inv, 2 * i + 2, f"U-product inverse i={i}")
-    return inv.to_x_series()
+    return _leading(inv, 2 * i + 2, f"U-product inverse i={i}").to_x_series()
 
 
 def _a4_main_denominator(j, caps):
-    wy = LaurentSeries.monomial(caps, 1, y=1, w=1)
-    den = (cheb_u(j + 1, caps) - wy * cheb_u(j, caps)) * (
-        cheb_u(j, caps) - wy * cheb_u(j - 1, caps)
-    )
-    gf._assert_leading(den, -(2 * j + 1), f"letter-sum denominator j={j}")
-    return den
+    """P_{j+1}(w) P_j(w): the letter main is y w q^(j+1) over it."""
+    den = ref_cheb_p(j + 1, "w", caps) * ref_cheb_p(j, "w", caps)
+    return _leading(den, -(2 * j + 1), f"letter-sum denominator j={j}")
 
 
 def _reference_a4(order, qmax, jmax):
@@ -446,7 +492,7 @@ def _reference_a4(order, qmax, jmax):
             continue
         bracket = gf._apply_A(v * l_family(j, w), xc) - a_v - inner
         prefac = LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1)
-        acc = acc + prefac * d.invert() * bracket.to_laurent()
+        acc = acc + prefac * d.invert() * _laurent(bracket)
     return acc.to_x_series()
 
 
@@ -473,6 +519,37 @@ LETTER_GRID = [
     (3, 5, 2), (4, 2, 1), (4, 4, 3), (4, 4, 6), (5, 3, 2), (5, 3, 7),
     (6, 2, 1), (6, 6, 5), (7, 3, 4), (8, 5, 6), (8, 8, 9),
 ]
+
+
+def _typed(ms):
+    """Caps and every stored (key, coefficient type, coefficient)."""
+    return ms.caps, [(k, type(c), c) for k, c in sorted(ms.coeffs.items())]
+
+
+class TestLaurentRoute:
+    """The x-ring sums equal the Laurent route key for key and type for
+    type."""
+
+    @pytest.mark.parametrize("qmax", [3, 8])
+    @pytest.mark.parametrize("order", [6, 12, 24])
+    def test_letter_sums(self, order, qmax):
+        jmax = order + 2
+        assert _typed(gf.gf_A4(order, qmax, jmax)) == _typed(_reference_a4(order, qmax, jmax))
+        assert _typed(gf.gf_A0(order, qmax, jmax)) == _typed(_reference_a0(order, qmax, jmax))
+
+    @pytest.mark.parametrize("order", [20, 40])
+    def test_lemma(self, order):
+        assert _typed(gf.gf_A_via_lemma(order, order + 2)) == _typed(ref_lemma_A(order, order + 2))
+
+    @pytest.mark.parametrize("z, first", [(None, 2), ("v", 1)])
+    def test_co1_and_co2_sums(self, z, first):
+        # co1 sums T_{j+1}(0) and co2 T_j(v), for j = 1..jmax
+        caps, jmax = Caps.of(24), 26
+        got = ref = MultiSeries.zero(caps)
+        for j in range(first, first + jmax):
+            got = got + gf._cheb_term(j, z, caps)
+            ref = ref + ref_cheb_term(j, z, caps)
+        assert _typed(got) == _typed(ref)
 
 
 class TestSharedPieces:
@@ -520,6 +597,18 @@ class TestChebTerms:
             assert gf._cheb_term(j, z, caps).substitute(z, zero) == gf._cheb_term(j, None, caps), j
 
 
+# Every builder that inverts a Chebyshev denominator, run under python -O
+# with u_3 poisoned.
+POISONED_CALLS = [
+    "gf.check_co1(4, 6)",
+    "gf.gf_A_via_lemma(4, 6)",
+    "gf.gf_A4(4, 3, 5)",
+    "gf.gf_A0(4, 3, 5)",
+    "gf.check_co2(4, 6)",
+    "gf.check_l2(4, 6)",
+]
+
+
 class TestCertificates:
     def test_not_a_usage_error(self):
         assert issubclass(gf.CertificateError, AssertionError)
@@ -537,48 +626,35 @@ class TestCertificates:
         ],
     )
     def test_poisoned_leading_order_raises(self, monkeypatch, build):
-        _bump_lead(monkeypatch)
-        with pytest.raises(gf.CertificateError, match="leading y order"):
+        # a denominator's leading order is its constant term, which must be 1
+        _poison_constant(monkeypatch)
+        with pytest.raises(
+            gf.CertificateError, match=r"^T_3\((0|v)\) denominator: constant term 2, expected 1$"
+        ):
             build()
 
-    def test_letter_term_too_low_raises(self, monkeypatch):
-        orig = gf._letter_pieces
-
-        def lowered(caps, jtop):
-            # the brackets start at x^2, so main terms five y orders low
-            # give summands one order below their certified start
-            mains, weights = orig(caps, jtop)
-            shift = LaurentSeries.monomial(caps, 1, y=-5)
-            return [m * shift for m in mains], weights
-
-        monkeypatch.setattr(gf, "_letter_pieces", lowered)
-        with pytest.raises(gf.CertificateError, match="letter-sum term j=0 too low"):
-            gf.gf_A4(4, 3, 5)
-
     def test_raised_under_optimize(self):
-        out = _certificate_under_optimize(3, "gf.check_co1(4, 6)")
-        assert out.startswith("CertificateError T_3(0) denominator"), out
-
-    @pytest.mark.parametrize("check", ["check_th3", "check_th4"])
-    def test_letter_term_past_jmax_under_optimize(self, check):
-        out = _certificate_under_optimize(8, f"gf.{check}(6, 4, 5)")
-        assert out.startswith("CertificateError T_8(0) denominator"), out
+        out = _certificate_under_optimize(3, POISONED_CALLS).splitlines()
+        assert len(out) == len(POISONED_CALLS), out
+        for line in out:
+            assert re.match(r"CertificateError T_3\((0|v)\) denominator: constant term 2", line), out
 
 
-def _certificate_under_optimize(poisoned, call):
-    """What `call` prints as CertificateError under python -O, with
-    U_poisoned leading one y order low."""
+def _certificate_under_optimize(poisoned, calls):
+    """What each of calls prints as CertificateError under python -O, with
+    u_poisoned given constant term 2."""
     code = (
-        "from catwords import genfun as gf\n"
-        "from catwords.series import LaurentSeries\n"
+        "from catwords import genfun as gf, series\n"
         "assert False, 'asserts are on'\n"
-        "orig = gf.cheb_u\n"
-        "gf.cheb_u = lambda k, caps: orig(k, caps) * LaurentSeries.monomial(caps, 1, y=-1)"
-        f" if k == {poisoned} else orig(k, caps)\n"
-        "try:\n"
-        f"    {call}\n"
-        "except gf.CertificateError as exc:\n"
-        "    print(type(exc).__name__, exc)\n"
+        "orig = series.cheb_u\n"
+        f"series.cheb_u = lambda k: (orig(k)[0] + 1, *orig(k)[1:]) if k == {poisoned} else orig(k)\n"
+        f"for call in {calls!r}:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except gf.CertificateError as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        print('no CertificateError:', call)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(

@@ -24,6 +24,7 @@ from catwords.series import (
     l_closed,
     l_family,
 )
+from test_genfun import ref_cheb_u
 
 CAPS = Caps.of(8)
 ONE = MultiSeries.one(CAPS)
@@ -541,41 +542,52 @@ class TestSubstitution:
         assert {(x, v): c for (x, _, v, _), c in got.terms()} == expected
 
 
+def _u(j, caps):
+    """u_j = cheb_u(j) as a series in x."""
+    return MultiSeries.from_terms(caps, (((k, 0, 0, 0), c) for k, c in enumerate(cheb_u(j))))
+
+
 class TestChebyshev:
     def test_initial_values(self):
-        caps = Caps.of(4)
-        assert cheb_u(0, caps) == LaurentSeries.monomial(caps, 1)
-        assert list(cheb_u(2, caps).terms()) == [((-2, 0, 0, 0), 1), ((0, 0, 0, 0), -1)]
-        assert list(cheb_u(3, caps).terms()) == [((-3, 0, 0, 0), 1), ((-1, 0, 0, 0), -2)]
-        assert cheb_u(-1, caps).is_zero()
-        assert cheb_u(-2, caps) == LaurentSeries.monomial(caps, -1)
-        assert list(cheb_u(-3, caps).terms()) == [((-1, 0, 0, 0), -1)]
+        assert cheb_u(-1) == ()
+        assert cheb_u(0) == cheb_u(1) == (1,)
+        assert cheb_u(2) == (1, -1)
+        assert cheb_u(3) == (1, -2)
+        assert cheb_u(4) == (1, -3, 1)
 
     def test_below_range_rejected(self):
         with pytest.raises(ValueError):
-            cheb_u(-4, Caps.of(2))
+            cheb_u(-2)
+
+    def test_matches_binomial_sum(self):
+        for j in range(0, 201):
+            assert cheb_u(j) == tuple((-1) ** k * math.comb(j - k, k) for k in range(j // 2 + 1)), j
+
+    def test_keyed_on_j_alone(self):
+        cheb_u.cache_clear()
+        cheb_u(30)
+        cheb_u(30)
+        info = cheb_u.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)  # no recursion in j
 
     @pytest.mark.parametrize("j", range(0, 41))
     def test_determinant_identity(self, j):
-        caps = Caps.of(1)
-        lhs = cheb_u(j - 2, caps) * cheb_u(j, caps) - cheb_u(j - 1, caps) * cheb_u(j - 1, caps)
-        assert lhs == LaurentSeries.monomial(caps, -1)
+        # u_{j-1} u_{j+1} - u_j^2 = -x^j: U_{j-1} U_{j+1} - U_j^2 = -1 times y^(2j)
+        caps = Caps.of(j + 1)
+        lhs = _u(j - 1, caps) * _u(j + 1, caps) - _u(j, caps) * _u(j, caps)
+        assert lhs == MultiSeries.monomial(caps, -1, x=j)
 
     @pytest.mark.parametrize("j", range(0, 41))
     def test_shift_identity(self, j):
-        caps = Caps.of(1)
-        y = LaurentSeries.monomial(caps, 1, y=1)
-        assert cheb_u(j, caps) - y * cheb_u(j - 1, caps) == y * cheb_u(j + 1, caps)
+        # u_j - x u_{j-1} = u_{j+1}: U_j - y U_{j-1} = y U_{j+1} times y^j
+        caps = Caps.of(j + 1)
+        x = MultiSeries.monomial(caps, 1, x=1)
+        assert _u(j, caps) - x * _u(j - 1, caps) == _u(j + 1, caps)
 
     @pytest.mark.parametrize("j", range(1, 16))
     def test_convergent_approaches_catalan(self, j):
-        big = Caps.of(2 * j)
-        y = LaurentSeries.monomial(big, 1, y=1)
-        conv = (
-            (cheb_u(j - 1, big) * (y * cheb_u(j, big)).invert())
-            .truncate(Caps.of(j))
-            .to_x_series()
-        )
+        caps = Caps.of(j)
+        conv = _u(j - 1, caps) * _u(j, caps).invert()
         for k in range(j):
             assert conv.coeff(k) == catalan_number(k)
         assert conv.coeff(j) != catalan_number(j)
@@ -590,7 +602,7 @@ class TestLaurentOps:
     def test_uu_product_inverse(self):
         caps = Caps.of(4)
         y = LaurentSeries.monomial(caps, 1, y=1)
-        t = (y * cheb_u(1, caps) * cheb_u(2, caps)).invert().to_x_series()
+        t = (y * ref_cheb_u(1, caps) * ref_cheb_u(2, caps)).invert().to_x_series()
         assert [t.coeff(k) for k in range(5)] == [0, 1, 1, 1, 1]
 
     def test_parity_errors(self):
@@ -611,7 +623,7 @@ class TestLaurentOps:
         # beyond-cap information down, so converting must fail loudly
         caps = Caps.of(3)
         y = LaurentSeries.monomial(caps, 1, y=1)
-        prod = cheb_u(5, caps) * (y * cheb_u(6, caps)).invert()
+        prod = ref_cheb_u(5, caps) * (y * ref_cheb_u(6, caps)).invert()
         assert prod.ylim == 1
         with pytest.raises(ValueError, match="headroom"):
             prod.to_x_series()
@@ -619,7 +631,7 @@ class TestLaurentOps:
     def test_coeff_beyond_horizon_rejected(self):
         caps = Caps.of(3)
         y = LaurentSeries.monomial(caps, 1, y=1)
-        prod = cheb_u(5, caps) * (y * cheb_u(6, caps)).invert()
+        prod = ref_cheb_u(5, caps) * (y * ref_cheb_u(6, caps)).invert()
         assert prod.coeff(0) == 1  # convergents of C start with 1
         with pytest.raises(ValueError):
             prod.coeff(2)
@@ -628,7 +640,7 @@ class TestLaurentOps:
         caps = Caps.of(3)
         y = LaurentSeries.monomial(caps, 1, y=1)
         with pytest.raises(NonInvertibleError):
-            (y * cheb_u(10, caps)).invert()  # inverse starts at y^9 > cap
+            (y * ref_cheb_u(10, caps)).invert()  # inverse starts at y^9 > cap
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -665,6 +677,16 @@ class TestLFamily:
         caps = Caps.of(15)
         seed = MultiSeries.monomial(caps, 1, **{var: 1})
         assert l_family(j, seed) == l_closed(j, caps, var)
+
+    @pytest.mark.parametrize("var", ["v", "w"])
+    def test_closed_form_needs_no_headroom(self, var):
+        # the ratio p_j / p_{j+1} is exact at caps far below j
+        caps = Caps(4, 3, 3, 2)
+        seed = MultiSeries.monomial(caps, 1, **{var: 1})
+        for j in range(-1, 12):
+            got = l_closed(j, caps, var)
+            assert got == l_family(j, seed), j
+            assert all(type(c) is int for c in got.coeffs.values()), j
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
