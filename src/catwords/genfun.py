@@ -25,7 +25,6 @@ from .series import (
     Caps,
     MultiSeries,
     _cheb_p,
-    _unpack,
     catalan_series,
     l_family,
 )
@@ -70,13 +69,19 @@ class CertificateError(counting.ExactnessError):
 
 @dataclass
 class VerificationReport:
-    """Outcome of one identity check, with the first mismatch if any."""
+    """Outcome of one identity check, with the first mismatch if any.
+
+    millis is the wall time run_identity measured around the check; a
+    direct check_* call leaves it at 0.0."""
 
     identity: str
     params: dict
-    passed: bool
     mismatch: dict | None = None
     millis: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.mismatch is None
 
     @property
     def status(self) -> str:
@@ -96,58 +101,20 @@ class VerificationReport:
 
 def _first_mismatch(lhs: MultiSeries, rhs: MultiSeries) -> dict | None:
     """First differing coefficient in lexicographic exponent order, within
-    the common caps.
-
-    Packed keys order as their (x, w, v, q) exponents do, so the first
-    mismatch is the least differing key: both dicts are walked in place,
-    and no exponent set is built or sorted."""
-    caps = lhs.caps.meet(rhs.caps)
-    first = None
-    for mine, other in ((lhs.coeffs, rhs.coeffs), (rhs.coeffs, lhs.coeffs)):
-        for k, c in mine.items():
-            if c != other.get(k, 0) and (first is None or k < first):
-                ey, w, v, q = _unpack(k)
-                if ey // 2 <= caps.x and w <= caps.w and v <= caps.v and q <= caps.q:
-                    first = k
-    if first is None:
+    the common caps."""
+    exps = lhs.first_difference(rhs)
+    if exps is None:
         return None
-    ey, w, v, q = _unpack(first)
-    return {
-        "exponents": [ey // 2, w, v, q],
-        "lhs": str(lhs.coeffs.get(first, 0)),
-        "rhs": str(rhs.coeffs.get(first, 0)),
-    }
-
-
-def _report(
-    identity: str, params: dict, started: float, mismatch: dict | None = None
-) -> VerificationReport:
-    """The report of a check that began at perf_counter() == started."""
-    return VerificationReport(
-        identity,
-        params,
-        passed=mismatch is None,
-        mismatch=mismatch,
-        millis=(time.perf_counter() - started) * 1000.0,
-    )
+    return {"exponents": list(exps), "lhs": str(lhs.coeff(*exps)), "rhs": str(rhs.coeff(*exps))}
 
 
 def compare_series(
-    identity: str, params: dict, lhs: MultiSeries, rhs: MultiSeries, started: float
+    identity: str, params: dict, lhs: MultiSeries, *refs: MultiSeries
 ) -> VerificationReport:
-    return _report(identity, params, started, _first_mismatch(lhs, rhs))
-
-
-def _first_failing(
-    identity: str, params: dict, lhs: MultiSeries, refs: list[MultiSeries], started: float
-) -> VerificationReport:
-    """Compare lhs with each reference in turn: the report of the first
-    that differs, else of the last."""
-    for rhs in refs:
-        rep = compare_series(identity, params, lhs, rhs, started)
-        if not rep.passed:
-            break
-    return rep
+    """Compare lhs with each reference in turn; the report carries the
+    first mismatch."""
+    mismatch = next((m for rhs in refs if (m := _first_mismatch(lhs, rhs)) is not None), None)
+    return VerificationReport(identity, params, mismatch)
 
 
 # -- closed-form builders ---------------------------------------------
@@ -158,6 +125,17 @@ def _x_catalan(caps: Caps) -> MultiSeries:
     return MultiSeries.monomial(caps, 1, x=1) * catalan_series(caps)
 
 
+def _geometric(first: MultiSeries, ratio: MultiSeries) -> MultiSeries:
+    """first * sum_m ratio^m, summed until a term vanishes at the caps;
+    every term of ratio must raise a capped degree, or the loop never ends."""
+    acc = MultiSeries.zero(first.caps)
+    p = first
+    while p:
+        acc = acc + p
+        p = p * ratio
+    return acc
+
+
 def _apply_A(u: MultiSeries, xc: MultiSeries) -> MultiSeries:
     """The zeros generating function evaluated at second argument u:
     x*u / (1 - x*u*C(x)) = sum_m (x*u)^m C^(m-1), where xc = x*C(x) is
@@ -165,13 +143,7 @@ def _apply_A(u: MultiSeries, xc: MultiSeries) -> MultiSeries:
 
     Exact under truncation for any u, since every summand carries x^m.
     """
-    step = u * xc
-    p = MultiSeries.monomial(u.caps, 1, x=1) * u
-    acc = MultiSeries.zero(u.caps)
-    while p:
-        acc = acc + p
-        p = p * step
-    return acc
+    return _geometric(MultiSeries.monomial(u.caps, 1, x=1) * u, u * xc)
 
 
 def gf_A(order: int) -> MultiSeries:
@@ -338,7 +310,6 @@ def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
 
 def check_l1(order: int) -> VerificationReport:
     """Functional equation: A = xv/(1-xv)(1-xC) + xv/(1-xv) A(x, 1/(1-xv))."""
-    started = time.perf_counter()
     caps = Caps.of(order)
     one = MultiSeries.one(caps)
     x = MultiSeries.monomial(caps, 1, x=1)
@@ -347,33 +318,28 @@ def check_l1(order: int) -> VerificationReport:
     s = (one - x * v).invert()
     f = x * v * s
     rhs = f * (one - x * catalan_series(caps)) + f * a.substitute("v", s)
-    return compare_series("l1", {"order": order}, a, rhs, started)
+    return compare_series("l1", {"order": order}, a, rhs)
 
 
 def check_l2(order: int, jmax: int) -> VerificationReport:
     """Chebyshev series for A(x, v) against the closed form."""
-    started = time.perf_counter()
-    return compare_series(
-        "l2", {"order": order, "jmax": jmax}, _lemma_A(order, jmax), gf_A(order), started
-    )
+    return compare_series("l2", {"order": order, "jmax": jmax}, _lemma_A(order, jmax), gf_A(order))
 
 
 def check_co1(order: int, jmax: int) -> VerificationReport:
     """sum_j T_{j+1}(0) = sum_j x^j / (u_j u_{j+1}) = x C(x)^2."""
-    started = time.perf_counter()
     caps = Caps.of(order)
     acc = MultiSeries.zero(caps)
     for j in range(1, min(jmax, caps.x) + 1):
         acc = acc + _cheb_term(j + 1, None, caps)
     c = catalan_series(caps)
     rhs = MultiSeries.monomial(caps, 1, x=1) * c * c
-    return compare_series("co1", {"order": order, "jmax": jmax}, acc, rhs, started)
+    return compare_series("co1", {"order": order, "jmax": jmax}, acc, rhs)
 
 
 def check_co2(order: int, jmax: int) -> VerificationReport:
     """sum_j T_j(v) = sum_j x^(j-1) / (p_{j-1}(v) p_j(v))
     = sum_m x^(m-1) v^(m-1) C^m = C / (1 - x v C)."""
-    started = time.perf_counter()
     caps = Caps.of(order)
     lhs = MultiSeries.zero(caps)
     for j in range(1, min(jmax, caps.x + 1) + 1):
@@ -383,22 +349,14 @@ def check_co2(order: int, jmax: int) -> VerificationReport:
     x = MultiSeries.monomial(caps, 1, x=1)
     v = MultiSeries.monomial(caps, 1, v=1)
     rhs_closed = c * (one - x * v * c).invert()
-    mid = MultiSeries.zero(caps)
-    xvc = x * v * c
-    p = c
-    for _ in range(min(caps.x, caps.v) + 2):
-        mid = mid + p
-        p = p * xvc
-        if not p:
-            break
+    mid = _geometric(c, x * v * c)
     params = {"order": order, "jmax": jmax, "vmax": order}
-    return _first_failing("co2", params, lhs, [mid, rhs_closed], started)
+    return compare_series("co2", params, lhs, mid, rhs_closed)
 
 
 def check_co3(order: int) -> VerificationReport:
     """Fine numbers: x/(1 - x^2 C^2) = sum of odd-m slices = xC/(1 + xC),
     and coefficients match the recurrence parity sums."""
-    started = time.perf_counter()
     caps = Caps.of(order)
     f = gf_fine(order)
     odd = MultiSeries.zero(caps)
@@ -411,12 +369,11 @@ def check_co3(order: int) -> VerificationReport:
         caps,
         (((n, 0, 0, 0), counting.fine_number(n)) for n in range(1, order + 1)),
     )
-    return _first_failing("co3", {"order": order}, f, [odd, algebraic, expected], started)
+    return compare_series("co3", {"order": order}, f, odd, algebraic, expected)
 
 
 def check_co4(order: int) -> VerificationReport:
     """B(x, v) closed form against the transform of A and the recurrence."""
-    started = time.perf_counter()
     caps = Caps.of(order)
     one = MultiSeries.one(caps)
     x = MultiSeries.monomial(caps, 1, x=1)
@@ -433,13 +390,12 @@ def check_co4(order: int) -> VerificationReport:
             for m in range(0, n)
         ),
     )
-    return _first_failing("co4", {"order": order}, b, [g + g * (shifted - a), expected], started)
+    return compare_series("co4", {"order": order}, b, g + g * (shifted - a), expected)
 
 
 def check_th2(order: int) -> VerificationReport:
     """A(x, v) = sum_m v^m A_m(x) with A_m = x^m C^(m-1), against both the
     recurrence and the closed form for the zero counts."""
-    started = time.perf_counter()
     caps = Caps.of(order)
     a = gf_A(order)
     assembled = MultiSeries.zero(caps)
@@ -461,7 +417,7 @@ def check_th2(order: int) -> VerificationReport:
             for m in range(1, n + 1)
         ),
     )
-    return _first_failing("th2", {"order": order}, a, [assembled, recur, closed], started)
+    return compare_series("th2", {"order": order}, a, assembled, recur, closed)
 
 
 def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSeries:
@@ -483,11 +439,10 @@ def _letter_check(
     identity: str, build, order: int, qmax: int, jmax: int, with_s: bool
 ) -> VerificationReport:
     """build(order, qmax, jmax) against the letter-count recurrences."""
-    started = time.perf_counter()
     lhs = build(order, qmax, jmax)
     expected = _letter_table(order, qmax, lhs.caps, with_s)
     params = {"order": order, "qmax": qmax, "jmax": jmax}
-    return compare_series(identity, params, lhs, expected, started)
+    return compare_series(identity, params, lhs, expected)
 
 
 def check_th3(order: int, qmax: int, jmax: int) -> VerificationReport:
@@ -500,19 +455,26 @@ def check_th4(order: int, qmax: int, jmax: int) -> VerificationReport:
     return _letter_check("th4", gf_A0, order, qmax, jmax, with_s=False)
 
 
+def _first_j(identity: str, jrange: int, js: range, pair) -> VerificationReport:
+    """A per-j check: pair(j) gives the two series compared at j, and the
+    first j in js where they differ is named in the mismatch."""
+    for j in js:
+        found = _first_mismatch(*pair(j))
+        if found is not None:
+            return VerificationReport(identity, {"jrange": jrange}, {"j": j, **found})
+    return VerificationReport(identity, {"jrange": jrange})
+
+
 def check_cheb_det(jrange: int = 40) -> VerificationReport:
     """u_{j-2} u_j - u_{j-1}^2 = -x^(j-1), exactly, for 1 <= j <= jrange:
     U_{j-2} U_j - U_{j-1}^2 = -1 rescaled by y^(2j-2)."""
-    started = time.perf_counter()
-    mismatch = None
-    for j in range(1, jrange + 1):
+
+    def pair(j):
         caps = Caps.of(j)
         u2, u1, u0 = (_cheb_p(i, None, caps) for i in (j - 2, j - 1, j))
-        found = _first_mismatch(u2 * u0 - u1 * u1, MultiSeries.monomial(caps, -1, x=j - 1))
-        if found is not None:
-            mismatch = {"j": j, **found}
-            break
-    return _report("cheb-det", {"jrange": jrange}, started, mismatch)
+        return u2 * u0 - u1 * u1, MultiSeries.monomial(caps, -1, x=j - 1)
+
+    return _first_j("cheb-det", jrange, range(1, jrange + 1), pair)
 
 
 def check_cheb_shift(jrange: int = 40) -> VerificationReport:
@@ -522,25 +484,21 @@ def check_cheb_shift(jrange: int = 40) -> VerificationReport:
     The recurrence is the shift identity U_j - y U_{j-1} = y U_{j+1}
     rescaled by y^j; the sums lean on exactly this rewriting, so it is
     checked against a formula that does not use it."""
-    started = time.perf_counter()
-    mismatch = None
-    for j in range(0, jrange + 1):
+
+    def pair(j):
         caps = Caps.of(j)
         closed = MultiSeries.from_terms(
             caps,
             (((k, 0, 0, 0), (-1) ** k * counting.binomial(j - k, k)) for k in range(j // 2 + 1)),
         )
-        found = _first_mismatch(_cheb_p(j, None, caps), closed)
-        if found is not None:
-            mismatch = {"j": j, **found}
-            break
-    return _report("cheb-shift", {"jrange": jrange}, started, mismatch)
+        return _cheb_p(j, None, caps), closed
+
+    return _first_j("cheb-shift", jrange, range(0, jrange + 1), pair)
 
 
 def check_cheb_limit(jrange: int = 20) -> VerificationReport:
     """u_{j-1}/u_j, the convergent U_{j-1}/(y U_j), matches C(x) through
     x^(j-1) and differs at x^j."""
-    started = time.perf_counter()
     mismatch = None
     for j in range(1, jrange + 1):
         caps = Caps.of(j)
@@ -557,21 +515,15 @@ def check_cheb_limit(jrange: int = 20) -> VerificationReport:
             mismatch = {"j": j, "reason": f"no divergence at x^{j}"}
         if mismatch is not None:
             break
-    return _report("cheb-limit", {"jrange": jrange}, started, mismatch)
+    return VerificationReport("cheb-limit", {"jrange": jrange}, mismatch)
 
 
 def check_remark2(order: int) -> VerificationReport:
     """Self-consistency: sum_m (xC)^m (1 - xC) telescopes back to xC."""
-    started = time.perf_counter()
     caps = Caps.of(order)
     one = MultiSeries.one(caps)
     xc = _x_catalan(caps)
-    acc = MultiSeries.zero(caps)
-    p = xc
-    while p:
-        acc = acc + p * (one - xc)
-        p = p * xc
-    return compare_series("remark2", {"order": order}, acc, xc, started)
+    return compare_series("remark2", {"order": order}, _geometric(xc * (one - xc), xc), xc)
 
 
 # The identity suite in report order, as name -> runner(order, qmax, jmax).
@@ -587,8 +539,8 @@ _SUITE = {
     "th2": lambda o, q, j: check_th2(o),
     "th3": lambda o, q, j: check_th3(o, q, j),
     "th4": lambda o, q, j: check_th4(o, q, j),
-    "cheb-det": lambda o, q, j: check_cheb_det(max(40, j)),
-    "cheb-shift": lambda o, q, j: check_cheb_shift(max(40, j)),
+    "cheb-det": lambda o, q, j: check_cheb_det(max(40, min(j, o + 2))),
+    "cheb-shift": lambda o, q, j: check_cheb_shift(max(40, min(j, o + 2))),
     "cheb-limit": lambda o, q, j: check_cheb_limit(20),
     "remark2": lambda o, q, j: check_remark2(o),
 }
@@ -599,7 +551,10 @@ def run_identity(name: str, order: int, qmax: int = 8, jmax: int | None = None) 
     """Run one named identity check with the suite's parameter defaults."""
     if name not in _SUITE:
         raise ValueError(f"unknown identity {name!r}")
-    return _SUITE[name](order, qmax, order + 2 if jmax is None else jmax)
+    started = time.perf_counter()
+    report = _SUITE[name](order, qmax, order + 2 if jmax is None else jmax)
+    report.millis = (time.perf_counter() - started) * 1000.0
+    return report
 
 
 def verify_all(order: int = 20, qmax: int = 8, jmax: int | None = None) -> list[VerificationReport]:

@@ -429,6 +429,25 @@ class MultiSeries:
             raise ValueError(f"exponent {(x, w, v, q)} is beyond the caps {c}")
         return self.coeffs.get(_pack(2 * x, w, v, q), 0)
 
+    def first_difference(self, other: "MultiSeries") -> tuple[int, int, int, int] | None:
+        """The least (x, w, v, q) in lexicographic order whose coefficients
+        differ within the common caps, or None where the series agree.
+
+        Packed keys order as their exponents do, so both stores are walked
+        in place, and no exponent set is built or sorted."""
+        caps = self.caps.meet(other.caps)
+        first = None
+        for mine, theirs in ((self.coeffs, other.coeffs), (other.coeffs, self.coeffs)):
+            for k, c in mine.items():
+                if c != theirs.get(k, 0) and (first is None or k < first):
+                    ey, w, v, q = _unpack(k)
+                    if ey // 2 <= caps.x and w <= caps.w and v <= caps.v and q <= caps.q:
+                        first = k
+        if first is None:
+            return None
+        ey, w, v, q = _unpack(first)
+        return ey // 2, w, v, q
+
     def coeff_int(self, x: int, w: int = 0, v: int = 0, q: int = 0) -> int:
         """Coefficient checked to be an integer (combinatorial extraction);
         ExactnessError otherwise."""

@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +127,7 @@ class TestFirstMismatch:
             for a, b in ((lhs, rhs), (rhs, lhs), (lhs, lhs)):
                 want = ref_first_mismatch(a, b)
                 assert gf._first_mismatch(a, b) == want
+                assert a.first_difference(b) == (None if want is None else tuple(want["exponents"]))
                 found += want is not None
         assert found > 100
 
@@ -275,7 +275,7 @@ class TestHarness:
     def test_fault_injection_locates_mismatch(self):
         a = gf.gf_A(8)
         poisoned = a + MultiSeries.monomial(a.caps, 1, x=4, v=2)
-        rep = gf.compare_series("self-test", {}, a, poisoned, time.perf_counter())
+        rep = gf.compare_series("self-test", {}, a, poisoned)
         assert not rep.passed
         assert rep.mismatch["exponents"] == [4, 0, 2, 0]
         assert rep.mismatch["lhs"] != rep.mismatch["rhs"]
@@ -299,6 +299,18 @@ class TestHarness:
 
     def test_single_identity_runner(self):
         assert gf.run_identity("remark2", 10).passed
+
+    def test_millis_measured_by_the_runner(self):
+        reports = gf.verify_all(6, 3) + [gf.run_identity(name, 6, 3) for name in gf.IDENTITIES]
+        assert all(r.millis > 0 for r in reports), [(r.identity, r.millis) for r in reports]
+        assert gf.check_co1(4, 6).millis == 0.0
+
+    @pytest.mark.parametrize("name", ["cheb-det", "cheb-shift"])
+    def test_cheb_jrange_follows_the_order(self, name):
+        # no sum reads u_j above j = order + 1, so a large jmax buys nothing
+        assert gf.run_identity(name, 6, jmax=60).params == {"jrange": 40}
+        assert gf.run_identity(name, 50, jmax=60).params == {"jrange": 52}
+        assert gf.run_identity(name, 50).params == {"jrange": 52}
 
 
 def _report_without_millis(rep):

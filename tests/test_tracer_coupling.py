@@ -22,7 +22,7 @@ for argv in (["verify", "--identity", "l2", "--order", "6"], ["enumerate", "--n"
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(catwords.cli.main(argv))
 rep = tracer.report()
-print(json.dumps({"codes": codes, "counts": rep["counts"],
+print(json.dumps({"codes": codes, "counts": rep["counts"], "self_s": rep["self_s"],
                   "cheb_u_cache_entries": rep["cheb_u_cache_entries"]}))
 """
 
@@ -39,3 +39,6 @@ def test_tracer_installs_and_reports():
     assert out["counts"]["series.mul.terms_out"] > 0
     assert out["counts"]["words.words_yielded"] == 14  # C(4) words of length 5
     assert out["cheb_u_cache_entries"] > 0
+    # the per-layer metrics read these by name
+    assert out["self_s"]["genfun.compare"] > 0
+    assert out["self_s"]["genfun.check.l2"] > 0
