@@ -36,13 +36,16 @@ def _ones_zeros_closed(n: int, m: int, z: int) -> int:
 
 
 def _letter_genfun(n: int, i: int) -> dict[tuple[int, int], int]:
-    a4 = genfun.gf_A4(n, i, n + 2)
-    a0 = genfun.gf_A0(n, i, n + 2)
+    # Read at q^k, k = min(i, (n + 1) // 2), as counting.a_letter does: no
+    # word of length n has a letter above (n - 1) / 2.
+    k = min(i, (n + 1) // 2)
+    a4 = genfun.gf_A4(n, k, n + 2)
+    a0 = genfun.gf_A0(n, k, n + 2)
     rows = {}
     for t in range(1, n + 1):
-        rows[(0, t)] = a0.coeff_int(n, w=t, q=i)
+        rows[(0, t)] = a0.coeff_int(n, w=t, q=k)
         for s in range(1, n - t + 1):
-            rows[(s, t)] = a4.coeff_int(n, w=t, v=s, q=i)
+            rows[(s, t)] = a4.coeff_int(n, w=t, v=s, q=k)
     return rows
 
 

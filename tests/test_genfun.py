@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import random
@@ -13,7 +12,7 @@ import pytest
 from catwords import counting as ct
 from catwords import genfun as gf
 from catwords import series
-from catwords.series import Caps, LaurentSeries, MultiSeries, catalan_series, l_family
+from catwords.series import Caps, MultiSeries, l_family
 from conftest import PROFILE_MAX_N, project
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -396,134 +395,6 @@ class TestFaultInjection:
         }
 
 
-# The Laurent route the Chebyshev sums took before they moved to the x
-# ring, kept as a reference: U_j is a Laurent polynomial in y = sqrt(x),
-# every denominator and inverse has its leading y order checked, and each
-# term is converted back to an x series.  The letter sums below are as
-# first written: every term rebuilds L_0..L_j with l_family(j, seed), and
-# each builder call computes all of its pieces.  These references test
-# LaurentSeries as well, and go when the class goes.
-
-
-@functools.lru_cache(maxsize=None)
-def ref_cheb_u(j, caps):
-    """U_j at t = 1/(2y) by U_j = U_{j-1}/y - U_{j-2}, from U_{-3} = -1/y,
-    U_{-2} = -1, U_{-1} = 0 and U_0 = 1."""
-    if j < 1:
-        return {
-            -3: LaurentSeries.monomial(caps, -1, y=-1),
-            -2: LaurentSeries.monomial(caps, -1),
-            -1: LaurentSeries.zero(caps),
-            0: LaurentSeries.monomial(caps, 1),
-        }[j]
-    inv_y = LaurentSeries.monomial(caps, 1, y=-1)
-    return inv_y * ref_cheb_u(j - 1, caps) - ref_cheb_u(j - 2, caps)
-
-
-def _leading(obj, expected, what):
-    lead = obj.min_y()
-    assert lead == expected, f"{what}: leading y order {lead}, expected {expected}"
-    return obj
-
-
-def _laurent(ms):
-    return LaurentSeries(dict(ms.coeffs), ms.caps)
-
-
-def ref_cheb_p(j, z, caps):
-    """P_j(z) = U_j - z y U_{j-1}; U_j when z is None."""
-    if z is None:
-        return ref_cheb_u(j, caps)
-    zy = LaurentSeries.monomial(caps, 1, y=1, **{z: 1})
-    return ref_cheb_u(j, caps) - zy * ref_cheb_u(j - 1, caps)
-
-
-def ref_cheb_term(j, z, caps):
-    """T_j(z) = 1 / (y P_{j-1}(z) P_j(z)) as an x series; zero past the x
-    cap."""
-    what = f"T_{j}({z or 0})"
-    den = _leading(ref_cheb_p(j - 1, z, caps) * ref_cheb_p(j, z, caps), 1 - 2 * j, what)
-    if j - 1 > caps.x:
-        return MultiSeries.zero(caps)
-    inv = (LaurentSeries.monomial(caps, 1, y=1) * den).invert()
-    return _leading(inv, 2 * j - 2, f"{what} inverse").to_x_series()
-
-
-def ref_lemma_A(order, jmax):
-    """v/C times sum_j y / (P_{j-1}(v) P_j(v)), summed in the Laurent ring."""
-    caps = Caps.of(order)
-    y = LaurentSeries.monomial(caps, 1, y=1)
-    acc = LaurentSeries.zero(caps)
-    for j in range(1, min(jmax, order) + 1):
-        den = ref_cheb_p(j - 1, "v", caps) * ref_cheb_p(j, "v", caps)
-        acc = acc + _leading(y * den.invert(), 2 * j, f"A-lemma term j={j}")
-    v = LaurentSeries.monomial(caps, 1, v=1)
-    return (v * _laurent(catalan_series(caps)).invert() * acc).to_x_series()
-
-
-def _uu_denominator(i, caps):
-    """y U_{i+2} U_{i+1}, leading order verified at y^-(2i+2)."""
-    den = LaurentSeries.monomial(caps, 1, y=1) * ref_cheb_u(i + 2, caps) * ref_cheb_u(i + 1, caps)
-    return _leading(den, -(2 * i + 2), f"U-product denominator i={i}")
-
-
-def _uu_inverse(i, caps):
-    """1 / (y U_{i+2} U_{i+1}) as an x series: the letter weight without
-    its q^(i+1); starts at x^(i+1)."""
-    inv = _uu_denominator(i, caps).invert()
-    return _leading(inv, 2 * i + 2, f"U-product inverse i={i}").to_x_series()
-
-
-def _a4_main_denominator(j, caps):
-    """P_{j+1}(w) P_j(w): the letter main is y w q^(j+1) over it."""
-    den = ref_cheb_p(j + 1, "w", caps) * ref_cheb_p(j, "w", caps)
-    return _leading(den, -(2 * j + 1), f"letter-sum denominator j={j}")
-
-
-def _reference_a4(order, qmax, jmax):
-    caps = gf._letter_caps(order, qmax, jmax)
-    one = MultiSeries.one(caps)
-    v = MultiSeries.monomial(caps, 1, v=1)
-    xc = gf._x_catalan(caps)
-    a_v = gf._apply_A(v, xc)
-    num = MultiSeries.zero(caps)
-    den = one
-    for i in range(0, jmax + 1):
-        if 2 * i + 2 > 2 * caps.x or i + 1 > caps.q:
-            _uu_denominator(i, caps)
-            continue
-        qg = MultiSeries.monomial(caps, 1, q=i + 1) * _uu_inverse(i, caps)
-        num = num + qg * (gf._apply_A(v * l_family(i, one), xc) - a_v)
-        den = den + qg
-    inner = num * den.invert()
-    w = MultiSeries.monomial(caps, 1, w=1)
-    acc = LaurentSeries.zero(caps)
-    for j in range(0, jmax + 1):
-        d = _a4_main_denominator(j, caps)
-        if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
-            continue
-        bracket = gf._apply_A(v * l_family(j, w), xc) - a_v - inner
-        prefac = LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1)
-        acc = acc + prefac * d.invert() * _laurent(bracket)
-    return acc.to_x_series()
-
-
-def _reference_a0(order, qmax, jmax):
-    caps = gf._letter_caps(order, qmax, jmax)
-    one = MultiSeries.one(caps)
-    num = LaurentSeries.zero(caps)
-    den = one
-    for j in range(0, jmax + 1):
-        d = _a4_main_denominator(j, caps)
-        _uu_denominator(j, caps)
-        if 2 * j + 2 > 2 * caps.x or j + 1 > caps.q:
-            continue
-        num = num + LaurentSeries.monomial(caps, 1, y=1, w=1, q=j + 1) * d.invert()
-        den = den + MultiSeries.monomial(caps, 1, q=j + 1) * _uu_inverse(j, caps)
-    geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
-    return num.to_x_series() * geom_q * den.invert()
-
-
 # (order, qmax, jmax): jmax at, just above and well above the smallest
 # accepted value, qmax below, at and above the order.
 LETTER_GRID = [
@@ -533,52 +404,48 @@ LETTER_GRID = [
 ]
 
 
-def _typed(ms):
-    """Caps and every stored (key, coefficient type, coefficient)."""
-    return ms.caps, [(k, type(c), c) for k, c in sorted(ms.coeffs.items())]
-
-
-class TestLaurentRoute:
-    """The x-ring sums equal the Laurent route key for key and type for
-    type."""
+class TestDeepChecks:
+    """th3/th4, l2, co1 and co2 at more orders and terms than TestChecks."""
 
     @pytest.mark.parametrize("qmax", [3, 8])
     @pytest.mark.parametrize("order", [6, 12, 24])
     def test_letter_sums(self, order, qmax):
-        jmax = order + 2
-        assert _typed(gf.gf_A4(order, qmax, jmax)) == _typed(_reference_a4(order, qmax, jmax))
-        assert _typed(gf.gf_A0(order, qmax, jmax)) == _typed(_reference_a0(order, qmax, jmax))
+        assert gf.check_th3(order, qmax, order + 2).passed
+        assert gf.check_th4(order, qmax, order + 2).passed
 
     @pytest.mark.parametrize("order", [20, 40])
     def test_lemma(self, order):
-        assert _typed(gf.gf_A_via_lemma(order, order + 2)) == _typed(ref_lemma_A(order, order + 2))
+        assert gf.check_l2(order, order + 2).passed
 
-    @pytest.mark.parametrize("z, first", [(None, 2), ("v", 1)])
-    def test_co1_and_co2_sums(self, z, first):
-        # co1 sums T_{j+1}(0) and co2 T_j(v), for j = 1..jmax
-        caps, jmax = Caps.of(24), 26
-        got = ref = MultiSeries.zero(caps)
-        for j in range(first, first + jmax):
-            got = got + gf._cheb_term(j, z, caps)
-            ref = ref + ref_cheb_term(j, z, caps)
-        assert _typed(got) == _typed(ref)
+    def test_co1(self):
+        assert gf.check_co1(24, 26).passed
+
+    def test_co2(self):
+        assert gf.check_co2(24, 26).passed
+
+
+def _all_ints(ms):
+    return all(type(c) is int for c in ms.coeffs.values())
 
 
 class TestSharedPieces:
-    """The letter sums assembled from shared pieces equal the per-term
-    reference exactly, and th3/th4 compute each piece once."""
+    """The letter sums assembled from shared pieces equal the letter-count
+    recurrences term by term, with int coefficients, and th3/th4 compute
+    each piece once."""
 
     @pytest.mark.parametrize("order, qmax, jmax", LETTER_GRID)
     def test_a4_equals_per_term_reference(self, order, qmax, jmax):
+        assert gf.check_th3(order, qmax, jmax).passed
         a4 = gf.gf_A4(order, qmax, jmax)
-        assert a4 == _reference_a4(order, qmax, jmax)
+        assert _all_ints(a4)
         # term jmax+1 lies beyond the caps, so th3 may build one term more
         assert a4 == gf.gf_A4(order, qmax, jmax + 1)
 
     @pytest.mark.parametrize("order, qmax, jmax", LETTER_GRID)
     def test_a0_equals_per_term_reference(self, order, qmax, jmax):
+        assert gf.check_th4(order, qmax, jmax).passed
         a0 = gf.gf_A0(order, qmax, jmax)
-        assert a0 == _reference_a0(order, qmax, jmax)
+        assert _all_ints(a0)
         assert a0 == gf.gf_A0(order, qmax, jmax + 1)
 
     def test_th3_inverts_each_piece_once(self, monkeypatch):

@@ -23,7 +23,8 @@ for argv in (["verify", "--identity", "l2", "--order", "6"], ["enumerate", "--n"
         codes.append(catwords.cli.main(argv))
 rep = tracer.report()
 print(json.dumps({"codes": codes, "counts": rep["counts"], "self_s": rep["self_s"],
-                  "cheb_u_cache_entries": rep["cheb_u_cache_entries"]}))
+                  "cheb_u_cache_entries": rep["cheb_u_cache_entries"],
+                  "erosion_max": rep["erosion_max"]}))
 """
 
 
@@ -37,6 +38,9 @@ def test_tracer_installs_and_reports():
     out = json.loads(proc.stdout)
     assert out["codes"] == [0, 0]
     assert out["counts"]["series.mul.terms_out"] > 0
+    assert out["counts"]["series.invert.terms_out"] > 0
+    # series.horizon_erosion_max reads this; LaurentSeries is an empty placeholder
+    assert out["erosion_max"] == 0
     assert out["counts"]["words.words_yielded"] == 14  # C(4) words of length 5
     assert out["cheb_u_cache_entries"] > 0
     # the per-layer metrics read these by name
