@@ -23,7 +23,7 @@ def _tally(n: int, *specs: tuple) -> dict[tuple[int, ...], int]:
 
 
 def _v_coeffs(series: MultiSeries, n: int, ms: range) -> dict[tuple[int], int]:
-    return {(m,): series.coeff_int(n, v=m) for m in ms}
+    return {(m,): series.coeff(n, v=m) for m in ms}
 
 
 def _ones_zeros_rows(n: int, count) -> dict[tuple[int, int], int]:
@@ -43,9 +43,9 @@ def _letter_genfun(n: int, i: int) -> dict[tuple[int, int], int]:
     a0 = genfun.gf_A0(n, k, n + 2)
     rows = {}
     for t in range(1, n + 1):
-        rows[(0, t)] = a0.coeff_int(n, w=t, q=k)
+        rows[(0, t)] = a0.coeff(n, w=t, q=k)
         for s in range(1, n - t + 1):
-            rows[(s, t)] = a4.coeff_int(n, w=t, v=s, q=k)
+            rows[(s, t)] = a4.coeff(n, w=t, v=s, q=k)
     return rows
 
 
@@ -97,7 +97,7 @@ ROUTES = {
             (): sum(c for (m,), c in _tally(n, ("zeros",)).items() if m % 2 == 1)
         },
         "recurrence": lambda n, i: {(): counting.fine_number(n)},
-        "genfun": lambda n, i: {(): genfun.gf_fine(n).coeff_int(n)},
+        "genfun": lambda n, i: {(): genfun.gf_fine(n).coeff(n)},
     },
 }
 TABLES = tuple(ROUTES)
@@ -244,9 +244,18 @@ def _cmd_count(args, parser) -> int:
     return 0
 
 
-def _cmd_series(args, parser) -> int:
+def _check_bounds(args, parser) -> None:
+    """The usage checks that `series` and `verify` share."""
     if args.order < 1:
         parser.error("--order must be >= 1")
+    if args.qmax is not None and args.qmax < 1:
+        parser.error("--qmax must be >= 1")
+    if args.jmax is not None and args.jmax < 0:
+        parser.error("--jmax must be >= 0")
+
+
+def _cmd_series(args, parser) -> int:
+    _check_bounds(args, parser)
     jmax = args.jmax if args.jmax is not None else args.order + 2
     name = args.name
     if name in ("A4", "A0") and args.qmax is None:
@@ -259,8 +268,7 @@ def _cmd_series(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.order < 1:
-        parser.error("--order must be >= 1")
+    _check_bounds(args, parser)
     if args.identity == "all":
         reports = genfun.verify_all(args.order, args.qmax, args.jmax)
     else:

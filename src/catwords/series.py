@@ -1,28 +1,29 @@
 """Exact truncated formal power series in x, w, v, q, and the Chebyshev
 polynomials the generating-function sums are built from.
 
-A series is a sparse dict mapping a packed exponent key to an exact
-coefficient (int, or Fraction when a division is not exact; integrality
-of combinatorial coefficients is checked at extraction, not assumed in
-between).  Packing the four exponents into a single integer keeps
-multiplication inside dict/int fast paths, and is bit-exact: field widths
-are validated against the caps so exponent sums can never carry.  x is
-the top field, so keys order as the exponent tuples (x, w, v, q) do, and
-the product of two monomials is the sum of their keys.
+A series is a sparse dict mapping a packed exponent key to an int
+coefficient: the series the package solves for count words, so they lie
+in Z[[x, w, v, q]].  A non-integer could enter at only three points, and
+each refuses it with an explicit raise: construction and a scalar product
+(TypeError), and inversion, which needs a constant term of 1 or -1
+(NonInvertibleError).  Packing the four exponents into a single integer
+keeps multiplication inside dict/int fast paths, and is bit-exact: field
+widths are validated against the caps so exponent sums can never carry.
+x is the top field, so keys order as the exponent tuples (x, w, v, q) do,
+and the product of two monomials is the sum of their keys.
 
 Truncation contract: every operation returns caps that are the
 componentwise minimum of its operands' caps, and never reports a
 coefficient beyond them.  Querying past the caps raises instead of
 returning a silently wrong zero.
 
-Stored coefficients are always trimmed: each one is nonzero, lies inside
-its series' caps, and is a Fraction only when it is not an integer.
-Construction from outside data goes through _trim; every operation keeps
-the invariant.  Addition and subtraction rely on it: they merge the two
-stores without walking them again, and trim an operand only when its
-caps reach past the result's.
+Stored coefficients are always trimmed: each one is a nonzero int and
+lies inside its series' caps.  Construction from outside data goes
+through _trim; every operation keeps the invariant.  Addition and
+subtraction rely on it: they merge the two stores without walking them
+again, and trim an operand only when its caps reach past the result's.
 
-Inversion is exact by construction and needs a nonzero constant term.
+Inversion is exact by construction and needs a unit constant term c.
 After normalising by it, the x-free slice (terms in w, v, q only) is
 inverted by its finite geometric series, which the w/v/q caps end; Newton
 steps b <- b + b*(1 - a*b) then double the x order the inverse is exact
@@ -37,12 +38,11 @@ Chebyshev sum is computed in this one ring (see genfun).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Iterator
 
-from .counting import ExactnessError, catalan_number
+from .counting import catalan_number
 
 __all__ = [
     "Caps",
@@ -72,8 +72,6 @@ _ZERO = 0
 _MAXCAP = 2000
 _MAXX = 1 << 15
 
-Coeff = int | Fraction
-
 
 def _pack(ex: int, ew: int, ev: int, eq: int) -> int:
     return (ex << _XSHIFT) | (ew << _WSHIFT) | (ev << _VSHIFT) | eq
@@ -88,19 +86,18 @@ def _unpack(key: int) -> tuple[int, int, int, int]:
     )
 
 
-def _trim(coeffs: dict[int, Coeff], caps4: tuple[int, int, int, int]) -> dict[int, Coeff]:
-    """Drop monomials beyond the caps and zero coefficients; canonicalize
-    integral Fractions back to int."""
+def _trim(coeffs: dict[int, int], caps4: tuple[int, int, int, int]) -> dict[int, int]:
+    """Drop monomials beyond the caps and zero coefficients; a kept
+    coefficient that is not an int raises TypeError."""
     xlim = (caps4[0] + 1) << _XSHIFT
-    return _fit((item for item in coeffs.items() if item[0] < xlim), caps4)
+    return _fit(((k, _coerce_coeff(c)) for k, c in coeffs.items() if k < xlim), caps4)
 
 
-def _fit(items: Iterable[tuple[int, Coeff]], caps4: tuple[int, int, int, int]) -> dict[int, Coeff]:
-    """_trim for terms already below the x cap: drop monomials beyond the
-    w/v/q caps and zero coefficients; canonicalize integral Fractions back
-    to int."""
+def _fit(items: Iterable[tuple[int, int]], caps4: tuple[int, int, int, int]) -> dict[int, int]:
+    """_trim for int terms already below the x cap: drop monomials beyond
+    the w/v/q caps and zero coefficients."""
     _, wcap, vcap, qcap = caps4
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     for k, c in items:
         if (
             not c
@@ -109,33 +106,28 @@ def _fit(items: Iterable[tuple[int, Coeff]], caps4: tuple[int, int, int, int]) -
             or ((k >> _WSHIFT) & _FIELD) > wcap
         ):
             continue
-        if type(c) is Fraction and c.denominator == 1:
-            c = c.numerator
         out[k] = c
     return out
 
 
-def _merge(a: dict[int, Coeff], b: dict[int, Coeff], sign: int = 1) -> dict[int, Coeff]:
-    """a + sign*b.  Zeros are dropped and integral Fractions become ints on
-    the keys b touches, so two trimmed stores within the same caps merge
-    into a trimmed store."""
+def _merge(a: dict[int, int], b: dict[int, int], sign: int = 1) -> dict[int, int]:
+    """a + sign*b.  Zeros are dropped on the keys b touches, so two trimmed
+    stores within the same caps merge into a trimmed store."""
     out = dict(a)
     for k, c in b.items():
         nc = out.get(k, 0) + (c if sign > 0 else -c)
         if not nc:
             out.pop(k, None)
-        elif type(nc) is Fraction and nc.denominator == 1:
-            out[k] = nc.numerator
         else:
             out[k] = nc
     return out
 
 
 def _mul(
-    a: dict[int, Coeff],
-    b: dict[int, Coeff],
+    a: dict[int, int],
+    b: dict[int, int],
     caps4: tuple[int, int, int, int],
-) -> dict[int, Coeff]:
+) -> dict[int, int]:
     """Truncated product.  Keys sort by x first, so iterating the second
     factor in key order allows an early break once the x cap is passed;
     only the w/v/q caps are left for _fit."""
@@ -145,7 +137,7 @@ def _mul(
         a, b = b, a
     bitems = sorted(b.items())
     xlim = (caps4[0] + 1) << _XSHIFT
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     get = out.get
     for ka, ca in a.items():
         kmax = xlim - ka
@@ -157,27 +149,19 @@ def _mul(
     return _fit(out.items(), caps4)
 
 
-def _scale(coeffs: dict[int, Coeff], c: Coeff) -> dict[int, Coeff]:
+def _scale(coeffs: dict[int, int], c: int) -> dict[int, int]:
     if not c:
         return {}
     return {k: v * c for k, v in coeffs.items()}
 
 
-def _div_coeff(a: Coeff, c: Coeff) -> Coeff:
-    if c == 1:
-        return a
-    if c == -1:
-        return -a
-    f = Fraction(a) / Fraction(c)
-    return f.numerator if f.denominator == 1 else f
-
-
 def _invert(
-    coeffs: dict[int, Coeff],
+    coeffs: dict[int, int],
     caps4: tuple[int, int, int, int],
-) -> dict[int, Coeff]:
-    """Invert c*(1 + r), where c is the nonzero constant term, through the
-    caps caps4.
+) -> dict[int, int]:
+    """Invert c*(1 + r), where the constant term c is 1 or -1, through the
+    caps caps4.  Any other constant term has no inverse over the integers
+    and raises NonInvertibleError.
 
     With a = 1 + r = a0 + a1, where a0 is the x-free slice (terms in w, v,
     q only) and a1 starts at x order m, the inverse is built in two exact
@@ -187,13 +171,13 @@ def _invert(
     b <- b + b*(1 - a*b) doubles that precision (Brent & Kung, J. ACM
     1978), truncated to it, until it passes caps4[0].  The inverse in the
     truncated ring is unique, so the result equals the full geometric
-    series term by term; _trim turns integral Fractions back into ints."""
-    c = coeffs.get(_ZERO)
-    if not c:
-        raise NonInvertibleError("power series with zero constant term")
+    series term by term."""
+    c = coeffs.get(_ZERO, 0)
+    if c != 1 and c != -1:
+        raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
     xcap, wcap, vcap, qcap = caps4
-    # r = -(rest / c); every term raises x or a w/v/q degree.
-    neg_r = _trim({k: _div_coeff(-v, c) for k, v in coeffs.items() if k != _ZERO}, caps4)
+    # -r = -rest / c = -c * rest; every term raises x or a w/v/q degree.
+    neg_r = {k: -c * v for k, v in coeffs.items() if k != _ZERO}
     x1 = _pack(1, 0, 0, 0)
     neg_r0 = {k: v for k, v in neg_r.items() if k < x1}
     b = {_ZERO: 1}
@@ -210,7 +194,7 @@ def _invert(
             step = (prec - 1, wcap, vcap, qcap)
             err = _merge({_ZERO: 1}, _mul(a, b, step), -1)
             b = _merge(b, _mul(b, err, step))
-    return _trim({k: _div_coeff(val, c) for k, val in b.items()}, caps4)
+    return _scale(b, c)
 
 
 @dataclass(frozen=True)
@@ -248,22 +232,19 @@ class Caps:
         return (self.x, self.w, self.v, self.q)
 
 
-def _coerce_coeff(c) -> Coeff:
-    # Subclasses (bool, Fraction subclasses) become exact int or Fraction:
-    # _trim canonicalizes Fractions by exact type.
-    if isinstance(c, Fraction):
-        return Fraction(c)
+def _coerce_coeff(c) -> int:
+    # int subclasses (bool) become plain int; every other type is refused.
     if isinstance(c, int):
         return int(c)
-    raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
+    raise TypeError(f"coefficients must be int, got {type(c).__name__}")
 
 
 class MultiSeries:
-    """Truncated power series in x, w, v, q over exact rationals."""
+    """Truncated power series in x, w, v, q over the integers."""
 
     __slots__ = ("coeffs", "caps")
 
-    def __init__(self, coeffs: dict[int, Coeff], caps: Caps, *, _trusted: bool = False):
+    def __init__(self, coeffs: dict[int, int], caps: Caps, *, _trusted: bool = False):
         if not _trusted:
             coeffs = _trim(coeffs, caps._caps4)
         self.coeffs = coeffs
@@ -281,7 +262,7 @@ class MultiSeries:
 
     @classmethod
     def monomial(
-        cls, caps: Caps, coeff: Coeff = 1, x: int = 0, w: int = 0, v: int = 0, q: int = 0
+        cls, caps: Caps, coeff: int = 1, x: int = 0, w: int = 0, v: int = 0, q: int = 0
     ) -> "MultiSeries":
         if min(x, w, v, q) < 0:
             raise ValueError("power-series exponents must be >= 0")
@@ -289,7 +270,7 @@ class MultiSeries:
 
     @classmethod
     def from_terms(cls, caps: Caps, terms) -> "MultiSeries":
-        coeffs: dict[int, Coeff] = {}
+        coeffs: dict[int, int] = {}
         for (x, w, v, q), c in terms:
             if min(x, w, v, q) < 0:
                 raise ValueError("power-series exponents must be >= 0")
@@ -319,12 +300,12 @@ class MultiSeries:
         if isinstance(other, MultiSeries):
             caps = self.caps.meet(other.caps)
             return MultiSeries(_mul(self.coeffs, other.coeffs, caps._caps4), caps, _trusted=True)
-        return MultiSeries(_trim(_scale(self.coeffs, _coerce_coeff(other)), self.caps._caps4), self.caps, _trusted=True)
+        return MultiSeries(_scale(self.coeffs, _coerce_coeff(other)), self.caps, _trusted=True)
 
     __rmul__ = __mul__
 
     def invert(self) -> "MultiSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a constant term of 1 or -1."""
         return MultiSeries(_invert(self.coeffs, self.caps._caps4), self.caps, _trusted=True)
 
     def substitute(self, var: str, s: "MultiSeries") -> "MultiSeries":
@@ -339,7 +320,7 @@ class MultiSeries:
         """
         shift = {"w": _WSHIFT, "v": _VSHIFT, "q": 0}[_check_var(var)]
         caps = self.caps.meet(s.caps)
-        groups: dict[int, dict[int, Coeff]] = {}
+        groups: dict[int, dict[int, int]] = {}
         for k, c in self.coeffs.items():
             m = (k >> shift) & _FIELD
             groups.setdefault(m, {})[k - (m << shift)] = c
@@ -382,10 +363,6 @@ class MultiSeries:
                 acc = _merge(acc, _mul(part, power, caps4))
         return MultiSeries(acc, caps)
 
-    def truncate(self, caps: Caps) -> "MultiSeries":
-        caps = self.caps.meet(caps)
-        return MultiSeries(_trim(self.coeffs, caps._caps4), caps, _trusted=True)
-
     def times_x(self, k: int) -> "MultiSeries":
         """x^k times this series, k >= 0: exact through x order caps.x + k,
         so a factor inverted at the x cap lowered by k shifts back to full
@@ -400,7 +377,7 @@ class MultiSeries:
 
     # -- queries ------------------------------------------------------
 
-    def coeff(self, x: int, w: int = 0, v: int = 0, q: int = 0) -> Coeff:
+    def coeff(self, x: int, w: int = 0, v: int = 0, q: int = 0) -> int:
         """Coefficient of x^x w^w v^v q^q; beyond-cap queries raise."""
         c = self.caps
         if not (0 <= x <= c.x and 0 <= w <= c.w and 0 <= v <= c.v and 0 <= q <= c.q):
@@ -423,20 +400,7 @@ class MultiSeries:
                         first = k
         return None if first is None else _unpack(first)
 
-    def coeff_int(self, x: int, w: int = 0, v: int = 0, q: int = 0) -> int:
-        """Coefficient checked to be an integer (combinatorial extraction);
-        ExactnessError otherwise."""
-        c = self.coeff(x, w, v, q)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ExactnessError(f"non-integer coefficient at {(x, w, v, q)}: {c}")
-            return c.numerator
-        return c
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self) -> Iterator[tuple[tuple[int, int, int, int], Coeff]]:
+    def terms(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
         """Monomials as ((x, w, v, q), coeff), lexicographic by exponents:
         packed keys order as their exponents do."""
         return ((_unpack(k), c) for k, c in sorted(self.coeffs.items()))
@@ -444,20 +408,10 @@ class MultiSeries:
     # -- serialization ------------------------------------------------
 
     def to_jsonable(self) -> list[dict]:
-        out = []
-        for exps, c in self.terms():
-            num, den = (c.numerator, c.denominator) if isinstance(c, Fraction) else (c, 1)
-            out.append({"exponents": list(exps), "num": str(num), "den": str(den)})
-        return out
-
-    @classmethod
-    def from_jsonable(cls, data: list[dict], caps: Caps) -> "MultiSeries":
-        terms = []
-        for item in data:
-            num, den = int(item["num"]), int(item["den"])
-            c: Coeff = num if den == 1 else Fraction(num, den)
-            terms.append((tuple(item["exponents"]), c))
-        return cls.from_terms(caps, terms)
+        # "den" stays in the output format, always "1"
+        return [
+            {"exponents": list(exps), "num": str(c), "den": "1"} for exps, c in self.terms()
+        ]
 
     # -- dunder misc ----------------------------------------------------
 

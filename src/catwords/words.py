@@ -273,9 +273,6 @@ class StatisticSpec:
         """This statistic as a one-argument function of the word."""
         return _STATS[self.kind](self.letter)
 
-    def evaluate(self, word: Sequence[int]) -> int:
-        return self.bind()(word)
-
 
 def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
     """Joint distribution of the given statistics over all words of length n.

@@ -64,7 +64,7 @@ def test_03_zeros_four_way(profiles):
             for m in range(1, n + 1):
                 enum = table.get(m, 0)
                 assert enum == ct.a_zeros(n, m) == ct.a_zeros_closed(n, m)
-                assert enum == a.coeff_int(n, v=m)
+                assert enum == a.coeff(n, v=m)
         for n in range(2, 201):
             for m in range(2, n + 1):
                 assert ct.a_zeros(n, m) == ct.a_zeros_closed(n, m), (n, m)
@@ -78,7 +78,7 @@ def test_04_ones_four_way(profiles):
             for m in range(0, n):
                 enum = table.get(m, 0)
                 assert enum == ct.b_ones(n, m)
-                assert enum == b.coeff_int(n, v=m)
+                assert enum == b.coeff(n, v=m)
                 if m >= 1:
                     assert enum == ct.b_ones_closed(n, m)
         for n in range(1, 101):
@@ -123,19 +123,19 @@ def test_06_letter_arrays(profiles):
 def test_07_fine_numbers(profiles):
     with _Budget("7 fine numbers"):
         f = gf.gf_fine(60)
-        assert [f.coeff_int(n) for n in range(1, 8)] == [1, 0, 1, 2, 6, 18, 57]
+        assert [f.coeff(n) for n in range(1, 8)] == [1, 0, 1, 2, 6, 18, 57]
         for n in range(1, PROFILE_MAX_N + 1):
             zeros = project(profiles[n], lambda c, d, M: c[0])
             odd = sum(cnt for m, cnt in zeros.items() if m % 2 == 1)
-            assert f.coeff_int(n) == odd
+            assert f.coeff(n) == odd
         for n in (13, 14):
             odd = sum(
                 1 for w in words.enumerate_words(n) if w.count(0) % 2 == 1
             )
-            assert f.coeff_int(n) == odd
+            assert f.coeff(n) == odd
         for n in range(1, 61):
             parity_sum = sum(ct.a_zeros(n, m) for m in range(1, n + 1, 2))
-            assert f.coeff_int(n) == parity_sum
+            assert f.coeff(n) == parity_sum
 
 
 def test_08_chebyshev_suite():
@@ -166,12 +166,12 @@ def test_10_letter_theorems():
             for i in range(1, 6):
                 for t in range(1, n + 1):
                     for s in range(1, n - t + 1):
-                        assert a4.coeff_int(n, w=t, v=s, q=i) == ct.a_letter(i, n, s, t)
+                        assert a4.coeff(n, w=t, v=s, q=i) == ct.a_letter(i, n, s, t)
         a0 = gf.gf_A0(10, 10, 12)
         for n in range(1, 11):
             for i in range(1, 11):
                 for t in range(1, n + 1):
-                    assert a0.coeff_int(n, w=t, q=i) == ct.a_letter(i, n, 0, t)
+                    assert a0.coeff(n, w=t, q=i) == ct.a_letter(i, n, 0, t)
         # truncation stability: one more term changes nothing
         assert gf._first_mismatch(a4, gf.gf_A4(10, 5, 13)) is None
         assert gf._first_mismatch(a0, gf.gf_A0(10, 10, 13)) is None

@@ -44,6 +44,15 @@ USAGE_ERRORS = (
     "series --name A-lemma --order 9 --jmax 2",
     "verify --order 0",
     "verify --identity bogus",
+    # a q cap below 1 compares nothing, and a negative jmax is not a cut
+    "verify --identity th3 --qmax 0",
+    "verify --identity th4 --qmax 0",
+    "series --name A4 --order 5 --qmax 0",
+    "series --name A0 --order 5 --qmax 0",
+    "verify --identity co1 --jmax -3",
+    "verify --identity l2 --jmax -3",
+    "verify --identity cheb-det --jmax -3",
+    "series --name A-lemma --order 9 --jmax -3",
     "count --help",
     "series --help",
 )
@@ -372,6 +381,22 @@ GOLDEN = {
         (2, "66664dfcecd7a011e36ea1c0f571b29d49373cb60585e333d8371236b07c8ab1"),
     "verify --identity bogus":
         (2, "89466400066a7f0727be8fe78864376e1dc2b7de6d6ff30d65bebd466efc45ec"),
+    "verify --identity th3 --qmax 0":
+        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+    "verify --identity th4 --qmax 0":
+        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+    "series --name A4 --order 5 --qmax 0":
+        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+    "series --name A0 --order 5 --qmax 0":
+        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+    "verify --identity co1 --jmax -3":
+        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
+    "verify --identity l2 --jmax -3":
+        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
+    "verify --identity cheb-det --jmax -3":
+        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
+    "series --name A-lemma --order 9 --jmax -3":
+        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
     "count --help":
         (0, "f2cfba45fb1c0cbd59e3d300ba3c4dc18f9ea51f267c305b1bb5f8d0ecf32ad3"),
     "series --help":

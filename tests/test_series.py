@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -31,12 +30,7 @@ W = MultiSeries.monomial(CAPS, 1, w=1)
 
 
 def coeffs():
-    return st.one_of(
-        st.integers(min_value=-4, max_value=4),
-        st.fractions(
-            min_value=-2, max_value=2, max_denominator=3
-        ),
-    )
+    return st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
@@ -110,7 +104,7 @@ class TestMultiSeriesBasics:
         assert prod == one - x * x
 
     def test_zero_absorbs(self):
-        assert (X * MultiSeries.zero(CAPS)).is_zero()
+        assert not X * MultiSeries.zero(CAPS)
 
     def test_catalan_convolution(self):
         c = catalan_series(CAPS)
@@ -122,20 +116,28 @@ class TestMultiSeriesBasics:
         with pytest.raises(ValueError):
             ONE.coeff(1, q=9)
 
-    def test_coeff_int_asserts(self):
-        half = MultiSeries.monomial(CAPS, Fraction(1, 2))
-        with pytest.raises(AssertionError):
-            half.coeff_int(0)
-
-    def test_coeff_int_raises_under_optimize(self):
+    def test_non_integers_raise_under_optimize(self):
+        # Every point where a non-integer could enter raises explicitly, so
+        # the checks hold with assert statements stripped.
         code = (
             "from fractions import Fraction\n"
-            "from catwords.series import Caps, MultiSeries\n"
+            "from catwords.series import Caps, MultiSeries, NonInvertibleError\n"
             "assert False, 'asserts are on'\n"
-            "try:\n"
-            "    MultiSeries.monomial(Caps.of(2), Fraction(1, 2)).coeff_int(0)\n"
-            "except AssertionError as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
+            "caps = Caps.of(2)\n"
+            "for build in (\n"
+            "    lambda: MultiSeries.monomial(caps, Fraction(1, 2)),\n"
+            "    lambda: MultiSeries.from_terms(caps, [((1, 0, 0, 0), Fraction(2, 1))]),\n"
+            "    lambda: MultiSeries.one(caps) * Fraction(1, 3),\n"
+            "):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except TypeError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+            "for c in (0, 2, -3):\n"
+            "    try:\n"
+            "        MultiSeries.from_terms(caps, [((0, 0, 0, 0), c), ((1, 0, 0, 0), 1)]).invert()\n"
+            "    except NonInvertibleError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         proc = subprocess.run(
@@ -143,38 +145,35 @@ class TestMultiSeriesBasics:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "ExactnessError non-integer coefficient at (0, 0, 0, 0): 1/2\n"
+        assert proc.stdout.splitlines() == [
+            *["TypeError coefficients must be int, got Fraction"] * 3,
+            *(f"NonInvertibleError constant term {c} is not a unit: expected 1 or -1"
+              for c in (0, 2, -3)),
+        ]
 
     def test_scalar_and_fraction_scaling(self):
         s = 2 * X + X
         assert s.coeff(1) == 3
-        t = Fraction(1, 3) * s
-        assert t.coeff(1) == 1
-        assert isinstance(t.coeff(1), int)
+        assert (s * -1).coeff(1) == -3
+        assert not 0 * s
+        for scalar in (Fraction(1, 3), Fraction(3, 1), 0.5):
+            with pytest.raises(TypeError, match="must be int"):
+                scalar * s
 
     def test_subclass_coefficients_are_canonical(self):
-        class Sub(Fraction):
+        class Sub(int):
             pass
 
         routes = [
-            MultiSeries.monomial(CAPS, Sub(6, 3), x=1),
-            MultiSeries.from_terms(CAPS, [((1, 0, 0, 0), Sub(6, 3))]),
-            X * Sub(6, 3),
+            MultiSeries.monomial(CAPS, Sub(2), x=1),
+            MultiSeries.from_terms(CAPS, [((1, 0, 0, 0), Sub(2))]),
+            X * Sub(2),
         ]
         for s in routes:
             assert type(s.coeff(1)) is int and s.coeff(1) == 2
-        half = MultiSeries.monomial(CAPS, Sub(1, 2))
-        assert type(half.coeff(0)) is Fraction and half.coeff(0) == Fraction(1, 2)
         flag = MultiSeries.monomial(CAPS, True, x=1)
         assert type(flag.coeff(1)) is int
         assert flag.to_jsonable() == [{"exponents": [1, 0, 0, 0], "num": "1", "den": "1"}]
-
-    def test_truncate(self):
-        g = (ONE - X).invert()
-        small = g.truncate(Caps.of(3))
-        assert small.caps.x == 3
-        with pytest.raises(ValueError):
-            small.coeff(4)
 
 
 class TestInversion:
@@ -200,30 +199,29 @@ class TestInversion:
             MultiSeries.zero(CAPS).invert()
 
     @settings(max_examples=60, deadline=None)
-    @given(multi_series())
-    def test_inverse_is_two_sided(self, a):
+    @given(multi_series(), st.sampled_from([1, -1]))
+    def test_inverse_is_two_sided(self, a, c):
         unit = MultiSeries.one(a.caps)
-        base = a + unit if a.coeff(0, 0, 0, 0) != -1 else a - unit
+        base = a + (c - a.coeff(0, 0, 0, 0)) * unit
         inv = base.invert()
         assert base * inv == unit
         assert inv * base == unit
 
 
 def ref_invert(coeffs, caps4):
-    """The geometric-series inversion kept as a reference: sums
-    1 + r + r**2 + ... one x order per product until the caps kill it."""
-    c = coeffs.get(series._ZERO)
-    if not c:
-        raise NonInvertibleError("power series with zero constant term")
-    neg_r = series._trim(
-        {k: series._div_coeff(-v, c) for k, v in coeffs.items() if k != series._ZERO}, caps4
-    )
+    """The geometric-series inversion kept as a reference: for c*(1 + r)
+    with c = 1 or -1, sums 1 + r + r**2 + ... one x order per product
+    until the caps kill it."""
+    c = coeffs.get(series._ZERO, 0)
+    if c not in (1, -1):
+        raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
+    neg_r = {k: -c * v for k, v in coeffs.items() if k != series._ZERO}
     total = {series._ZERO: 1}
     power = neg_r
     while power:
         total = series._merge(total, power)
         power = series._mul(power, neg_r, caps4)
-    return series._trim({k: series._div_coeff(val, c) for k, val in total.items()}, caps4)
+    return {k: c * v for k, v in total.items()}
 
 
 def _inverse_or_error(s):
@@ -234,17 +232,19 @@ def _inverse_or_error(s):
 
 
 class TestNewtonInversion:
-    """Newton doubling returns the geometric series' inverse, key for key
-    and type for type."""
+    """Newton doubling returns the geometric series' inverse key for key,
+    and both refuse the same series."""
 
     @settings(max_examples=150, deadline=None)
     @example(4, 0, 1, [(0, 0, 0, 1, -1)])  # 1 - q
-    @example(4, 0, 1, [(0, 1, 1, 0, -1), (1, 0, 0, 0, 1)])  # 1 - wv + x
-    @example(3, 1, 2, [(1, 0, 0, 0, 1)])  # no constant term
+    @example(4, 0, -1, [(0, 1, 1, 0, -1), (1, 0, 0, 0, 1)])  # -1 - wv + x
+    @example(3, 1, 1, [(1, 0, 0, 0, 1)])  # no constant term
+    @example(3, 0, 2, [(1, 0, 0, 0, 1)])  # non-unit constant terms
+    @example(3, 0, -3, [])
     @given(
         st.integers(1, 6),
         st.integers(0, 1),
-        st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)]),
+        st.sampled_from([1, -1]),
         st.lists(
             st.tuples(
                 st.integers(0, 7),
@@ -265,10 +265,6 @@ class TestNewtonInversion:
         with mock.patch.object(series, "_invert", ref_invert):
             want = _inverse_or_error(s)
         assert got == want
-        if not isinstance(want, str):
-            assert [type(c) for _, c in sorted(got.coeffs.items())] == [
-                type(c) for _, c in sorted(want.coeffs.items())
-            ]
 
     def test_product_count_is_logarithmic(self, monkeypatch):
         order = 300
@@ -293,8 +289,7 @@ class TestNewtonInversion:
 
 
 def ref_merge(a, b, sign=1):
-    """The merge as it was while sums were re-trimmed: it drops zeros but
-    leaves integral Fractions to the trim."""
+    """The merge as it was while sums were re-trimmed."""
     out = dict(a)
     for k, c in b.items():
         nc = out.get(k, 0) + (c if sign > 0 else -c)
@@ -313,15 +308,10 @@ def ref_plus(a, b, sign):
 
 def _assert_plus_matches_reference(a, b):
     for sign, got in ((1, a + b), (-1, a - b)):
-        want = ref_plus(a, b, sign)
-        assert got == want
-        assert [(k, type(c)) for k, c in sorted(got.coeffs.items())] == [
-            (k, type(c)) for k, c in sorted(want.coeffs.items())
-        ]
+        assert got == ref_plus(a, b, sign)
 
 
-HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
-PLUS_POOL = [1, -1, 2, -3, HALF, -HALF, THIRD, -THIRD, 2 * THIRD, -2 * THIRD]
+PLUS_POOL = [1, -1, 2, -2, 3, -3]
 
 
 def _operand(caps, terms):
@@ -336,7 +326,7 @@ def _operand(caps, terms):
 @st.composite
 def plus_operands(draw):
     """Two series with equal or unequal caps, whose supports overlap often
-    enough to cancel and to sum Fractions."""
+    enough to cancel."""
     exps = st.tuples(
         st.integers(0, 9), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
     )
@@ -357,7 +347,7 @@ def plus_operands(draw):
 
 class TestAddWithoutRetrim:
     """Sums merge trimmed stores without re-trimming them, and still equal
-    the checked construction key for key and type for type."""
+    the checked construction key for key."""
 
     def test_th3_trim_work(self, monkeypatch):
         # The re-trimming sums visited 41,559 keys here.
@@ -381,25 +371,13 @@ class TestAddWithoutRetrim:
         "ca, cb",
         [(Caps(3, 2, 2, 2), Caps(3, 2, 2, 2)), (Caps(3, 2, 2, 2), Caps(2, 1, 2, 3))],
     )
-    @pytest.mark.parametrize(
-        "x, y",
-        [(HALF, HALF), (THIRD, -2 * THIRD), (HALF, -HALF), (3, -3), (-HALF, 2)],
-    )
-    def test_fractions_and_cancellation(self, ca, cb, x, y):
-        # 1/2 + 1/2 and 1/3 - (-2/3) are the int 1; equal terms cancel.
+    @pytest.mark.parametrize("x, y", [(1, 1), (1, -2), (1, -1), (3, -3), (-1, 2)])
+    def test_sums_and_cancellation(self, ca, cb, x, y):
+        # equal terms cancel in a - b, opposite ones in a + b
         a = _operand(ca, [(1, 1, 0, 0, x), (0, 0, 0, 0, 1), (2, 0, 2, 1, x)])
         b = _operand(cb, [(1, 1, 0, 0, y), (2, 0, 2, 1, y), (1, 0, 0, 1, y)])
         _assert_plus_matches_reference(a, b)
         _assert_plus_matches_reference(b, a)
-
-    def test_exact_fraction_sum_is_int(self):
-        a = MultiSeries.monomial(CAPS, HALF, x=1)
-        one = (a + a).coeff(1)
-        assert one == 1 and type(one) is int
-        b = MultiSeries.monomial(CAPS, -2 * THIRD, x=1)
-        one = (MultiSeries.monomial(CAPS, THIRD, x=1) - b).coeff(1)
-        assert one == 1 and type(one) is int
-        assert (a - a).coeffs == {}
 
 
 class TestSubstitution:
@@ -572,24 +550,16 @@ class TestCatalanSeries:
         c = catalan_series(caps)
         one = MultiSeries.one(caps)
         x = MultiSeries.monomial(caps, 1, x=1)
-        assert (c - one - x * c * c).is_zero()
+        assert not c - one - x * c * c
 
 
 class TestSerialization:
     def test_canonical_form(self):
-        s = X * V + MultiSeries.monomial(CAPS, Fraction(1, 2), x=2)
-        data = s.to_jsonable()
-        assert data == [
+        s = MultiSeries.monomial(CAPS, -2, x=2) + X * V
+        assert s.to_jsonable() == [
             {"exponents": [1, 0, 1, 0], "num": "1", "den": "1"},
-            {"exponents": [2, 0, 0, 0], "num": "1", "den": "2"},
+            {"exponents": [2, 0, 0, 0], "num": "-2", "den": "1"},
         ]
-        assert MultiSeries.from_jsonable(data, CAPS) == s
-
-    @settings(max_examples=40, deadline=None)
-    @given(multi_series())
-    def test_roundtrip(self, s):
-        data = json.loads(json.dumps(s.to_jsonable()))
-        assert MultiSeries.from_jsonable(data, s.caps) == s
 
 
 class TestRingAxioms:
@@ -603,4 +573,4 @@ class TestRingAxioms:
         assert a * (b + c) == a * b + a * c
         one = MultiSeries.one(a.caps)
         assert a * one == a
-        assert (a - a).is_zero()
+        assert not a - a

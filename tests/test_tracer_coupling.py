@@ -38,6 +38,8 @@ def test_tracer_installs_and_reports():
     out = json.loads(proc.stdout)
     assert out["codes"] == [0, 0]
     assert out["counts"]["series.mul.terms_out"] > 0
+    # the kernel computes over the integers; the per-layer metric still reads
+    assert out["counts"]["series.mul.fraction_out"] == 0
     assert out["counts"]["series.invert.terms_out"] > 0
     # series.horizon_erosion_max reads this; LaurentSeries is an empty placeholder
     assert out["erosion_max"] == 0
