@@ -116,7 +116,20 @@ class TestMultiSeriesBasics:
         with pytest.raises(ValueError):
             ONE.coeff(1, q=9)
 
-    def test_non_integers_raise_under_optimize(self):
+    def test_coeff_int_asserts(self):
+        # coeff always returns an int: a non-integer coefficient is refused
+        # where it would enter, so there is none to read back.
+        half = Fraction(1, 2)
+        for build in (
+            lambda: MultiSeries.monomial(CAPS, half),
+            lambda: MultiSeries.from_terms(CAPS, [((1, 0, 0, 0), half)]),
+            lambda: ONE * half,
+        ):
+            with pytest.raises(TypeError, match="must be int, got Fraction"):
+                build()
+        assert type((3 * X).coeff(1)) is int
+
+    def test_coeff_int_raises_under_optimize(self):
         # Every point where a non-integer could enter raises explicitly, so
         # the checks hold with assert statements stripped.
         code = (
