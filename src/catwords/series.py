@@ -12,6 +12,16 @@ widths are validated against the caps so exponent sums can never carry.
 x is the top field, so keys order as the exponent tuples (x, w, v, q) do,
 and the product of two monomials is the sum of their keys.
 
+A product takes one of two exact paths.  A block is the x-polynomial
+under one (w, v, q) exponent, whose key is the low 36 bits of a packed
+key.  When both factors span two or more blocks, each block is packed into
+one int with an s-bit slot per x order, and each pair of blocks inside the
+caps is one big-int product (Kronecker substitution).  The slot width s
+bounds every coefficient of the product, so no slot can carry into the
+next and the path needs no check.  When a factor is one block, as every
+series in x alone is, the product runs term by term: there the packing
+and decoding of long blocks costs more than the pairs it saves.
+
 Truncation contract: every operation returns caps that are the
 componentwise minimum of its operands' caps, and never reports a
 coefficient beyond them.  Querying past the caps raises instead of
@@ -55,8 +65,10 @@ __all__ = [
 ]
 
 
-class NonInvertibleError(ValueError):
-    """The series has no inverse in the truncated ring."""
+class NonInvertibleError(ArithmeticError):
+    """The series has no inverse in the truncated ring.  Every series the
+    package inverts has a unit constant term, so this is a fault, not a
+    usage error: it is not a ValueError, and the CLI exits 3 on it."""
 
 
 # Packed key layout (low to high): q:12 | v:12 | w:12 | x:rest.
@@ -65,6 +77,8 @@ _VSHIFT = 12
 _WSHIFT = 24
 _XSHIFT = 36
 _ZERO = 0
+# The low fields of a key, its (w, v, q) exponents: the key of its block.
+_BLOCK = (1 << _XSHIFT) - 1
 
 # Caps are bounded so that sums of two in-cap exponents cannot overflow a
 # w/v/q field (2 * 2000 < 4096).  The top field cannot overflow; its bound
@@ -128,13 +142,43 @@ def _mul(
     b: dict[int, int],
     caps4: tuple[int, int, int, int],
 ) -> dict[int, int]:
-    """Truncated product.  Keys sort by x first, so iterating the second
-    factor in key order allows an early break once the x cap is passed;
-    only the w/v/q caps are left for _fit."""
+    """Truncated product, by one of two exact paths that return the same
+    store.
+
+    A block is the x-polynomial under one (w, v, q) key.  When both
+    operands span two or more blocks, _mul_blocks multiplies them block by
+    block as packed ints, in slots of s = bits(max|a|) + bits(max|b|) +
+    bits(min(len(a), len(b))) + 2 bits rounded up to a byte, which no
+    coefficient of the product can overflow.  Otherwise _mul_terms
+    multiplies term by term: with a one-block factor there is at most one
+    block pair per block of the other factor, too few to pay for packing
+    (a series in x alone, such as fine's 300-term kernel, is one block)."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if _multi_block(a) and _multi_block(b):
+        return _mul_blocks(a, b, caps4)
+    return _mul_terms(a, b, caps4)
+
+
+def _multi_block(coeffs: dict[int, int]) -> bool:
+    """Whether the terms lie in two or more blocks; stops at the first
+    term outside the first term's block."""
+    keys = iter(coeffs)
+    first = next(keys) & _BLOCK
+    return any(k & _BLOCK != first for k in keys)
+
+
+def _mul_terms(
+    a: dict[int, int],
+    b: dict[int, int],
+    caps4: tuple[int, int, int, int],
+) -> dict[int, int]:
+    """Truncated product of nonempty a and b, len(a) <= len(b), one
+    Python step per pair of terms.  Keys sort by x first, so iterating the
+    second factor in key order allows an early break once the x cap is
+    passed; only the w/v/q caps are left for _fit."""
     bitems = sorted(b.items())
     xlim = (caps4[0] + 1) << _XSHIFT
     out: dict[int, int] = {}
@@ -147,6 +191,108 @@ def _mul(
             kk = ka + kb
             out[kk] = get(kk, 0) + ca * cb
     return _fit(out.items(), caps4)
+
+
+def _mul_blocks(
+    a: dict[int, int],
+    b: dict[int, int],
+    caps4: tuple[int, int, int, int],
+) -> dict[int, int]:
+    """Truncated product of nonempty a and b by Kronecker substitution:
+    each block is packed into one int with an s-bit slot per x order, and
+    a pair of blocks is one big-int product (Schönhage 1982; Harvey,
+    J. Symbolic Comput. 2009).
+
+    The slot width is proved wide enough, not checked.  A coefficient of
+    the product, or any partial sum of the block products that reach it,
+    is a sum of at most min(len(a), len(b)) term products, because a term
+    of one factor meets at most one term of the other at a given key.  So
+    it is below 2^(s-2) in absolute value for s = bits(max|a|) +
+    bits(max|b|) + bits(min(len(a), len(b))) + 2, and a bias of 2^(s-1)
+    makes every slot of every packed sum a nonnegative s-bit number.
+
+    Blocks are packed by shifts and adds, which costs at most about one
+    product of the block with itself.  Only the slots through the x cap
+    are decoded, and they are read by slicing one to_bytes string, so the
+    decoding is linear in their number."""
+    xcap, wcap, vcap, qcap = caps4
+    nb = (
+        max(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 9
+    ) // 8
+    s = 8 * nb
+    bias = 1 << (s - 1)
+    pad = bias.to_bytes(nb, "little")
+    # A term of one factor reaches the x cap only with the other's lowest x.
+    ablocks = _pack_blocks(a, xcap - (min(b) >> _XSHIFT), s)
+    bblocks = sorted(_pack_blocks(b, xcap - (min(a) >> _XSHIFT), s))
+    # output block key -> [lowest start, packed sum shifted to that start]
+    sums: dict[int, list[int]] = {}
+    get = sums.get
+    for xa, ka, pa, ea in ablocks:
+        for xb, kb, pb, eb in bblocks:
+            lo = xa + xb
+            if lo > xcap:
+                break
+            k = ka + kb
+            if (k & _FIELD) > qcap or ((k >> _VSHIFT) & _FIELD) > vcap or (k >> _WSHIFT) > wcap:
+                continue
+            # Only the product's slots through the x cap are read, so a
+            # block that reaches past them is cut to its low m bits.
+            m = s * (xcap - lo + 1)
+            prod = (pa if ea + xb <= xcap else pa & ((1 << m) - 1)) * (
+                pb if eb + xa <= xcap else pb & ((1 << m) - 1)
+            )
+            acc = get(k)
+            if acc is None:
+                sums[k] = [lo, prod]
+            elif lo >= acc[0]:
+                acc[1] += prod << (s * (lo - acc[0]))
+            else:
+                acc[1] = (acc[1] << (s * (acc[0] - lo))) + prod
+                acc[0] = lo
+    out: dict[int, int] = {}
+    one_x = 1 << _XSHIFT
+    for k, (lo, t) in sums.items():
+        # Below bit s*(xcap-lo+1), t agrees with a sum of slots each below
+        # 2^(s-2) in absolute value.  Either t is that sum, and a nonzero
+        # slot m-1 makes it at least s*(m-1) bits long, or t is at least
+        # s*(xcap-lo+1) bits long: n slots cover every nonzero one.
+        n = min(xcap - lo + 1, t.bit_length() // s + 1)
+        data = ((t + int.from_bytes(pad * n, "little")) & ((1 << (n * s)) - 1)).to_bytes(
+            n * nb, "little"
+        )
+        key = k + lo * one_x
+        for i in range(0, n * nb, nb):
+            c = int.from_bytes(data[i : i + nb], "little") - bias
+            if c:
+                out[key] = c
+            key += one_x
+    return out
+
+
+def _pack_blocks(coeffs: dict[int, int], xmax: int, s: int) -> list[tuple[int, int, int, int]]:
+    """(start, block key, packed int, end) for each block of coeffs, its
+    terms above x order xmax dropped: the s-bit slot i of the packed int
+    holds the coefficient of x^(start+i), through x^end.  Keys sort by x
+    first, so a block's first key gives its start."""
+    xlim = (xmax + 1) << _XSHIFT
+    blocks: dict[int, list[int]] = {}
+    get = blocks.get
+    for k in sorted(coeffs):
+        if k >= xlim:
+            break
+        blk = k & _BLOCK
+        x = k >> _XSHIFT
+        e = get(blk)
+        if e is None:
+            blocks[blk] = [x, coeffs[k], x]
+        else:
+            e[1] += coeffs[k] << (s * (x - e[0]))
+            e[2] = x
+    return [(x0, blk, p, x1) for blk, (x0, p, x1) in blocks.items()]
 
 
 def _scale(coeffs: dict[int, int], c: int) -> dict[int, int]:

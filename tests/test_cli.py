@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from catwords import cli, genfun
+from catwords import cli, genfun, series
 from catwords.counting import a_zeros_closed, catalan_number
 from catwords.words import enumerate_words
 from test_cli_golden import ROUTE_PAIRS, SERIES_NAMES
@@ -268,3 +268,14 @@ class TestInternalError:
         monkeypatch.setattr(genfun, "check_th3", uncertified)
         code, out, err = run(capsys, "verify", "--identity", identity, "--order", "4", "--qmax", "3")
         assert (code, out, err) == (3, "", "error: CertificateError: T_8(0) denominator\n")
+
+    def test_kernel_failure(self, capsys, monkeypatch):
+        # Every series the CLI builds inverts a unit constant term, so a
+        # refused inverse is a fault in the kernel, not a usage error.
+        def non_unit(coeffs, caps4):
+            raise series.NonInvertibleError("constant term 2 is not a unit: expected 1 or -1")
+
+        monkeypatch.setattr(series, "_invert", non_unit)
+        code, out, err = run(capsys, "series", "--name", "B", "--order", "6")
+        assert (code, out) == (3, "")
+        assert err == "error: NonInvertibleError: constant term 2 is not a unit: expected 1 or -1\n"

@@ -94,6 +94,19 @@ class TestKeyLayout:
         total = tuple(a + b for a, b in zip(e, f))
         assert series._unpack(series._pack(*e) + series._pack(*f)) == total
 
+    @settings(max_examples=300, deadline=None)
+    @example((32768, 2000, 2000, 2000), (32768, 2000, 2000, 2000))
+    @example((5, 0, 2000, 0), (0, 2000, 0, 2000))
+    @given(IN_CAP, IN_CAP)
+    def test_block_keys(self, e, f):
+        # _mul_blocks groups terms by the low fields and reads x from the top
+        ke, kf = series._pack(*e), series._pack(*f)
+        assert ke & series._BLOCK == series._pack(0, *e[1:])
+        assert ke >> series._XSHIFT == e[0]
+        blocks = (ke & series._BLOCK) + (kf & series._BLOCK)
+        assert blocks <= series._BLOCK
+        assert series._unpack(blocks) == (0, *(a + b for a, b in zip(e[1:], f[1:])))
+
 
 class TestMultiSeriesBasics:
     def test_difference_of_squares(self):
@@ -573,6 +586,129 @@ class TestSerialization:
             {"exponents": [1, 0, 1, 0], "num": "1", "den": "1"},
             {"exponents": [2, 0, 0, 0], "num": "-2", "den": "1"},
         ]
+
+
+FIELD_EXPS = st.sampled_from([0, 1, 2, 1999, 2000])
+BLOCK_COEFFS = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.integers(-(2**700), 2**700),
+    st.sampled_from([2**600 - 1, -(2**600 - 1), 2**64, -(2**64)]),
+)
+
+
+@st.composite
+def block_store(draw, xcap):
+    """A store of up to four blocks whose starts reach past the x cap; its
+    w/v/q exponents collide often, so products cancel."""
+    coeffs = {}
+    for w, v, q in draw(st.lists(st.tuples(FIELD_EXPS, FIELD_EXPS, FIELD_EXPS), max_size=4, unique=True)):
+        for x in draw(st.lists(st.integers(0, xcap + 3), min_size=1, max_size=5, unique=True)):
+            c = draw(BLOCK_COEFFS)
+            if c:
+                coeffs[series._pack(x, w, v, q)] = c
+    return coeffs
+
+
+@st.composite
+def block_products(draw):
+    xcap = draw(st.integers(0, 6))
+    caps4 = (xcap, *draw(st.tuples(*[st.sampled_from([0, 2, 2000])] * 3)))
+    return draw(block_store(xcap)), draw(block_store(xcap)), caps4
+
+
+def _key(x, w=0, v=0, q=0):
+    return series._pack(x, w, v, q)
+
+
+class TestBlockProduct:
+    """The block path against the term-pair path, its reference."""
+
+    @settings(max_examples=400, deadline=None)
+    # 1 + w times 1 - w: the w terms of two block pairs cancel
+    @example(({0: 1, _key(0, 1): 1}, {0: 1, _key(0, 1): -1}, (2, 2, 2, 2)))
+    # field sums of 4000 lie past caps of 2000 and carry into no other field
+    @example(
+        ({0: 3, _key(1, 2000, 2000, 2000): -5}, {0: 7, _key(0, 2000, 2000, 2000): 2}, (3, 2000, 2000, 2000))
+    )
+    @example(({_key(1, 0, 2): 3}, {_key(0, 1): -2}, (2, 2, 2, 2)))  # single terms
+    @example(({}, {0: 1, _key(0, 1): 1}, (2, 2, 2, 2)))  # empty
+    @given(block_products())
+    def test_matches_term_path(self, operands):
+        a, b, caps4 = operands
+        want = series._mul_terms(a, b, caps4) if a and b else {}
+        assert series._mul(a, b, caps4) == want
+        if a and b:
+            assert series._mul_blocks(a, b, caps4) == want
+            assert series._mul_blocks(b, a, caps4) == want
+
+    @pytest.mark.parametrize("k, m", [(1, 4), (100, 6), (301, 4)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_bound(self, k, m, sign):
+        # Each of the n = 2^m - 1 terms of a meets one of b at x^(n-1)
+        # w^(n-1), where the coefficient is sign * n * c^2 for c = 2^k - 1.
+        # 2k + m + 2 is a multiple of 8, so the slot is exactly
+        # bits(c) + bits(c) + bits(n) + 2 bits wide, with no rounding slack.
+        n, c = 2**m - 1, 2**k - 1
+        a = {_key(i, i): c for i in range(n)}
+        b = {_key(i, i): sign * c for i in range(n)}
+        caps4 = (n - 1, 2 * n, 0, 0)
+        got = series._mul_blocks(a, b, caps4)
+        assert got == series._mul_terms(a, b, caps4)
+        assert got[_key(n - 1, n - 1)] == sign * n * c * c
+
+    def test_exact_under_optimize(self):
+        # The slot width is exact by construction, not by an assert.
+        code = (
+            "import random\n"
+            "from catwords import series\n"
+            "assert False, 'asserts are on'\n"
+            "rng = random.Random(7)\n"
+            "def store():\n"
+            "    return {series._pack(rng.randint(0, 7), rng.choice((0, 1, 2000)), rng.randint(0, 2), 0):\n"
+            "            rng.choice((-1, 1)) * (rng.getrandbits(rng.choice((2, 300))) + 1)\n"
+            "            for _ in range(rng.randint(1, 12))}\n"
+            "cases = [({series._pack(i, i, 0, 0): 2**100 - 1 for i in range(63)},\n"
+            "          {series._pack(i, i, 0, 0): 1 - 2**100 for i in range(63)}, (62, 126, 0, 0))]\n"
+            "cases += [(store(), store(), (5, 2000, 1, 2000)) for _ in range(300)]\n"
+            "bad = sum(series._mul_blocks(a, b, c) != series._mul_terms(a, b, c) for a, b, c in cases)\n"
+            "print('mismatches', bad, 'of', len(cases))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "mismatches 0 of 301\n"
+
+
+class TestProductDispatch:
+    """_mul takes the block path exactly when both factors span two or
+    more blocks."""
+
+    @pytest.mark.parametrize(
+        "build, blocks",
+        [
+            (lambda: genfun.gf_B(60), True),
+            (lambda: genfun.gf_A_via_lemma(40, 42), True),
+            (lambda: genfun.gf_fine(300), False),
+            (lambda: genfun.check_co1(24, 26), False),
+        ],
+        ids=["B-60", "A-lemma-40", "fine-300", "co1-24"],
+    )
+    def test_path(self, monkeypatch, build, blocks):
+        taken = []
+        for name in ("_mul_blocks", "_mul_terms"):
+            def counted(a, b, caps4, fn=getattr(series, name), name=name):
+                multi = min(len({k & series._BLOCK for k in d}) for d in (a, b)) >= 2
+                taken.append((name, multi))
+                return fn(a, b, caps4)
+
+            monkeypatch.setattr(series, name, counted)
+        build()
+        assert taken
+        assert all((name == "_mul_blocks") == multi for name, multi in taken)
+        assert any(name == "_mul_blocks" for name, _ in taken) == blocks
 
 
 class TestRingAxioms:
