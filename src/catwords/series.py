@@ -422,7 +422,9 @@ class MultiSeries:
                 raise ValueError("power-series exponents must be >= 0")
             key = _pack(x, w, v, q)
             coeffs[key] = coeffs.get(key, 0) + _coerce_coeff(c)
-        return cls(coeffs, caps)
+        xlim = (caps._caps4[0] + 1) << _XSHIFT
+        return cls(_fit(((k, c) for k, c in coeffs.items() if k < xlim), caps._caps4), caps,
+                   _trusted=True)
 
     # -- ring operations ----------------------------------------------
 

@@ -6,6 +6,8 @@ import sys
 import threading
 from collections import Counter
 from functools import cache
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -366,6 +368,75 @@ def assert_same_int(value, expected, where):
     assert value == expected and type(value) is int, where
 
 
+class TestZeroArrayFill:
+    """The zero array keeps running sums per source row between fills, so it
+    must come out the same whatever order its rows are grown in, and a fill
+    that fails partway through a row must resume without a source advanced
+    twice."""
+
+    N = 80
+
+    @pytest.fixture(autouse=True)
+    def fresh(self, monkeypatch):
+        monkeypatch.setattr(ct, "_ZEROS", [[0]])
+        monkeypatch.setattr(ct, "_SUFFIX", [(0, [0], 0)])
+
+    def expected(self, rows):
+        return [[0] + [ref_a_zeros(r, m) for m in range(1, r + 1)] for r in range(rows)]
+
+    @pytest.mark.parametrize(
+        "steps", [range(1, N + 1), [N], [5, 17, 18, 60, N]], ids=["by-row", "at-once", "mixed"]
+    )
+    def test_fill_order_does_not_matter(self, steps):
+        for n in steps:
+            assert ct._zeros(n) == self.expected(n + 1)
+        assert ct._ZEROS == self.expected(self.N + 1)
+
+    # Row 41 makes passes 1-40 over a table warm to row 40, row 42 passes 41-81.
+    @pytest.mark.parametrize("fail_at", [1, 20, 40, 41, 500])
+    def test_interrupted_fill_resumes_exactly(self, monkeypatch, fail_at):
+        ct._zeros(40)
+        calls = []
+
+        def flaky(y):
+            calls.append(None)
+            for k, v in enumerate(accumulate(y)):
+                if len(calls) == fail_at and k == len(y) // 2:
+                    raise RuntimeError("interrupted")
+                yield v
+
+        monkeypatch.setattr(ct, "accumulate", flaky)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            ct._zeros(self.N)
+        monkeypatch.setattr(ct, "accumulate", accumulate)
+        published = len(ct._ZEROS)
+        assert 41 <= published <= self.N
+        assert ct._ZEROS == self.expected(published)  # no partial row is published
+        assert ct._zeros(self.N) == self.expected(self.N + 1)
+
+
+class TestCopiedAvoidanceRows:
+    """Rows r <= 2k of avoidance layer k are the zero array's rows: a word
+    needs length 2k + 1 to hold the letter k, and the bound is tight."""
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_rows_up_to_2k_are_zero_rows(self, k):
+        for r in range(1, 2 * k + 1):
+            assert ct._letter_row(0, k, r) == tuple(ct._zeros(r)[r])
+            for t in range(1, r + 1):
+                assert ct.a_letter(k, r, 0, t) == ct.a_zeros(r, t) == ref_a_avoid(k, r, t)
+        r = 2 * k + 1
+        assert [ct._letter_row(0, k, r)[t] for t in range(1, r + 1)] == [
+            ref_a_avoid(k, r, t) for t in range(1, r + 1)
+        ]
+        assert any(ct.a_letter(k, r, 0, t) != ct.a_zeros(r, t) for t in range(1, r + 1))
+
+    def test_max_letter_totals_to_80(self):
+        for n in range(1, 81):
+            total = sum(ct.max_letter_count(n, h) for h in range(n + 1))
+            assert total == ct.catalan_number(n - 1), n
+
+
 class TestTablesMatchRecursions:
     def test_descent_array(self):
         for n in range(1, 15):
@@ -399,11 +470,11 @@ class TestTablesMatchRecursions:
             assert ct.a_letter(10**6, 12, 0, t) == ct.a_zeros(12, t)
 
 
-def _run_fresh(code: str, timeout: int = 120) -> str:
+def _run_fresh(code: str, timeout: int = 120, flags: tuple[str, ...] = ()) -> str:
     """Stdout of `code` run in a fresh interpreter, whose tables start empty."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", code],
+        [sys.executable, *flags, "-B", "-c", code],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
@@ -430,6 +501,20 @@ def test_depth_does_not_grow_with_n():
         "assert sum(ct.a_letter(45, 92, s, t) for t in range(1, 93) for s in range(0, 93 - t))"
         " == ct.catalan_number(91)\n"
     )
+
+
+def test_large_n_exact_under_optimize():
+    # The recurrences must match the closed forms, whose divisions are
+    # checked explicitly, with assert statements stripped.
+    out = _run_fresh(
+        "assert False, 'asserts are on'\n"
+        "from catwords import counting as ct\n"
+        "n = 300\n"
+        "print([m for m in range(1, n + 1) if ct.a_zeros(n, m) != ct.a_zeros_closed(n, m)])\n"
+        "print([m for m in range(1, n) if ct.b_ones(n, m) != ct.b_ones_closed(n, m)])\n",
+        flags=("-O",),
+    )
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_threaded_queries_are_consistent():
@@ -462,37 +547,61 @@ def test_threaded_queries_are_consistent():
         assert value == reference[name](*args), (name, args)
 
 
-def test_reader_waits_for_a_row_being_filled(monkeypatch):
-    # The builder, in the middle of filling row n of a cold letter layer,
-    # wakes a reader of that same row and gives it a moment to answer.  A
-    # row published before it is filled would answer at once, with a
-    # partial row; a published row is only ever a finished one, so the
-    # reader must wait on the lock until the fill is done.
-    s, i, n = 0, 1, 12
-    monkeypatch.setattr(ct, "_LETTER", [])
-    ct._zeros(n)  # every other table the fill reads is warm
-    ct._letter_row(s, i, n - 1)
+def _fill_with_reader_waiting(monkeypatch, hook, step, fill):
+    """Run `fill`, and at its first call of `hook` (which does `step`), wake
+    a reader that runs `fill` too and give it a moment to answer.  Returns
+    what the filler and the reader got, and whether the reader answered
+    while the fill was still under way."""
     reader_started, reader_done = threading.Event(), threading.Event()
     read = []
 
     def reader():
         reader_started.set()
-        read.append(tuple(ct._letter_row(s, i, n)))
+        read.append(fill())
         reader_done.set()
 
     answered_mid_fill = []
     thread = threading.Thread(target=reader, daemon=True)
 
-    def mul(a, b):
+    def hooked(*args):
         if not answered_mid_fill:
             thread.start()
             reader_started.wait(10)
             answered_mid_fill.append(reader_done.wait(0.5))
-        return a * b
+        return step(*args)
 
-    monkeypatch.setattr(ct, "mul", mul)
-    built = tuple(ct._letter_row(s, i, n))
+    monkeypatch.setattr(ct, hook, hooked)
+    built = fill()
     thread.join(10)
-    assert answered_mid_fill == [False]
+    monkeypatch.setattr(ct, hook, step)
+    return built, read, answered_mid_fill
+
+
+def test_reader_waits_for_a_row_being_filled(monkeypatch):
+    # The builder, in the middle of filling row n of a cold table, wakes a
+    # reader of that same row and gives it a moment to answer.  A row
+    # published before it is filled would answer at once, with a partial
+    # row; a published row is only ever a finished one, so the reader must
+    # wait on the lock until the fill is done.
+    n = 12
+    # A letter layer: each entry is a sum of products.
+    s, i = 0, 1
+    monkeypatch.setattr(ct, "_LETTER", [])
+    ct._zeros(n)  # every other table the fill reads is warm
+    ct._letter_row(s, i, n - 1)
+    built, read, answered = _fill_with_reader_waiting(
+        monkeypatch, "mul", mul, lambda: tuple(ct._letter_row(s, i, n))
+    )
+    assert answered == [False]
     assert read == [built]
     assert built == tuple(ref_a_letter(i, n, s, t) if t else 0 for t in range(n + 1))
+    # The zero array: each source row takes one running-sum pass per row.
+    monkeypatch.setattr(ct, "_ZEROS", [[0]])
+    monkeypatch.setattr(ct, "_SUFFIX", [(0, [0], 0)])
+    ct._zeros(n - 1)
+    built, read, answered = _fill_with_reader_waiting(
+        monkeypatch, "accumulate", accumulate, lambda: tuple(ct._zeros(n)[n])
+    )
+    assert answered == [False]
+    assert read == [built]
+    assert built == tuple(ref_a_zeros(n, m) if m else 0 for m in range(n + 1))

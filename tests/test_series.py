@@ -201,6 +201,29 @@ class TestMultiSeriesBasics:
         assert type(flag.coeff(1)) is int
         assert flag.to_jsonable() == [{"exponents": [1, 0, 0, 0], "num": "1", "den": "1"}]
 
+    def test_from_terms_coerces_each_term_once(self):
+        caps = Caps(3, 2, 2, 2)
+        terms = [
+            ((1, 0, 0, 0), True),
+            ((1, 0, 0, 0), 2),
+            ((2, 1, 0, 0), 5),
+            ((2, 1, 0, 0), -5),  # sums to zero and is dropped
+            ((4, 0, 0, 0), 7),  # past the x cap
+            ((0, 3, 0, 0), 7),  # past the w cap
+            ((0, 0, 0, 2), True),
+        ]
+        with mock.patch.object(series, "_coerce_coeff", wraps=series._coerce_coeff) as coerce:
+            s = MultiSeries.from_terms(caps, terms)
+        assert coerce.call_count == len(terms)
+        assert s.coeffs == {series._pack(1, 0, 0, 0): 3, series._pack(0, 0, 0, 2): 1}
+        assert all(type(c) is int for c in s.coeffs.values())
+        summed = {
+            (1, 0, 0, 0): 3, (2, 1, 0, 0): 0, (4, 0, 0, 0): 7, (0, 3, 0, 0): 7, (0, 0, 0, 2): True,
+        }
+        assert s == MultiSeries({series._pack(*e): c for e, c in summed.items()}, caps)
+        with pytest.raises(TypeError, match="must be int, got Fraction"):
+            MultiSeries.from_terms(caps, [((0, 0, 0, 0), 1), ((9, 0, 0, 0), Fraction(1, 2))])
+
 
 class TestInversion:
     def test_geometric(self):
