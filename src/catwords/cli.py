@@ -1,4 +1,4 @@
-"""Batch command-line surface: enumerate, count, series, verify.
+"""Batch command-line surface: enumerate, count, series, verify, agree.
 
 Exit codes: 0 success / all identities pass, 1 verification failure,
 2 usage error, 3 internal error (one ``error: <Type>: <message>`` line on
@@ -124,11 +124,8 @@ def count_table(table: str, n: int, i: int | None, source: str) -> dict[tuple[in
     Every source fills the same key domain (the one the arrays are
     defined on), so tables are byte-identical across sources.  The one
     row of a scalar table (key `()`) is kept even when it is zero.
+    The caller passes an existing route, and i >= 1 for `letter`.
     """
-    if source not in ROUTES.get(table, {}):
-        raise ValueError(f"table {table!r} has no {source!r} route")
-    if table == "letter" and (i is None or i < 1):
-        raise ValueError("table 'letter' needs --i >= 1")
     rows = ROUTES[table][source](n, i)
     return {key: c for key, c in rows.items() if c or key == ()}
 
@@ -186,6 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, default=20)
     p_verify.add_argument("--qmax", type=int, default=8)
     p_verify.add_argument("--jmax", type=int, help="sum terms (default order + 2)")
+
+    p_agree = sub.add_parser("agree", help="check that every table's sources agree")
+    p_agree.add_argument("--n", type=int, required=True, help="largest word length (>= 1)")
     return parser
 
 
@@ -236,6 +236,8 @@ def _cmd_count(args, parser) -> int:
         parser.error(f"table {args.table!r} has no {args.source!r} route")
     if args.table == "letter" and (args.i is None or args.i < 1):
         parser.error("--table letter needs --i >= 1")
+    if args.table != "letter" and args.i is not None:
+        parser.error("--i applies only to --table letter")
     rows = count_table(args.table, args.n, args.i, args.source)
     meta = {"table": args.table, "n": args.n, "source": args.source}
     if args.i is not None:
@@ -278,6 +280,37 @@ def _cmd_verify(args, parser) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _agree_report(table: str, n: int, i: int | None) -> dict:
+    """Every source's rows of one table, compared at each key any of them
+    has; a missing row counts as 0."""
+    tables = {source: count_table(table, n, i, source) for source in ROUTES[table]}
+    keys = sorted(set().union(*tables.values()))
+    report = {"table": table, "n": n, "sources": list(tables), "rows": len(keys), "status": "pass"}
+    if i is not None:
+        report["i"] = i
+    for key in keys:
+        values = {source: rows.get(key, 0) for source, rows in tables.items()}
+        if len(set(values.values())) > 1:
+            report["status"] = "fail"
+            report["mismatch"] = {"key": list(key), "values": {s: str(c) for s, c in values.items()}}
+            break
+    return report
+
+
+def _cmd_agree(args, parser) -> int:
+    if args.n < 1:
+        parser.error("--n must be >= 1")
+    passed = True
+    for n in range(1, args.n + 1):
+        for table in TABLES:
+            # no word of length n holds (n + 1) // 2, so a larger i gives its table
+            for i in range(1, (n + 1) // 2 + 1) if table == "letter" else (None,):
+                report = _agree_report(table, n, i)
+                print(json.dumps(report, sort_keys=True))
+                passed = passed and report["status"] == "pass"
+    return 0 if passed else 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -286,6 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "count": _cmd_count,
         "series": _cmd_series,
         "verify": _cmd_verify,
+        "agree": _cmd_agree,
     }
     try:
         return handlers[args.command](args, parser)

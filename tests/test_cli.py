@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from catwords import cli, genfun, series
+from catwords import cli, counting, genfun, series
 from catwords.counting import a_zeros_closed, catalan_number
 from catwords.words import enumerate_words
 from test_cli_golden import ROUTE_PAIRS, SERIES_NAMES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -26,6 +28,15 @@ def run_usage_error(capsys, *argv):
         cli.main(list(argv))
     capsys.readouterr()
     return exc.value.code
+
+
+def run_fresh(*argv, flags=()):
+    """`catwords` in a fresh interpreter, whose caches start empty."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *flags, "-B", "-m", "catwords.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestEnumerate:
@@ -113,11 +124,7 @@ class TestCount:
 
     def test_zeros_recurrence_at_n350(self):
         # a fresh interpreter, so that the zero array fills from empty
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-B", "-m", "catwords.cli", "count", "--table", "zeros", "--n", "350"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_fresh("count", "--table", "zeros", "--n", "350")
         assert proc.returncode == 0, proc.stderr
         rows = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
         assert rows == [(m, a_zeros_closed(350, m)) for m in range(2, 351)]
@@ -143,6 +150,9 @@ class TestCount:
 
     def test_letter_requires_i(self, capsys):
         assert run_usage_error(capsys, "count", "--table", "letter", "--n", "5") == 2
+
+    def test_i_requires_letter_table(self, capsys):
+        assert run_usage_error(capsys, "count", "--table", "zeros", "--n", "5", "--i", "3") == 2
 
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(
@@ -246,6 +256,45 @@ class TestVerify:
 
     def test_unknown_identity_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "verify", "--identity", "bogus") == 2
+
+
+class TestAgree:
+    def test_fault_is_located_and_every_report_printed(self, capsys, monkeypatch):
+        def off_by_one(n, m):
+            return a_zeros_closed(n, m) + ((n, m) == (7, 3))
+
+        monkeypatch.setattr(counting, "a_zeros_closed", off_by_one)
+        code, out, err = run(capsys, "agree", "--n", "8")
+        reports = [json.loads(line) for line in out.splitlines()]
+        good = a_zeros_closed(7, 3)
+        assert (code, err) == (1, "")
+        assert len(reports) == 68
+        assert [r for r in reports if r["status"] != "pass"] == [{
+            "table": "zeros", "n": 7, "sources": ["enum", "recurrence", "closed", "genfun"],
+            "rows": 6, "status": "fail",
+            "mismatch": {
+                "key": [3],
+                "values": {"enum": str(good), "recurrence": str(good), "closed": str(good + 1), "genfun": str(good)},
+            },
+        }]
+
+
+# The genfun certificates and the exact-division checks are explicit raises,
+# so -O must change nothing.  At n = 9, agree checks enumeration, by a prefix
+# walk and memoized tails, against every other route.
+@pytest.mark.parametrize(
+    "flags, argv",
+    [
+        ((), "agree --n 6"),
+        (("-O",), "agree --n 9"),
+        ((), "verify --identity all --order 5 --qmax 3"),
+        (("-O",), "verify --identity all --order 6 --qmax 3"),
+    ],
+    ids=["agree-6", "agree-9-O", "verify-5", "verify-6-O"],
+)
+def test_fresh_interpreter_exits_zero(flags, argv):
+    proc = run_fresh(*argv.split(), flags=flags)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestInternalError:

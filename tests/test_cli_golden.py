@@ -3,7 +3,9 @@
 Each case pins the exit code and the sha256 of stdout and stderr
 together, so a change to any output byte, exit code, usage message or
 help text shows here.  `verify` reports carry wall-clock `millis`,
-which are stripped before hashing.
+which are stripped before hashing.  A usage error that a command finds
+after parsing prints the top-level usage line, which names every
+command, so adding a command changes those digests.
 
 Usage and help text are laid out by argparse, which formats to the
 terminal width (fixed to 80 columns here) and whose layout has changed
@@ -36,6 +38,7 @@ USAGE_ERRORS = (
     "count --table letter --n 5",
     "count --table letter --i 0 --n 5",
     "count --table bogus --n 5",
+    "count --table zeros --n 5 --i 3",
     "series --name catalan --order 0",
     "series --name Am --order 5",
     "series --name Am --m 0 --order 5",
@@ -53,6 +56,7 @@ USAGE_ERRORS = (
     "verify --identity l2 --jmax -3",
     "verify --identity cheb-det --jmax -3",
     "series --name A-lemma --order 9 --jmax -3",
+    "agree --n 0",
     "count --help",
     "series --help",
 )
@@ -97,6 +101,8 @@ def _grid():
         yield f"enumerate --n 10 --format {fmt}"
     yield "verify --identity all --order 6 --qmax 3"
     yield "verify --identity co1 --order 3 --jmax 1"
+    # 48 reports: six tables at n = 1..6, and letter at each i <= (n + 1) // 2
+    yield "agree --n 6"
     # a scalar table whose one row is zero, and a table with no rows
     yield "count --table fine --n 2 --source enum"
     yield "count --table ones-zeros --n 2 --source closed"
@@ -317,30 +323,34 @@ GOLDEN = {
         (0, "083a6d6c55d32733f6620b49874c7c880b169614edab39d5ab94061f96a5b317"),
     "verify --identity co1 --order 3 --jmax 1":
         (1, "d15135b67fb19ed17a395ad8ec01de5148240477734c49164d003bbb6743094b"),
+    "agree --n 6":
+        (0, "1a0f873a8697138d8f74affc68ed607d9990ae592f4ae24068793cd41347f0b5"),
     "count --table fine --n 2 --source enum":
         (0, "07976480d80506ad906774aa61a2fb6f1b2311d5befc6cad48f36e8b6a53fed9"),
     "count --table ones-zeros --n 2 --source closed":
         (0, "102b51b9765a56a3e899f7cf0ee38e5251f9c503b357b330a49183eb7b155604"),
     "enumerate --n 0":
-        (2, "14fe59e05560d8cefbc2c3d63f162f5d8977cd5e352783dc2cf0ce8d52281a64"),
+        (2, "0e7c848c6aaf9bb38cb71a5a1f7c758f362fc9c808e17d4a4acd8d2a64a82dcd"),
     "count --table zeros --n 0":
-        (2, "14fe59e05560d8cefbc2c3d63f162f5d8977cd5e352783dc2cf0ce8d52281a64"),
+        (2, "0e7c848c6aaf9bb38cb71a5a1f7c758f362fc9c808e17d4a4acd8d2a64a82dcd"),
     "count --table zeros-descents --n 5 --source closed":
-        (2, "e6ae2b4b0e9acce16e4581bfdc3169ad81697f2fa7bf5c71b7a56b9ff86f4761"),
+        (2, "71516bfb618704a7ad534d0155e709942ff92529a9a4756545e363ab4e443566"),
     "count --table max-letter --n 5 --source genfun":
-        (2, "dc307749ffb8b4f9405ea286fc124e35b5312f7cdc2d215ee1dfafb2a8a7326f"),
+        (2, "dc261f769658b9d1c64505fcfb80ba3e01b9cfece155fb6a806ff0cef1998629"),
     "count --table letter --n 5":
-        (2, "da8d4744a75e50f54825ecdedd72ad723bd69108706e079956c9cca7e3a12391"),
+        (2, "f47e2fac00089b422cf68251843228650038d4d678bcfc1cc5612c84fc170636"),
     "count --table letter --i 0 --n 5":
-        (2, "da8d4744a75e50f54825ecdedd72ad723bd69108706e079956c9cca7e3a12391"),
+        (2, "f47e2fac00089b422cf68251843228650038d4d678bcfc1cc5612c84fc170636"),
     "count --table bogus --n 5":
         (2, "af9cfbd16f284b100d100a30affa47c553d12be1db57ee54d8ae9769425f1d4d"),
+    "count --table zeros --n 5 --i 3":
+        (2, "c0194970ca6c8ae661e44601edefce81aba415c9d408a1ef66bc71e1d44bbe71"),
     "series --name catalan --order 0":
-        (2, "66664dfcecd7a011e36ea1c0f571b29d49373cb60585e333d8371236b07c8ab1"),
+        (2, "7e5a44067d95f4ac1b536f3e18cf44bee45b23f773222be77b492b6a9efc3612"),
     "series --name Am --order 5":
-        (2, "7b49fb1b9727e69b6b43d1062e1d2e56d18620502481dd9772220386045c9ca6"),
+        (2, "d79690ab907147f2d8186d382e9ebdfa8bc6d1549f64dcd0d95a7da593dc3819"),
     "series --name Am --m 0 --order 5":
-        (2, "7b49fb1b9727e69b6b43d1062e1d2e56d18620502481dd9772220386045c9ca6"),
+        (2, "d79690ab907147f2d8186d382e9ebdfa8bc6d1549f64dcd0d95a7da593dc3819"),
     "count --table zeros-descents --n 40 --source recurrence --format lines":
         (0, "99e0bfa66af18069480a9bf5ac6aace47624ac583c5884213e4cda86bad9c616"),
     "count --table ones --n 200 --source recurrence --format lines":
@@ -372,31 +382,33 @@ GOLDEN = {
     "series --name A0 --order 12 --qmax 8":
         (0, "2fac7df672c28f84a7f1597f5c30f8f4f17df389fa56b8576ccac6888f9dfe7c"),
     "series --name A4 --order 5":
-        (2, "b09a5e6288ce3fa0f3c36a6a176ec0724985f1696a3a9f5ed6a3637d992104b5"),
+        (2, "d21fb971e26c72bfaaad5c7dd8903380a71a2c2c8621ea865dc7bbae4ce8d62a"),
     "series --name A0 --order 5":
-        (2, "09cb89af3fc3a2827fbc07cf71de1b0b76b84cabdd4952d3cf96bb404f856df6"),
+        (2, "3717393246d136cc4abfc73ff498cbe8998f59a3f33f00e761441925297adf8f"),
     "series --name A-lemma --order 9 --jmax 2":
         (2, "6a16aebf8f564353f67e6e43ba88022c3cd747892b86de54a08f3e18d5e971e8"),
     "verify --order 0":
-        (2, "66664dfcecd7a011e36ea1c0f571b29d49373cb60585e333d8371236b07c8ab1"),
+        (2, "7e5a44067d95f4ac1b536f3e18cf44bee45b23f773222be77b492b6a9efc3612"),
     "verify --identity bogus":
         (2, "89466400066a7f0727be8fe78864376e1dc2b7de6d6ff30d65bebd466efc45ec"),
     "verify --identity th3 --qmax 0":
-        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+        (2, "9fbafdcdf4443978c86781f817a1ca1ad004d348bbd13add3a0e57d15a85af48"),
     "verify --identity th4 --qmax 0":
-        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+        (2, "9fbafdcdf4443978c86781f817a1ca1ad004d348bbd13add3a0e57d15a85af48"),
     "series --name A4 --order 5 --qmax 0":
-        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+        (2, "9fbafdcdf4443978c86781f817a1ca1ad004d348bbd13add3a0e57d15a85af48"),
     "series --name A0 --order 5 --qmax 0":
-        (2, "062295fd8366d8bb3e5bd9742c2def7fc3f279b32f7b14c2ede39deba92b2203"),
+        (2, "9fbafdcdf4443978c86781f817a1ca1ad004d348bbd13add3a0e57d15a85af48"),
     "verify --identity co1 --jmax -3":
-        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
+        (2, "98b68a1e9e971fe58addd633e69c8d39fec7bb403f6ef9e652971ee888795191"),
     "verify --identity l2 --jmax -3":
-        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
+        (2, "98b68a1e9e971fe58addd633e69c8d39fec7bb403f6ef9e652971ee888795191"),
     "verify --identity cheb-det --jmax -3":
-        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
+        (2, "98b68a1e9e971fe58addd633e69c8d39fec7bb403f6ef9e652971ee888795191"),
     "series --name A-lemma --order 9 --jmax -3":
-        (2, "bf66175c39f5a97e5545d24298eeb30caee26fb2ed6515e84da54682105cfb4e"),
+        (2, "98b68a1e9e971fe58addd633e69c8d39fec7bb403f6ef9e652971ee888795191"),
+    "agree --n 0":
+        (2, "0e7c848c6aaf9bb38cb71a5a1f7c758f362fc9c808e17d4a4acd8d2a64a82dcd"),
     "count --help":
         (0, "f2cfba45fb1c0cbd59e3d300ba3c4dc18f9ea51f267c305b1bb5f8d0ecf32ad3"),
     "series --help":
