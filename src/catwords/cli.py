@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Sequence
 
@@ -159,18 +160,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_enum = sub.add_parser("enumerate", help="list all words of a given length")
+    def command(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
+        # the handler reports usage errors through its own command's parser
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=partial(handler, parser=p))
+        return p
+
+    p_enum = command("enumerate", _cmd_enumerate, "list all words of a given length")
     p_enum.add_argument("--n", type=int, required=True, help="word length (>= 1)")
     p_enum.add_argument("--format", choices=FORMATS, default="lines")
 
-    p_count = sub.add_parser("count", help="print a statistic table")
+    p_count = command("count", _cmd_count, "print a statistic table")
     p_count.add_argument("--table", choices=TABLES, required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--i", type=int, help="letter for --table letter")
     p_count.add_argument("--source", choices=SOURCES, default="recurrence")
     p_count.add_argument("--format", choices=FORMATS, default="lines")
 
-    p_series = sub.add_parser("series", help="print a generating function")
+    p_series = command("series", _cmd_series, "print a generating function")
     p_series.add_argument("--name", choices=SERIES_NAMES, required=True)
     p_series.add_argument("--order", type=int, required=True, help="x truncation order")
     p_series.add_argument("--m", type=int, help="slice index for --name Am")
@@ -178,13 +185,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--jmax", type=int, help="sum terms (default order + 2)")
     p_series.add_argument("--format", choices=FORMATS, default="json")
 
-    p_verify = sub.add_parser("verify", help="check the identities")
+    p_verify = command("verify", _cmd_verify, "check the identities")
     p_verify.add_argument("--identity", choices=("all",) + genfun.IDENTITIES, default="all")
     p_verify.add_argument("--order", type=int, default=20)
     p_verify.add_argument("--qmax", type=int, default=8)
     p_verify.add_argument("--jmax", type=int, help="sum terms (default order + 2)")
 
-    p_agree = sub.add_parser("agree", help="check that every table's sources agree")
+    p_agree = command("agree", _cmd_agree, "check that every table's sources agree")
     p_agree.add_argument("--n", type=int, required=True, help="largest word length (>= 1)")
     return parser
 
@@ -193,18 +200,35 @@ def _build_parser() -> argparse.ArgumentParser:
 _CHUNK_WORDS = 4096
 
 
+# bytes.translate table that turns a letter 0..9 into its ASCII digit.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# A word of length L has no letter above (L - 1) // 2, so every letter of
+# a word this long or shorter is a single digit.
+_DIGIT_LENGTH = 20
+
+
 def _encode_lines(chunk: list[words.CatalanWord]) -> str:
-    """One word per line, as str(word) writes it, by one % format for the
-    whole chunk; every word of a listing has the same length."""
-    fmt = words._letters_format(len(chunk[0]))
-    return "\n".join([fmt] * len(chunk)) % tuple(chain.from_iterable(chunk))
+    """One line per word, as str(word) writes it; every word of a listing
+    has the same length.  Single-digit letters become ASCII digits by one
+    translate of the chunk's letters, laid into a buffer of commas with a
+    newline after each word; longer words take one % format for the
+    whole chunk."""
+    length = len(chunk[0])
+    letters = tuple(chain.from_iterable(chunk))
+    if length <= _DIGIT_LENGTH:
+        width = 2 * length
+        out = bytearray(b",") * (width * len(chunk))
+        out[width - 1 :: width] = b"\n" * len(chunk)
+        out[::2] = bytes(letters).translate(_DIGITS)
+        return out.decode()
+    return (words._letters_format(length) + "\n") * len(chunk) % letters
 
 
 # format -> (encode a chunk of words, separator between chunks, opening,
 # closing).  Written chunk by chunk, a listing is byte for byte one print
 # per word (lines, csv) or one print of json.dumps of the whole list; json
 # writes a word, a tuple, as an array.
-_LINES = (_encode_lines, "\n", "", "\n")
+_LINES = (_encode_lines, "", "", "")
 _LISTINGS: dict[str, tuple[Callable[[list], str], str, str, str]] = {
     "lines": _LINES,
     "csv": _LINES,
@@ -312,17 +336,9 @@ def _cmd_agree(args, parser) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "enumerate": _cmd_enumerate,
-        "count": _cmd_count,
-        "series": _cmd_series,
-        "verify": _cmd_verify,
-        "agree": _cmd_agree,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        return args.handler(args)
     except (ValueError, genfun.StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,10 @@ transition and whether the word ends valid, so the completions of a
 prefix depend only on the state and the number of slots left.  The
 search therefore walks each word's first n - _TAIL letters one by one
 and finishes every prefix with a block of tails looked up under the key
-(u, M, p, r) in a memo that lives for one call.
+(u, M, p, r) in a memo that lives for one call.  That walk, _walk, yields
+(prefix, block) pairs and has two consumers: enumerate_words, which joins
+each prefix to each of its tails as a CatalanWord, and tally, which joins
+them as plain tuples and evaluates its statistics on each word.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import tee
+from itertools import chain, tee
 from operator import gt, methodcaller
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -117,6 +120,19 @@ def _letters_format(k: int) -> str:
 def enumerate_words(n: int) -> Iterator[CatalanWord]:
     """Yield every Catalan word of length n exactly once, lexicographically.
 
+    Each word is a prefix of the shared walk (see _walk) joined to one
+    tail of its block, built in C as a CatalanWord.  The generator is the
+    visitor interface: stop consuming it to terminate early.
+    """
+    new = partial(tuple.__new__, CatalanWord)
+    for prefix, block in _walk(n):
+        yield from map(new, map(prefix.__add__, block))
+
+
+def _walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Yield (prefix, block) for the words of length n, lexicographically:
+    the words are prefix + tail for each tail in block, in block order.
+
     Depth-first search over a word's state (u, M, p): its last letter u,
     its running maximum M and its lowest pending target p, where writing
     M+1 for the first time creates the target "write M again later".  The
@@ -140,21 +156,17 @@ def enumerate_words(n: int) -> Iterator[CatalanWord]:
     stack entry per depth, each computed from the depth before, so
     backtracking undoes nothing.  The state decides every later transition
     and the final test, so the completions of a prefix depend only on
-    (u, M, p) and the r = n - k slots left: each prefix is finished with
-    the block tails[u, M, p, r] (see _TailBlocks), built once by the same
-    transitions and cut, and its words are built from the block in C.  The
-    memo belongs to the call and is freed with the stream.
-
-    The generator is the visitor interface: stop consuming it to terminate
-    early.
+    (u, M, p) and the r = n - k slots left: each prefix comes with the
+    block tails[u, M, p, r] (see _TailBlocks), built once by the same
+    transitions and cut.  The memo belongs to the call and is freed with
+    the stream.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     tails = _TailBlocks(n)
-    new = partial(tuple.__new__, CatalanWord)
     k = max(n - _TAIL, 1)  # prefix length
     if k == 1:
-        yield from map(new, map((0,).__add__, tails[0, 0, n, n - 1]))
+        yield (0,), tails[0, 0, n, n - 1]
         return
 
     word = [0] * k
@@ -170,7 +182,7 @@ def enumerate_words(n: int) -> Iterator[CatalanWord]:
         m, p = _step(v, maxs[d - 1], low[d - 1], n)
         word[d] = v
         if d == k - 1:
-            yield from map(new, map(tuple(word).__add__, tails[v, m, p, n - k]))
+            yield tuple(word), tails[v, m, p, n - k]
             continue
         maxs[d] = m
         low[d] = p
@@ -190,7 +202,7 @@ def _step(v: int, m: int, p: int, n: int) -> tuple[int, int]:
     return m, p
 
 
-# Letters per memoized tail: enumerate_words searches all but the last
+# Letters per memoized tail: _walk searches all but the last
 # _TAIL letters of a word one by one.
 _TAIL = 6
 
@@ -198,7 +210,7 @@ _TAIL = 6
 class _TailBlocks(dict):
     """tails[u, M, p, r] for words of length n: every r-letter tuple, in
     lexicographic order, that completes a prefix in state (u, M, p), by the
-    transitions and the cut of enumerate_words.  A block is built on its
+    transitions and the cut of _walk.  A block is built on its
     first lookup, from the blocks one letter shorter, and kept."""
 
     __slots__ = ("n",)
@@ -278,14 +290,17 @@ def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
     """Joint distribution of the given statistics over all words of length n.
 
     Keys are tuples of statistic values in spec order; counts sum to C(n-1).
-    Each statistic maps over its own copy of the word stream, zip builds
-    the key tuples and Counter counts them, so per word only a statistic
-    written in Python (descents) runs bytecode.  zip draws from the copies
-    in turn, so tee holds a single word.
+    The words come from the shared walk (see _walk) as plain tuples, each
+    prefix + tail built once, and every statistic is evaluated on every
+    word.  Each statistic maps over its own copy of the word stream, zip
+    builds the key tuples and Counter counts them, so per word only a
+    statistic written in Python (descents) runs bytecode.  zip draws from
+    the copies in turn, so tee holds a single word.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     if not specs:
         raise ValueError("need at least one statistic")
     fns = [spec.bind() for spec in specs]
-    return Counter(zip(*map(map, fns, tee(enumerate_words(n), len(fns)))))
+    stream = chain.from_iterable(map(prefix.__add__, block) for prefix, block in _walk(n))
+    return Counter(zip(*map(map, fns, tee(stream, len(fns)))))

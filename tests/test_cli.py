@@ -10,8 +10,9 @@ import pytest
 
 from catwords import cli, counting, genfun, series
 from catwords.counting import a_zeros_closed, catalan_number
-from catwords.words import enumerate_words
+from catwords.words import CatalanWord, enumerate_words
 from test_cli_golden import ROUTE_PAIRS, SERIES_NAMES
+from test_words import peak_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -28,6 +29,41 @@ def run_usage_error(capsys, *argv):
         cli.main(list(argv))
     capsys.readouterr()
     return exc.value.code
+
+
+def run_streamed(monkeypatch, *argv, trace=False):
+    """Exit code and sha256 of stdout of one command, whose output is hashed
+    as it is written and never held; with trace, also its traced peak."""
+    digest = hashlib.sha256()
+
+    class Sink:
+        def write(self, text):
+            digest.update(text.encode())
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    peak = None
+    if not trace:
+        code = cli.main(list(argv))
+    else:
+        tracemalloc.start()
+        try:
+            code = cli.main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, digest.hexdigest(), peak
+
+
+def listing_digest(stream):
+    """sha256 of "\n".join(map(str, stream)) + "\n", fed one line at a time."""
+    digest = hashlib.sha256()
+    for w in stream:
+        digest.update(f"{w}\n".encode())
+    return digest.hexdigest()
 
 
 def run_fresh(*argv, flags=()):
@@ -69,27 +105,37 @@ class TestEnumerate:
         chunk by chunk: the same bytes as json.dumps of the whole list, with
         a traced peak well under what holding every word as a list takes
         (about 6.3 MiB with CPython 3.11)."""
-        digest = hashlib.sha256()
-
-        class Sink:
-            def write(self, text):
-                digest.update(text.encode())
-                return len(text)
-
-            def flush(self):
-                pass
-
-        monkeypatch.setattr(sys, "stdout", Sink())
-        tracemalloc.start()
-        try:
-            code = cli.main(["enumerate", "--n", "11", "--format", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, digest, peak = run_streamed(
+            monkeypatch, "enumerate", "--n", "11", "--format", "json", trace=True
+        )
         expected = json.dumps([list(w) for w in enumerate_words(11)]) + "\n"
         assert code == 0
-        assert digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+        assert digest == hashlib.sha256(expected.encode()).hexdigest()
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["lines", "csv"])
+    def test_listing_is_str_per_line(self, monkeypatch, fmt):
+        """Every listing up to n = 13 (208,012 words, 51 chunks) on the
+        byte path is one str(word) per line."""
+        for n in range(1, 14):
+            code, digest, _ = run_streamed(monkeypatch, "enumerate", "--n", str(n), "--format", fmt)
+            assert (code, digest) == (0, listing_digest(enumerate_words(n))), n
+
+    def test_lines_listing_streams(self, monkeypatch):
+        # holding the 208,012 words of length 13 as tuples takes over 30 MiB
+        code, _, peak = run_streamed(monkeypatch, "enumerate", "--n", "13", trace=True)
+        assert code == 0
+        assert peak < 5 * 2**20
+
+    def test_encoder_paths_at_the_digit_boundary(self):
+        # length 20 is the longest word whose letters are all single digits;
+        # letter 10 would be a newline byte, and 256 does not fit in a byte
+        for chunk in (
+            [CatalanWord((*peak_word(9), 0))] * 3,
+            [peak_word(10), CatalanWord((*peak_word(9), 0, 0))],
+            [peak_word(256)],
+        ):
+            assert cli._encode_lines(chunk) == "".join(f"{w}\n" for w in chunk)
 
 
 class TestCount:
@@ -281,7 +327,8 @@ class TestAgree:
 
 # The genfun certificates and the exact-division checks are explicit raises,
 # so -O must change nothing.  At n = 9, agree checks enumeration, by a prefix
-# walk and memoized tails, against every other route.
+# walk and memoized tails, against every other route; the listing's byte
+# path takes no assert either.
 @pytest.mark.parametrize(
     "flags, argv",
     [
@@ -289,12 +336,16 @@ class TestAgree:
         (("-O",), "agree --n 9"),
         ((), "verify --identity all --order 5 --qmax 3"),
         (("-O",), "verify --identity all --order 6 --qmax 3"),
+        (("-O",), "enumerate --n 9"),
     ],
-    ids=["agree-6", "agree-9-O", "verify-5", "verify-6-O"],
+    ids=["agree-6", "agree-9-O", "verify-5", "verify-6-O", "enumerate-9-O"],
 )
 def test_fresh_interpreter_exits_zero(flags, argv):
     proc = run_fresh(*argv.split(), flags=flags)
     assert proc.returncode == 0, proc.stderr
+    if argv.startswith("enumerate"):
+        stdout = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert stdout == listing_digest(enumerate_words(9))
 
 
 class TestInternalError:

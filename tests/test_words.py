@@ -430,6 +430,28 @@ class TestBuiltinForms:
                 assert spec.bind()(w) == REF_STATS[spec.kind](w, spec.letter)
 
 
+# The statistics of the enumerate-tally benchmark's two tallies.
+BENCHMARK_SPECS = (
+    (StatisticSpec("zeros"), StatisticSpec("descents")),
+    (StatisticSpec("letter", 2), StatisticSpec("zeros")),
+)
+
+
+@pytest.mark.parametrize("specs", BENCHMARK_SPECS, ids=["zeros-descents", "letter-2"])
+@pytest.mark.parametrize("n", [12, 13])
+def test_plain_tuple_tally_matches_word_stream(n, specs):
+    """tally joins each prefix to its tails as plain tuples; counting the
+    CatalanWord stream one word at a time, without listing it, must give
+    the same table.  Both sides bind the same statistics, which
+    test_tally_matches_reference checks, so only the streams differ."""
+    first, second = (spec.bind() for spec in specs)
+    expected = Counter()
+    for w in enumerate_words(n):
+        expected[first(w), second(w)] += 1
+    assert sum(expected.values()) == catalan_number(n - 1)
+    assert tally(n, specs) == expected
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=8))
 def test_enumeration_matches_filtered_product(n):
