@@ -10,8 +10,9 @@ in place, one whole row of n at a time, so no evaluation recurses through
 n.  The zero array's weights W[m][j] = binom(j+m-1, j) - 1 are never
 multiplied out: by the hockey-stick identity, each weighted sum is a
 source row summed m times over, so every earlier row keeps its running
-sums and a new row costs one pass of additions per source.  The ones
-array and the letter layers read the weight table W itself.  The descent
+sums and a new row costs one pass of additions per source.  The letter
+layers read the weight table W itself; the ones array steps along one
+column of binomials per call and builds no table.  The descent
 array is summed through a prefix array over its zero count, which makes
 each entry a single sum over the descents taken by the zeros.  The letter
 counts come from one recurrence in the letter i, filled for each s layer
@@ -229,15 +230,22 @@ def a_zeros_closed(n: int, m: int) -> int:
 
 @cache
 def b_ones(n: int, m: int) -> int:
-    """Words of length n with m ones, summed over their zero count."""
+    """Words of length n with m ones, summed over their zero count i:
+    sum_i (binom(i+m-1, m) - 1) * a(n - i, m).  The binomials are one
+    running column, binom(i+m, m) = binom(i+m-1, m) * (i+m) / i, so no
+    weight table is built."""
     if n < 1 or not 0 <= m <= n - 1:
         raise ValueError(f"b_ones: parameters out of range: {(n, m)}")
     if m == 0:
         return 1
     if m == n - 1:
         return 0
-    W, Z = _weights(n), _zeros(n - 2)
-    return sum(W[i][m] * Z[n - i][m] for i in range(2, n - m + 1))
+    Z = _zeros(n - 2)
+    total, col = 0, m + 1  # col = binom(i+m-1, m) at i = 2
+    for i in range(2, n - m + 1):
+        total += (col - 1) * Z[n - i][m]
+        col = col * (i + m) // i
+    return total
 
 
 def b_ones_zeros(n: int, m: int, i: int) -> int:

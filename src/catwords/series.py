@@ -12,15 +12,19 @@ widths are validated against the caps so exponent sums can never carry.
 x is the top field, so keys order as the exponent tuples (x, w, v, q) do,
 and the product of two monomials is the sum of their keys.
 
-A product takes one of two exact paths.  A block is the x-polynomial
+A product takes one of three exact paths.  A block is the x-polynomial
 under one (w, v, q) exponent, whose key is the low 36 bits of a packed
-key.  When both factors span two or more blocks, each block is packed into
-one int with an s-bit slot per x order, and each pair of blocks inside the
-caps is one big-int product (Kronecker substitution).  The slot width s
-bounds every coefficient of the product, so no slot can carry into the
-next and the path needs no check.  When a factor is one block, as every
-series in x alone is, the product runs term by term: there the packing
-and decoding of long blocks costs more than the pairs it saves.
+key.  A one-term factor shifts and scales the other, term by term.  When
+both factors span two or more blocks, each block is packed into one int
+with an s-bit slot per x order, and each pair of blocks inside the caps
+is one big-int product (Kronecker substitution).  The slot width s bounds
+every coefficient of the product, so no slot can carry into the next and
+the path needs no check.  When a factor is one block, as every series in
+x alone is, it meets each block of the other factor once, and each
+coefficient of that block product is one dot product of two dense
+coefficient lists, summed in C.  CPython multiplies big ints by Karatsuba
+at best, so one packed product of such a pair costs about what its dot
+products do, and packing and decoding would come on top.
 
 Truncation contract: every operation returns caps that are the
 componentwise minimum of its operands' caps, and never reports a
@@ -33,12 +37,14 @@ through _trim; every operation keeps the invariant.  Addition and
 subtraction rely on it: they merge the two stores without walking them
 again, and trim an operand only when its caps reach past the result's.
 
-Inversion is exact by construction and needs a unit constant term c.
-After normalising by it, the x-free slice (terms in w, v, q only) is
-inverted by its finite geometric series, which the w/v/q caps end; Newton
-steps b <- b + b*(1 - a*b) then double the x order the inverse is exact
-through until it covers the x cap, so an inversion costs O(log) products
-rather than one product per x order.
+Inversion is exact by construction and needs a unit constant term c.  A
+series in one block is a polynomial in x of some degree d, and its
+inverse follows the coefficient recurrence, one dot product of at most d
+terms per x order.  Otherwise, after normalising by c, the x-free slice
+(terms in w, v, q only) is inverted by its finite geometric series, which
+the w/v/q caps end; Newton steps b <- b + b*(1 - a*b) then double the x
+order the inverse is exact through until it covers the x cap, so an
+inversion costs O(log) products rather than one product per x order.
 
 cheb_u(j) is the Chebyshev value U_j at t = 1/(2y), y = sqrt(x), rescaled
 by y^j into an integer polynomial in x with constant term 1, so every
@@ -50,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Iterator
 
 from .counting import catalan_number
@@ -142,24 +149,32 @@ def _mul(
     b: dict[int, int],
     caps4: tuple[int, int, int, int],
 ) -> dict[int, int]:
-    """Truncated product, by one of two exact paths that return the same
+    """Truncated product, by one of three exact paths that return the same
     store.
 
-    A block is the x-polynomial under one (w, v, q) key.  When both
+    A block is the x-polynomial under one (w, v, q) key.  A one-term
+    factor is a shift and a scale, done by _mul_terms.  When both
     operands span two or more blocks, _mul_blocks multiplies them block by
     block as packed ints, in slots of s = bits(max|a|) + bits(max|b|) +
     bits(min(len(a), len(b))) + 2 bits rounded up to a byte, which no
-    coefficient of the product can overflow.  Otherwise _mul_terms
-    multiplies term by term: with a one-block factor there is at most one
-    block pair per block of the other factor, too few to pay for packing
-    (a series in x alone, such as fine's 300-term kernel, is one block)."""
+    coefficient of the product can overflow.  Otherwise one factor is a
+    single block (a series in x alone, such as fine's 300-term kernel, is
+    one block), which meets each block of the other factor once, and
+    _mul_dense computes each coefficient of those block products as one
+    dot product in C.  CPython multiplies big ints by Karatsuba at best,
+    so one packed product of such a pair costs about what its dot
+    products do, and packing and decoding would come on top."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if _multi_block(a) and _multi_block(b):
-        return _mul_blocks(a, b, caps4)
-    return _mul_terms(a, b, caps4)
+    if len(a) == 1:
+        return _mul_terms(a, b, caps4)
+    if not _multi_block(a):
+        return _mul_dense(a, b, caps4)
+    if not _multi_block(b):
+        return _mul_dense(b, a, caps4)
+    return _mul_blocks(a, b, caps4)
 
 
 def _multi_block(coeffs: dict[int, int]) -> bool:
@@ -191,6 +206,75 @@ def _mul_terms(
             kk = ka + kb
             out[kk] = get(kk, 0) + ca * cb
     return _fit(out.items(), caps4)
+
+
+def _mul_dense(
+    a: dict[int, int],
+    b: dict[int, int],
+    caps4: tuple[int, int, int, int],
+) -> dict[int, int]:
+    """Truncated product of nonempty a and b, where a lies in one block.
+
+    Each block is laid out as a dense list of its x coefficients, gaps
+    as zeros.  a's block meets each block of b once, and each coefficient
+    of that block product through the x cap is one dot product of a slice
+    of a's list with a slice of the other list reversed, summed in C."""
+    xcap, wcap, vcap, qcap = caps4
+    # A term of one factor reaches the x cap only with the other's lowest x.
+    ablocks = _dense_blocks(a, xcap - (min(b) >> _XSHIFT))
+    if not ablocks:
+        return {}
+    ((ka, (xa, A)),) = ablocks.items()
+    la = len(A)
+    out: dict[int, int] = {}
+    one_x = 1 << _XSHIFT
+    for kb, (xb, B) in _dense_blocks(b, xcap - (min(a) >> _XSHIFT)).items():
+        k = ka + kb
+        lo = xa + xb
+        if (
+            lo > xcap
+            or (k & _FIELD) > qcap
+            or ((k >> _VSHIFT) & _FIELD) > vcap
+            or (k >> _WSHIFT) > wcap
+        ):
+            continue
+        lb = len(B)
+        Brev = B[::-1]
+        key = k + lo * one_x
+        # x^(lo+n) takes A[i] * B[n-i] for max(0, n-lb+1) <= i <= min(n, la-1);
+        # B[n-i] is Brev[lb-1-n+i].
+        for n in range(min(la + lb - 1, xcap - lo + 1)):
+            i0 = n - lb + 1 if n >= lb else 0
+            i1 = n + 1 if n < la else la
+            j0 = lb - 1 - n + i0
+            c = sum(map(mul, A[i0:i1], Brev[j0 : j0 + i1 - i0]))
+            if c:
+                out[key] = c
+            key += one_x
+    return out
+
+
+def _dense_blocks(coeffs: dict[int, int], xmax: int) -> dict[int, tuple[int, list[int]]]:
+    """block key -> (start, coefficients) for each block of coeffs, its
+    terms above x order xmax dropped: entry i of the list is the
+    coefficient of x^(start+i), zero in a gap.  Keys sort by x first, so
+    a block's first key gives its start."""
+    xlim = (xmax + 1) << _XSHIFT
+    blocks: dict[int, tuple[int, list[int]]] = {}
+    get = blocks.get
+    for k in sorted(coeffs):
+        if k >= xlim:
+            break
+        e = get(k & _BLOCK)
+        if e is None:
+            blocks[k & _BLOCK] = (k >> _XSHIFT, [coeffs[k]])
+        else:
+            poly = e[1]
+            gap = (k >> _XSHIFT) - e[0] - len(poly)
+            if gap:
+                poly += [0] * gap
+            poly.append(coeffs[k])
+    return blocks
 
 
 def _mul_blocks(
@@ -309,19 +393,33 @@ def _invert(
     caps caps4.  Any other constant term has no inverse over the integers
     and raises NonInvertibleError.
 
-    With a = 1 + r = a0 + a1, where a0 is the x-free slice (terms in w, v,
-    q only) and a1 starts at x order m, the inverse is built in two exact
-    stages.  First b = 1/a0 by the finite geometric series: every term of
-    a0 - 1 raises a w/v/q degree, so the caps end it.  Then a*b = 1 + a1*b
-    agrees with 1 through x order m - 1, and each Newton step
-    b <- b + b*(1 - a*b) doubles that precision (Brent & Kung, J. ACM
-    1978), truncated to it, until it passes caps4[0].  The inverse in the
-    truncated ring is unique, so the result equals the full geometric
-    series term by term."""
+    A series in one block lies in block 0, the block of its constant term:
+    it is a polynomial a_0 + a_1 x + ... + a_d x^d in x alone.  Its inverse
+    b follows the coefficient recurrence b_0 = c, b_n = -c * sum_{k=1}^
+    {min(n, d)} a_k b_(n-k) (Knuth, TAOCP vol. 2, 4.7), one dot product in
+    C per x order, so a denominator of degree d costs O(d * caps4[0])
+    products and no call to _mul.
+
+    Otherwise, with a = 1 + r = a0 + a1, where a0 is the x-free slice
+    (terms in w, v, q only) and a1 starts at x order m, the inverse is
+    built in two exact stages.  First b = 1/a0 by the finite geometric
+    series: every term of a0 - 1 raises a w/v/q degree, so the caps end
+    it.  Then a*b = 1 + a1*b agrees with 1 through x order m - 1, and each
+    Newton step b <- b + b*(1 - a*b) doubles that precision (Brent & Kung,
+    J. ACM 1978), truncated to it, until it passes caps4[0].  The inverse
+    in the truncated ring is unique, so either result equals the full
+    geometric series term by term."""
     c = coeffs.get(_ZERO, 0)
     if c != 1 and c != -1:
         raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
     xcap, wcap, vcap, qcap = caps4
+    if not _multi_block(coeffs):
+        ((_, (_, A)),) = _dense_blocks(coeffs, xcap).items()
+        A1 = A[1:]
+        B = [c]
+        for _ in range(xcap):
+            B.append(-c * sum(map(mul, A1, reversed(B))))
+        return {n << _XSHIFT: bn for n, bn in enumerate(B) if bn}
     # -r = -rest / c = -c * rest; every term raises x or a w/v/q degree.
     neg_r = {k: -c * v for k, v in coeffs.items() if k != _ZERO}
     x1 = _pack(1, 0, 0, 0)

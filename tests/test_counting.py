@@ -517,6 +517,23 @@ def test_large_n_exact_under_optimize():
     assert out.splitlines() == ["[]", "[]"]
 
 
+def test_ones_table_builds_no_weight_table():
+    # b_ones steps along one column of binomials; only the letter layers
+    # read the weight table.
+    out = _run_fresh(
+        "import contextlib, io\n"
+        "from catwords import cli, counting as ct\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    assert cli.main(['count', '--table', 'ones', '--n', '200']) == 0\n"
+        "print(ct._W == [[]])\n"
+        "rows = dict(map(int, line.split()) for line in buf.getvalue().splitlines())\n"
+        "print(len(rows), rows[0])\n"
+        "print([m for m in range(1, 200) if rows.get(m, 0) != ct.b_ones_closed(200, m)])\n"
+    )
+    assert out.splitlines() == ["True", "199 1", "[]"]
+
+
 def test_threaded_queries_are_consistent():
     # Eight threads fill cold tables from shuffled queries of every size.
     out = _run_fresh(

@@ -316,6 +316,24 @@ class TestNewtonInversion:
         assert got == want
 
     def test_product_count_is_logarithmic(self, monkeypatch):
+        # gf_B's denominator spans many blocks, so it is inverted by Newton.
+        order = 60
+        caps = Caps.of(order)
+        one = MultiSeries.one(caps)
+        x = MultiSeries.monomial(caps, 1, x=1)
+        xvc = x * MultiSeries.monomial(caps, 1, v=1) * catalan_series(caps)
+        a = (one - x) * (one - xvc) * (one - x - xvc)
+        assert series._multi_block(a.coeffs)
+        calls = []
+        mul = series._mul
+        monkeypatch.setattr(series, "_mul", lambda *args: calls.append(1) or mul(*args))
+        inv = a.invert()
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2(order)) + 2
+        monkeypatch.undo()
+        assert a * inv == one
+
+    def test_one_block_inverse_makes_no_product(self, monkeypatch):
+        # fine's kernel 1 - x^2 C^2 is one block: the recurrence inverts it.
         order = 300
         caps = Caps.of(order)
         c = catalan_series(caps)
@@ -325,7 +343,7 @@ class TestNewtonInversion:
         mul = series._mul
         monkeypatch.setattr(series, "_mul", lambda *args: calls.append(1) or mul(*args))
         inv = a.invert()
-        assert len(calls) <= 2 * math.ceil(math.log2(order)) + 2
+        assert calls == []
         monkeypatch.undo()
         assert a * inv == MultiSeries.one(caps)
 
@@ -335,6 +353,60 @@ class TestNewtonInversion:
         monkeypatch.setattr(series, "_invert", lambda *args: calls.append(1) or invert(*args))
         assert genfun.check_th3(12, 8, 14).passed
         assert len(calls) == 33
+
+
+def _x_poly(caps, coeffs):
+    """The series sum_k coeffs[k] x^k, in one block."""
+    return MultiSeries.from_terms(caps, (((k, 0, 0, 0), c) for k, c in coeffs.items()))
+
+
+class TestRecurrenceInversion:
+    """A one-block series is inverted by its coefficient recurrence; the
+    geometric series is the reference."""
+
+    @pytest.mark.parametrize(
+        "order, poly",
+        [
+            (0, {0: 1}),
+            (5, {0: -1}),
+            (1, {0: 1, 1: -1}),
+            (12, {0: -1, 1: 3, 4: -2}),
+            (40, {0: 1, 3: -1, 7: 5}),  # gaps
+            (40, {0: -1, 39: 2, 40: -7}),  # terms at the cap
+            (120, {0: 1, 2: 2**300 + 1, 5: -(2**599), 9: -1}),
+            (300, {0: 1, 1: -1, 2: -1}),
+            (300, {0: -1, 3: 1, 4: -2, 20: 3}),
+        ],
+    )
+    def test_matches_geometric_series(self, order, poly):
+        caps = Caps.of(order)
+        a = _x_poly(caps, poly)
+        got = a.invert()
+        with mock.patch.object(series, "_invert", ref_invert):
+            assert got == a.invert()
+
+    def test_fibonacci_at_2000(self, monkeypatch):
+        # 1/(1 - x - x^2) = sum F(n+1) x^n; each order takes min(n, 2)
+        # products, so the dot product stops at the series' x degree.
+        order = 2000
+        a = _x_poly(Caps(order, 0, 0, 0), {0: 1, 1: -1, 2: -1})
+        products = []
+        mul = series.mul
+        monkeypatch.setattr(series, "mul", lambda p, q: products.append(1) or mul(p, q))
+        inv = a.invert()
+        monkeypatch.undo()
+        assert len(products) == 2 * order - 1
+        fib = [1, 1]
+        while len(fib) <= order:
+            fib.append(fib[-1] + fib[-2])
+        assert inv.coeffs == {series._pack(n, 0, 0, 0): f for n, f in enumerate(fib)}
+
+    @pytest.mark.parametrize("poly", [{0: 2, 1: -1}, {0: -3}, {1: 1, 2: 1}, {0: 0, 3: 1}])
+    def test_non_unit_rejected(self, poly):
+        a = _x_poly(Caps.of(10), poly)
+        assert not series._multi_block(a.coeffs)
+        with pytest.raises(NonInvertibleError, match="is not a unit"):
+            a.invert()
 
 
 def ref_merge(a, b, sign=1):
@@ -705,33 +777,130 @@ class TestBlockProduct:
         assert proc.stdout == "mismatches 0 of 301\n"
 
 
+# Coefficients of 2 to 600 bits, of both signs.
+DENSE_COEFFS = st.tuples(st.integers(2, 600), st.sampled_from([1, -1])).flatmap(
+    lambda t: st.integers(2 ** (t[0] - 1), 2 ** t[0] - 1).map(lambda c: t[1] * c)
+)
+
+
+@st.composite
+def one_block_store(draw, xcap):
+    """At least two terms under one (w, v, q) key, zero or not, with gaps
+    and with x orders that reach past the x cap."""
+    w, v, q = draw(st.tuples(FIELD_EXPS, FIELD_EXPS, FIELD_EXPS))
+    xs = draw(st.lists(st.integers(0, xcap + 3), min_size=2, max_size=8, unique=True))
+    return {series._pack(x, w, v, q): draw(DENSE_COEFFS) for x in xs}
+
+
+@st.composite
+def dense_products(draw):
+    xcap = draw(st.integers(0, 8))
+    caps4 = (xcap, *draw(st.tuples(*[st.sampled_from([0, 2, 2000])] * 3)))
+    other = draw(st.one_of(one_block_store(xcap), block_store(xcap)))
+    return draw(one_block_store(xcap)), other, caps4
+
+
+class TestDenseProduct:
+    """The dense path against the term-pair path, its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    # (1 + x)(1 - x): the x terms cancel to 0
+    @example(({0: 3, _key(1): 5}, {0: 5, _key(1): -3}, (2, 0, 0, 0)))
+    # (c + x)(c - x) with c of 600 bits cancels in the middle
+    @example(({0: 2**599 + 1, _key(1): 1}, {0: 2**599 + 1, _key(1): -1}, (4, 2, 2, 2)))
+    # one block under a nonzero (w, v, q) key times two blocks
+    @example(({_key(0, 1, 2, 0): 3, _key(2, 1, 2, 0): -2}, {_key(1): 4, _key(0, 0, 0, 1): 7}, (4, 2, 2, 2)))
+    # every term of the one-block factor lies past the cap once the other
+    # factor's lowest x is added
+    @example(({_key(3): 1, _key(4): 2}, {_key(2): 5, _key(3, 1): 1}, (4, 2, 2, 2)))
+    # a block sum past the w/v/q caps
+    @example(({_key(0, 2): 1, _key(1, 2): 1}, {_key(0, 1): 1, _key(2, 1): -1}, (3, 2, 2, 2)))
+    @given(dense_products())
+    def test_matches_term_path(self, operands):
+        a, b, caps4 = operands
+        assert not series._multi_block(a)
+        want = series._mul_terms(a, b, caps4) if b else {}
+        if b:
+            assert series._mul_dense(a, b, caps4) == want
+        assert series._mul(a, b, caps4) == want
+        assert series._mul(b, a, caps4) == want
+
+    def test_empty_when_past_the_cap(self):
+        a = {_key(3): 1, _key(4): 2}
+        b = {_key(2): 5, _key(3, 1): 1}
+        assert series._mul_dense(a, b, (4, 2, 2, 2)) == {}
+        assert series._mul(a, b, (4, 2, 2, 2)) == {}
+
+    def test_exact_under_optimize(self):
+        # Neither the dense product nor the recurrence inverse rests on an
+        # assert.
+        code = (
+            "import random\n"
+            "from catwords import series\n"
+            "assert False, 'asserts are on'\n"
+            "rng = random.Random(11)\n"
+            "def coeff():\n"
+            "    return rng.choice((-1, 1)) * (rng.getrandbits(rng.choice((2, 64, 600))) + 1)\n"
+            "def block(w, v, q):\n"
+            "    return {series._pack(x, w, v, q): coeff() for x in rng.sample(range(12), rng.randint(2, 9))}\n"
+            "def other():\n"
+            "    d = {}\n"
+            "    for _ in range(rng.randint(1, 4)):\n"
+            "        d.update(block(rng.choice((0, 1, 2000)), rng.randint(0, 2), 0))\n"
+            "    return d\n"
+            "cases = [(block(rng.choice((0, 1)), 0, rng.randint(0, 2)), other(), (8, 2000, 1, 2000))\n"
+            "         for _ in range(300)]\n"
+            "bad = sum(series._mul_dense(a, b, c) != series._mul_terms(a, b, c) for a, b, c in cases)\n"
+            "print('mismatches', bad, 'of', len(cases))\n"
+            "bad = 0\n"
+            "for _ in range(100):\n"
+            "    a = block(0, 0, 0)\n"
+            "    a[0] = rng.choice((-1, 1))\n"
+            "    inv = series._invert(a, (40, 0, 0, 0))\n"
+            "    bad += series._mul_terms(a, inv, (40, 0, 0, 0)) != {0: 1}\n"
+            "print('inverse mismatches', bad, 'of', 100)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "mismatches 0 of 300\ninverse mismatches 0 of 100\n"
+
+
 class TestProductDispatch:
-    """_mul takes the block path exactly when both factors span two or
-    more blocks."""
+    """_mul takes the term path when a factor has one term, the block path
+    when both factors span two or more blocks, and the dense path
+    otherwise, with the one-block factor first."""
 
     @pytest.mark.parametrize(
-        "build, blocks",
+        "build, paths",
         [
-            (lambda: genfun.gf_B(60), True),
-            (lambda: genfun.gf_A_via_lemma(40, 42), True),
-            (lambda: genfun.gf_fine(300), False),
-            (lambda: genfun.check_co1(24, 26), False),
+            (lambda: genfun.gf_B(60), {"_mul_terms", "_mul_dense", "_mul_blocks"}),
+            (lambda: genfun.gf_A_via_lemma(40, 42), {"_mul_terms", "_mul_dense", "_mul_blocks"}),
+            (lambda: genfun.gf_fine(300), {"_mul_terms", "_mul_dense"}),
+            (lambda: genfun.check_co1(24, 26), {"_mul_terms", "_mul_dense"}),
         ],
         ids=["B-60", "A-lemma-40", "fine-300", "co1-24"],
     )
-    def test_path(self, monkeypatch, build, blocks):
+    def test_path(self, monkeypatch, build, paths):
         taken = []
-        for name in ("_mul_blocks", "_mul_terms"):
+        for name in ("_mul_blocks", "_mul_dense", "_mul_terms"):
             def counted(a, b, caps4, fn=getattr(series, name), name=name):
-                multi = min(len({k & series._BLOCK for k in d}) for d in (a, b)) >= 2
-                taken.append((name, multi))
+                taken.append((name, len(a), len(b), series._multi_block(a), series._multi_block(b)))
                 return fn(a, b, caps4)
 
             monkeypatch.setattr(series, name, counted)
         build()
-        assert taken
-        assert all((name == "_mul_blocks") == multi for name, multi in taken)
-        assert any(name == "_mul_blocks" for name, _ in taken) == blocks
+        assert {name for name, *_ in taken} == paths
+        for name, la, lb, multi_a, multi_b in taken:
+            if name == "_mul_terms":
+                assert min(la, lb) == 1
+            elif name == "_mul_dense":
+                assert min(la, lb) >= 2 and not multi_a
+            else:
+                assert multi_a and multi_b
 
 
 class TestRingAxioms:
