@@ -46,9 +46,7 @@ from .words import (
     CatalanWord,
     StatisticSpec,
     count_descents,
-    count_letter,
     enumerate_words,
-    max_letter,
     tally,
     validate,
 )

@@ -14,17 +14,19 @@ and the product of two monomials is the sum of their keys.
 
 A product takes one of three exact paths.  A block is the x-polynomial
 under one (w, v, q) exponent, whose key is the low 36 bits of a packed
-key.  A one-term factor shifts and scales the other, term by term.  When
-both factors span two or more blocks, each block is packed into one int
-with an s-bit slot per x order, and each pair of blocks inside the caps
-is one big-int product (Kronecker substitution).  The slot width s bounds
-every coefficient of the product, so no slot can carry into the next and
-the path needs no check.  When a factor is one block, as every series in
-x alone is, it meets each block of the other factor once, and each
-coefficient of that block product is one dot product of two dense
-coefficient lists, summed in C.  CPython multiplies big ints by Karatsuba
-at best, so one packed product of such a pair costs about what its dot
-products do, and packing and decoding would come on top.
+key.  A one-term factor shifts and scales the other, term by term.
+Otherwise each factor is grouped once into its layout: a dense list of x
+coefficients per block, holding only the terms that can reach the x cap.
+When both layouts hold two or more blocks, each block is packed into one
+int with an s-bit slot per x order, and each pair of blocks inside the
+caps is one big-int product (Kronecker substitution).  The slot width s
+bounds every coefficient of the product, so no slot can carry into the
+next and the path needs no check.  When a layout is at most one block, as
+that of every series in x alone is, it meets each block of the other
+once, and each coefficient of that block product is one dot product of
+two coefficient lists, summed in C.  CPython multiplies big ints by
+Karatsuba at best, so one packed product of such a pair costs about what
+its dot products do, and packing and decoding would come on top.
 
 Truncation contract: every operation returns caps that are the
 componentwise minimum of its operands' caps, and never reports a
@@ -38,12 +40,12 @@ subtraction rely on it: they merge the two stores without walking them
 again, and trim an operand only when its caps reach past the result's.
 
 Inversion is exact by construction and needs a unit constant term c.  A
-series in one block is a polynomial in x of some degree d, and its
-inverse follows the coefficient recurrence, one dot product of at most d
-terms per x order.  Otherwise, after normalising by c, the x-free slice
-(terms in w, v, q only) is inverted by its finite geometric series, which
-the w/v/q caps end; Newton steps b <- b + b*(1 - a*b) then double the x
-order the inverse is exact through until it covers the x cap, so an
+series whose layout is one block is a polynomial in x of some degree d,
+and its inverse follows the coefficient recurrence, one dot product of at
+most d terms per x order.  Otherwise, after normalising by c, the x-free
+slice (terms in w, v, q only) is inverted by its finite geometric series,
+which the w/v/q caps end; Newton steps b <- b + b*(1 - a*b) then double
+the x order the inverse is exact through until it covers the x cap, so an
 inversion costs O(log) products rather than one product per x order.
 
 cheb_u(j) is the Chebyshev value U_j at t = 1/(2y), y = sqrt(x), rescaled
@@ -152,37 +154,32 @@ def _mul(
     """Truncated product, by one of three exact paths that return the same
     store.
 
-    A block is the x-polynomial under one (w, v, q) key.  A one-term
-    factor is a shift and a scale, done by _mul_terms.  When both
-    operands span two or more blocks, _mul_blocks multiplies them block by
-    block as packed ints, in slots of s = bits(max|a|) + bits(max|b|) +
-    bits(min(len(a), len(b))) + 2 bits rounded up to a byte, which no
-    coefficient of the product can overflow.  Otherwise one factor is a
-    single block (a series in x alone, such as fine's 300-term kernel, is
-    one block), which meets each block of the other factor once, and
-    _mul_dense computes each coefficient of those block products as one
-    dot product in C.  CPython multiplies big ints by Karatsuba at best,
-    so one packed product of such a pair costs about what its dot
-    products do, and packing and decoding would come on top."""
+    A one-term factor is a shift and a scale, done by _mul_terms.
+    Otherwise each factor is grouped into blocks once, by _dense_blocks,
+    keeping only the terms that can reach the x cap.  When both layouts
+    hold two or more blocks, _mul_blocks multiplies them block by block as
+    packed ints.  Otherwise one layout is at most a single block (a series
+    in x alone, such as fine's 300-term kernel, is one block), which meets
+    each block of the other once, and _mul_dense computes each coefficient
+    of those block products as one dot product in C.  CPython multiplies
+    big ints by Karatsuba at best, so one packed product of such a pair
+    costs about what its dot products do, and packing and decoding would
+    come on top."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
         return _mul_terms(a, b, caps4)
-    if not _multi_block(a):
-        return _mul_dense(a, b, caps4)
-    if not _multi_block(b):
-        return _mul_dense(b, a, caps4)
-    return _mul_blocks(a, b, caps4)
-
-
-def _multi_block(coeffs: dict[int, int]) -> bool:
-    """Whether the terms lie in two or more blocks; stops at the first
-    term outside the first term's block."""
-    keys = iter(coeffs)
-    first = next(keys) & _BLOCK
-    return any(k & _BLOCK != first for k in keys)
+    xcap = caps4[0]
+    # A term of one factor reaches the x cap only with the other's lowest x.
+    la = _dense_blocks(a, xcap - (min(b) >> _XSHIFT))
+    lb = _dense_blocks(b, xcap - (min(a) >> _XSHIFT))
+    if len(la) <= 1:
+        return _mul_dense(la, lb, caps4)
+    if len(lb) <= 1:
+        return _mul_dense(lb, la, caps4)
+    return _mul_blocks(la, lb, caps4)
 
 
 def _mul_terms(
@@ -209,26 +206,24 @@ def _mul_terms(
 
 
 def _mul_dense(
-    a: dict[int, int],
-    b: dict[int, int],
+    a: dict[int, tuple[int, list[int]]],
+    b: dict[int, tuple[int, list[int]]],
     caps4: tuple[int, int, int, int],
 ) -> dict[int, int]:
-    """Truncated product of nonempty a and b, where a lies in one block.
+    """Truncated product of the layouts a and b, where a holds at most one
+    block.
 
-    Each block is laid out as a dense list of its x coefficients, gaps
-    as zeros.  a's block meets each block of b once, and each coefficient
-    of that block product through the x cap is one dot product of a slice
-    of a's list with a slice of the other list reversed, summed in C."""
-    xcap, wcap, vcap, qcap = caps4
-    # A term of one factor reaches the x cap only with the other's lowest x.
-    ablocks = _dense_blocks(a, xcap - (min(b) >> _XSHIFT))
-    if not ablocks:
+    a's block meets each block of b once, and each coefficient of that
+    block product through the x cap is one dot product of a slice of a's
+    list with a slice of the other list reversed, summed in C."""
+    if not a:
         return {}
-    ((ka, (xa, A)),) = ablocks.items()
+    xcap, wcap, vcap, qcap = caps4
+    ((ka, (xa, A)),) = a.items()
     la = len(A)
     out: dict[int, int] = {}
     one_x = 1 << _XSHIFT
-    for kb, (xb, B) in _dense_blocks(b, xcap - (min(a) >> _XSHIFT)).items():
+    for kb, (xb, B) in b.items():
         k = ka + kb
         lo = xa + xb
         if (
@@ -255,10 +250,15 @@ def _mul_dense(
 
 
 def _dense_blocks(coeffs: dict[int, int], xmax: int) -> dict[int, tuple[int, list[int]]]:
-    """block key -> (start, coefficients) for each block of coeffs, its
-    terms above x order xmax dropped: entry i of the list is the
-    coefficient of x^(start+i), zero in a gap.  Keys sort by x first, so
-    a block's first key gives its start."""
+    """The layout of coeffs: block key -> (start, coefficients) for each
+    block, its terms above x order xmax dropped.  Entry i of the list is
+    the coefficient of x^(start+i), zero in a gap, and the last entry is
+    the block's highest term.  This is the kernel's one walk that groups
+    a store into blocks.
+
+    Keys sort by x first, so a block's first key gives its start, and
+    blocks are inserted in the order of their first keys: by ascending
+    start, and by block key among equal starts."""
     xlim = (xmax + 1) << _XSHIFT
     blocks: dict[int, tuple[int, list[int]]] = {}
     get = blocks.get
@@ -278,44 +278,48 @@ def _dense_blocks(coeffs: dict[int, int], xmax: int) -> dict[int, tuple[int, lis
 
 
 def _mul_blocks(
-    a: dict[int, int],
-    b: dict[int, int],
+    a: dict[int, tuple[int, list[int]]],
+    b: dict[int, tuple[int, list[int]]],
     caps4: tuple[int, int, int, int],
 ) -> dict[int, int]:
-    """Truncated product of nonempty a and b by Kronecker substitution:
+    """Truncated product of the layouts a and b by Kronecker substitution:
     each block is packed into one int with an s-bit slot per x order, and
     a pair of blocks is one big-int product (Schönhage 1982; Harvey,
     J. Symbolic Comput. 2009).
 
     The slot width is proved wide enough, not checked.  A coefficient of
     the product, or any partial sum of the block products that reach it,
-    is a sum of at most min(len(a), len(b)) term products, because a term
-    of one factor meets at most one term of the other at a given key.  So
-    it is below 2^(s-2) in absolute value for s = bits(max|a|) +
-    bits(max|b|) + bits(min(len(a), len(b))) + 2, and a bias of 2^(s-1)
-    makes every slot of every packed sum a nonnegative s-bit number.
+    is a sum of at most n = min(terms of a, terms of b) term products,
+    where the terms of a layout are its list entries, because a term of
+    one factor meets at most one term of the other at a given key.  So it
+    is below 2^(s-2) in absolute value for s = bits(max|a|) + bits(max|b|)
+    + bits(n) + 2, and a bias of 2^(s-1) makes every slot of every packed
+    sum a nonnegative s-bit number.
 
-    Blocks are packed by shifts and adds, which costs at most about one
-    product of the block with itself.  Only the slots through the x cap
-    are decoded, and they are read by slicing one to_bytes string, so the
-    decoding is linear in their number."""
+    Each list is packed by one Horner loop of shifts and adds, which costs
+    at most about one product of the block with itself.  Only the slots
+    through the x cap are decoded, and they are read by slicing one
+    to_bytes string, so the decoding is linear in their number."""
     xcap, wcap, vcap, qcap = caps4
     nb = (
-        max(map(abs, a.values())).bit_length()
-        + max(map(abs, b.values())).bit_length()
-        + min(len(a), len(b)).bit_length()
+        max((max(map(abs, A)) for _, A in a.values()), default=0).bit_length()
+        + max((max(map(abs, B)) for _, B in b.values()), default=0).bit_length()
+        + min(sum(len(A) for _, A in a.values()), sum(len(B) for _, B in b.values())).bit_length()
         + 9
     ) // 8
     s = 8 * nb
     bias = 1 << (s - 1)
     pad = bias.to_bytes(nb, "little")
-    # A term of one factor reaches the x cap only with the other's lowest x.
-    ablocks = _pack_blocks(a, xcap - (min(b) >> _XSHIFT), s)
-    bblocks = sorted(_pack_blocks(b, xcap - (min(a) >> _XSHIFT), s))
+    ablocks, bblocks = (
+        [(x0, k, _packed(cs, s), x0 + len(cs) - 1) for k, (x0, cs) in layout.items()]
+        for layout in (a, b)
+    )
     # output block key -> [lowest start, packed sum shifted to that start]
     sums: dict[int, list[int]] = {}
     get = sums.get
     for xa, ka, pa, ea in ablocks:
+        # b's blocks ascend by start (see _dense_blocks), so the first start
+        # past the x cap ends the row.
         for xb, kb, pb, eb in bblocks:
             lo = xa + xb
             if lo > xcap:
@@ -357,26 +361,12 @@ def _mul_blocks(
     return out
 
 
-def _pack_blocks(coeffs: dict[int, int], xmax: int, s: int) -> list[tuple[int, int, int, int]]:
-    """(start, block key, packed int, end) for each block of coeffs, its
-    terms above x order xmax dropped: the s-bit slot i of the packed int
-    holds the coefficient of x^(start+i), through x^end.  Keys sort by x
-    first, so a block's first key gives its start."""
-    xlim = (xmax + 1) << _XSHIFT
-    blocks: dict[int, list[int]] = {}
-    get = blocks.get
-    for k in sorted(coeffs):
-        if k >= xlim:
-            break
-        blk = k & _BLOCK
-        x = k >> _XSHIFT
-        e = get(blk)
-        if e is None:
-            blocks[blk] = [x, coeffs[k], x]
-        else:
-            e[1] += coeffs[k] << (s * (x - e[0]))
-            e[2] = x
-    return [(x0, blk, p, x1) for blk, (x0, p, x1) in blocks.items()]
+def _packed(cs: list[int], s: int) -> int:
+    """The sum of cs[i] << (s * i), by one Horner loop."""
+    p = 0
+    for c in reversed(cs):
+        p = (p << s) + c
+    return p
 
 
 def _scale(coeffs: dict[int, int], c: int) -> dict[int, int]:
@@ -393,12 +383,13 @@ def _invert(
     caps caps4.  Any other constant term has no inverse over the integers
     and raises NonInvertibleError.
 
-    A series in one block lies in block 0, the block of its constant term:
-    it is a polynomial a_0 + a_1 x + ... + a_d x^d in x alone.  Its inverse
-    b follows the coefficient recurrence b_0 = c, b_n = -c * sum_{k=1}^
-    {min(n, d)} a_k b_(n-k) (Knuth, TAOCP vol. 2, 4.7), one dot product in
-    C per x order, so a denominator of degree d costs O(d * caps4[0])
-    products and no call to _mul.
+    A series whose layout through the x cap (_dense_blocks) is one block
+    lies in block 0, the block of its constant term: it is a polynomial
+    a_0 + a_1 x + ... + a_d x^d in x alone.  Its inverse b follows the
+    coefficient recurrence b_0 = c, b_n = -c * sum_{k=1}^{min(n, d)}
+    a_k b_(n-k) (Knuth, TAOCP vol. 2, 4.7), one dot product in C per x
+    order, so a denominator of degree d costs O(d * caps4[0]) products and
+    no call to _mul.
 
     Otherwise, with a = 1 + r = a0 + a1, where a0 is the x-free slice
     (terms in w, v, q only) and a1 starts at x order m, the inverse is
@@ -413,8 +404,9 @@ def _invert(
     if c != 1 and c != -1:
         raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
     xcap, wcap, vcap, qcap = caps4
-    if not _multi_block(coeffs):
-        ((_, (_, A)),) = _dense_blocks(coeffs, xcap).items()
+    layout = _dense_blocks(coeffs, xcap)
+    if len(layout) == 1:
+        ((_, (_, A)),) = layout.items()
         A1 = A[1:]
         B = [c]
         for _ in range(xcap):

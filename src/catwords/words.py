@@ -36,9 +36,7 @@ __all__ = [
     "StatisticSpec",
     "validate",
     "enumerate_words",
-    "count_letter",
     "count_descents",
-    "max_letter",
     "tally",
 ]
 
@@ -99,10 +97,6 @@ class CatalanWord(tuple):
         if reason is not None:
             raise ValueError(f"not a Catalan word: {reason}")
         return word
-
-    @classmethod
-    def parse(cls, text: str) -> "CatalanWord":
-        return cls(int(part) for part in text.split(","))
 
     def __str__(self) -> str:
         return _letters_format(len(self)) % self
@@ -235,21 +229,9 @@ class _TailBlocks(dict):
         return block
 
 
-def count_letter(word: Sequence[int], i: int) -> int:
-    """Number of positions holding the letter i."""
-    if i < 0:
-        raise ValueError("letter must be non-negative")
-    return word.count(i)
-
-
 def count_descents(word: Sequence[int]) -> int:
     """Number of adjacent pairs with left letter strictly greater."""
     return sum(map(gt, word, word[1:]))
-
-
-def max_letter(word: Sequence[int]) -> int:
-    """Largest letter value in the word."""
-    return max(word)
 
 
 # kind -> letter -> the statistic as a one-argument function of the word;

@@ -323,7 +323,7 @@ class TestNewtonInversion:
         x = MultiSeries.monomial(caps, 1, x=1)
         xvc = x * MultiSeries.monomial(caps, 1, v=1) * catalan_series(caps)
         a = (one - x) * (one - xvc) * (one - x - xvc)
-        assert series._multi_block(a.coeffs)
+        assert len(series._dense_blocks(a.coeffs, order)) >= 2
         calls = []
         mul = series._mul
         monkeypatch.setattr(series, "_mul", lambda *args: calls.append(1) or mul(*args))
@@ -404,7 +404,7 @@ class TestRecurrenceInversion:
     @pytest.mark.parametrize("poly", [{0: 2, 1: -1}, {0: -3}, {1: 1, 2: 1}, {0: 0, 3: 1}])
     def test_non_unit_rejected(self, poly):
         a = _x_poly(Caps.of(10), poly)
-        assert not series._multi_block(a.coeffs)
+        assert len(series._dense_blocks(a.coeffs, 10)) == 1
         with pytest.raises(NonInvertibleError, match="is not a unit"):
             a.invert()
 
@@ -715,6 +715,24 @@ def _key(x, w=0, v=0, q=0):
     return series._pack(x, w, v, q)
 
 
+def _layouts(a, b, caps4):
+    """The layouts _mul builds for nonempty a and b: each factor's blocks,
+    cut where a term still reaches the x cap with the other's lowest x."""
+    xcap = caps4[0]
+    return (
+        series._dense_blocks(a, xcap - (min(b) >> series._XSHIFT)),
+        series._dense_blocks(b, xcap - (min(a) >> series._XSHIFT)),
+    )
+
+
+# _layouts, for the fresh interpreters that check a path under python -O
+LAYOUTS_SRC = (
+    "def lay(a, b, c):\n"
+    "    lo = lambda d: min(d) >> series._XSHIFT\n"
+    "    return series._dense_blocks(a, c[0] - lo(b)), series._dense_blocks(b, c[0] - lo(a))\n"
+)
+
+
 class TestBlockProduct:
     """The block path against the term-pair path, its reference."""
 
@@ -733,8 +751,9 @@ class TestBlockProduct:
         want = series._mul_terms(a, b, caps4) if a and b else {}
         assert series._mul(a, b, caps4) == want
         if a and b:
-            assert series._mul_blocks(a, b, caps4) == want
-            assert series._mul_blocks(b, a, caps4) == want
+            la, lb = _layouts(a, b, caps4)
+            assert series._mul_blocks(la, lb, caps4) == want
+            assert series._mul_blocks(lb, la, caps4) == want
 
     @pytest.mark.parametrize("k, m", [(1, 4), (100, 6), (301, 4)])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -747,7 +766,7 @@ class TestBlockProduct:
         a = {_key(i, i): c for i in range(n)}
         b = {_key(i, i): sign * c for i in range(n)}
         caps4 = (n - 1, 2 * n, 0, 0)
-        got = series._mul_blocks(a, b, caps4)
+        got = series._mul_blocks(*_layouts(a, b, caps4), caps4)
         assert got == series._mul_terms(a, b, caps4)
         assert got[_key(n - 1, n - 1)] == sign * n * c * c
 
@@ -765,7 +784,8 @@ class TestBlockProduct:
             "cases = [({series._pack(i, i, 0, 0): 2**100 - 1 for i in range(63)},\n"
             "          {series._pack(i, i, 0, 0): 1 - 2**100 for i in range(63)}, (62, 126, 0, 0))]\n"
             "cases += [(store(), store(), (5, 2000, 1, 2000)) for _ in range(300)]\n"
-            "bad = sum(series._mul_blocks(a, b, c) != series._mul_terms(a, b, c) for a, b, c in cases)\n"
+            + LAYOUTS_SRC
+            + "bad = sum(series._mul_blocks(*lay(a, b, c), c) != series._mul_terms(a, b, c) for a, b, c in cases)\n"
             "print('mismatches', bad, 'of', len(cases))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -818,17 +838,19 @@ class TestDenseProduct:
     @given(dense_products())
     def test_matches_term_path(self, operands):
         a, b, caps4 = operands
-        assert not series._multi_block(a)
+        assert len({k & series._BLOCK for k in a}) == 1
         want = series._mul_terms(a, b, caps4) if b else {}
         if b:
-            assert series._mul_dense(a, b, caps4) == want
+            la, lb = _layouts(a, b, caps4)
+            assert len(la) <= 1
+            assert series._mul_dense(la, lb, caps4) == want
         assert series._mul(a, b, caps4) == want
         assert series._mul(b, a, caps4) == want
 
     def test_empty_when_past_the_cap(self):
         a = {_key(3): 1, _key(4): 2}
         b = {_key(2): 5, _key(3, 1): 1}
-        assert series._mul_dense(a, b, (4, 2, 2, 2)) == {}
+        assert series._mul_dense(*_layouts(a, b, (4, 2, 2, 2)), (4, 2, 2, 2)) == {}
         assert series._mul(a, b, (4, 2, 2, 2)) == {}
 
     def test_exact_under_optimize(self):
@@ -850,7 +872,8 @@ class TestDenseProduct:
             "    return d\n"
             "cases = [(block(rng.choice((0, 1)), 0, rng.randint(0, 2)), other(), (8, 2000, 1, 2000))\n"
             "         for _ in range(300)]\n"
-            "bad = sum(series._mul_dense(a, b, c) != series._mul_terms(a, b, c) for a, b, c in cases)\n"
+            + LAYOUTS_SRC
+            + "bad = sum(series._mul_dense(*lay(a, b, c), c) != series._mul_terms(a, b, c) for a, b, c in cases)\n"
             "print('mismatches', bad, 'of', len(cases))\n"
             "bad = 0\n"
             "for _ in range(100):\n"
@@ -869,10 +892,41 @@ class TestDenseProduct:
         assert proc.stdout == "mismatches 0 of 300\ninverse mismatches 0 of 100\n"
 
 
+def _blocks_in_reach(a, b, xcap):
+    """The number of a's blocks with a term at or below x order xcap minus
+    b's lowest x: the blocks whose terms can reach the x cap in a*b."""
+    xlim = (xcap - (min(b) >> series._XSHIFT) + 1) << series._XSHIFT
+    return len({k & series._BLOCK for k in a if k < xlim})
+
+
+def _expected_path(a, b, caps4):
+    if not a or not b:
+        return []
+    if min(len(a), len(b)) == 1:
+        return ["_mul_terms"]
+    if min(_blocks_in_reach(a, b, caps4[0]), _blocks_in_reach(b, a, caps4[0])) <= 1:
+        return ["_mul_dense"]
+    return ["_mul_blocks"]
+
+
+def _record_paths(monkeypatch):
+    """Patch the three product paths to log (name, len(first), len(second))
+    of each call: term counts for _mul_terms, block counts for the others."""
+    taken = []
+    for name in ("_mul_blocks", "_mul_dense", "_mul_terms"):
+        def counted(a, b, caps4, fn=getattr(series, name), name=name):
+            taken.append((name, len(a), len(b)))
+            return fn(a, b, caps4)
+
+        monkeypatch.setattr(series, name, counted)
+    return taken
+
+
 class TestProductDispatch:
     """_mul takes the term path when a factor has one term, the block path
-    when both factors span two or more blocks, and the dense path
-    otherwise, with the one-block factor first."""
+    when both factors' layouts hold two or more blocks within reach of the
+    x cap, and the dense path otherwise, with the layout of at most one
+    block first."""
 
     @pytest.mark.parametrize(
         "build, paths",
@@ -885,22 +939,69 @@ class TestProductDispatch:
         ids=["B-60", "A-lemma-40", "fine-300", "co1-24"],
     )
     def test_path(self, monkeypatch, build, paths):
-        taken = []
-        for name in ("_mul_blocks", "_mul_dense", "_mul_terms"):
-            def counted(a, b, caps4, fn=getattr(series, name), name=name):
-                taken.append((name, len(a), len(b), series._multi_block(a), series._multi_block(b)))
-                return fn(a, b, caps4)
+        taken = _record_paths(monkeypatch)
+        wrong = []
+        mul = series._mul
 
-            monkeypatch.setattr(series, name, counted)
+        def checked(a, b, caps4):
+            want = _expected_path(a, b, caps4)
+            n = len(taken)
+            out = mul(a, b, caps4)
+            if [name for name, *_ in taken[n:]] != want:
+                wrong.append((want, taken[n:]))
+            return out
+
+        monkeypatch.setattr(series, "_mul", checked)
         build()
+        assert wrong == []
         assert {name for name, *_ in taken} == paths
-        for name, la, lb, multi_a, multi_b in taken:
+        for name, la, lb in taken:
             if name == "_mul_terms":
                 assert min(la, lb) == 1
             elif name == "_mul_dense":
-                assert min(la, lb) >= 2 and not multi_a
+                assert la <= 1
             else:
-                assert multi_a and multi_b
+                assert la >= 2 and lb >= 2
+
+    def test_one_block_in_reach_takes_the_dense_path(self, monkeypatch):
+        # Both factors span two blocks, but a's w block starts at x^3, past
+        # the cap once b's lowest x (1) is added: one block is within reach.
+        a = {_key(0): 1, _key(1): 2, _key(3, 1): 5}
+        b = {_key(1): 3, _key(2, 0, 0, 1): 4}
+        caps4 = (3, 2, 2, 2)
+        assert len({k & series._BLOCK for k in a}) == len({k & series._BLOCK for k in b}) == 2
+        taken = _record_paths(monkeypatch)
+        got = [series._mul(a, b, caps4), series._mul(b, a, caps4)]
+        assert taken == [("_mul_dense", 1, 2)] * 2
+        monkeypatch.undo()
+        want = series._mul_terms(b, a, caps4)
+        assert want == {_key(1): 3, _key(2): 6, _key(2, 0, 0, 1): 4, _key(3, 0, 0, 1): 8}
+        assert got == [want, want]
+
+    def test_each_factor_grouped_once(self, monkeypatch):
+        # A product off the term path groups each factor into blocks once,
+        # with _dense_blocks, whichever path it then takes.
+        want = genfun.gf_A4(24, 8, 26)
+        taken = _record_paths(monkeypatch)
+        groupings = []
+        dense_blocks = series._dense_blocks
+        monkeypatch.setattr(
+            series, "_dense_blocks", lambda *args: groupings.append(1) or dense_blocks(*args)
+        )
+        mul = series._mul
+        per_call = []
+
+        def counted(a, b, caps4):
+            n = len(groupings)
+            out = mul(a, b, caps4)
+            per_call.append((min(len(a), len(b)) >= 2, len(groupings) - n))
+            return out
+
+        monkeypatch.setattr(series, "_mul", counted)
+        got = genfun.gf_A4(24, 8, 26)
+        assert {name for name, *_ in taken} == {"_mul_terms", "_mul_dense", "_mul_blocks"}
+        assert set(per_call) == {(True, 2), (False, 0)}
+        assert got == want
 
 
 class TestRingAxioms:

@@ -12,9 +12,7 @@ from catwords.words import (
     CatalanWord,
     StatisticSpec,
     count_descents,
-    count_letter,
     enumerate_words,
-    max_letter,
     tally,
     validate,
 )
@@ -96,7 +94,7 @@ class TestCatalanWord:
     def test_roundtrip(self):
         w = CatalanWord((0, 1, 0, 1))
         assert str(w) == "0,1,0,1"
-        assert CatalanWord.parse("0,1,0,1") == w
+        assert CatalanWord(map(int, str(w).split(","))) == w
         assert tuple(w) == (0, 1, 0, 1)
 
     def test_invalid_rejected(self):
@@ -288,28 +286,18 @@ class TestPrefixTailEnumeration:
 
 
 class TestStatistics:
-    def test_count_letter(self):
-        assert count_letter((0, 1, 0, 2, 1), 0) == 2
-        assert count_letter((0, 0, 0, 0, 0), 1) == 0
-        assert count_letter((0, 1, 2, 1, 0), 1) == 2
-        with pytest.raises(ValueError):
-            count_letter((0,), -1)
-
     def test_count_descents(self):
         assert count_descents((0, 1, 0, 1)) == 1
         assert count_descents((0, 1, 2, 1, 0)) == 2
         assert count_descents((0, 0, 0, 0, 0)) == 0
-
-    def test_max_letter(self):
-        assert max_letter((0, 1, 2, 1, 0)) == 2
-        assert max_letter((0,)) == 0
-        assert max_letter((0, 1, 0, 1)) == 1
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             StatisticSpec("weird")
         with pytest.raises(ValueError):
             StatisticSpec("letter")
+        with pytest.raises(ValueError):
+            StatisticSpec("letter", -1)
         with pytest.raises(ValueError):
             StatisticSpec("zeros", letter=3)
         assert StatisticSpec("letter", 2).bind()((0, 1, 2, 2, 1)) == 2
@@ -409,7 +397,7 @@ class TestBuiltinForms:
         for w in (peak, long):
             assert len(w) >= 21 and max(w) >= 10
             assert str(w) == ref_str(w)
-            assert CatalanWord.parse(str(w)) == w
+            assert CatalanWord(map(int, str(w).split(","))) == w
         assert str(peak_word(10)) == "0,1,2,3,4,5,6,7,8,9,10,9,8,7,6,5,4,3,2,1,0"
 
     def test_statistics_on_lists_and_tuples(self):
@@ -417,12 +405,11 @@ class TestBuiltinForms:
         for w in samples:
             for seq in (tuple(w), list(w), w):
                 assert count_descents(seq) == ref_count_descents(w)
+                assert StatisticSpec("max-letter").bind()(seq) == max(w)
                 for i in range(13):
-                    assert count_letter(seq, i) == ref_count_letter(w, i)
-        assert count_letter([0], 0) == 1 and count_letter([0], 1) == 0
+                    assert StatisticSpec("letter", i).bind()(seq) == ref_count_letter(w, i)
+        assert StatisticSpec("zeros").bind()([0]) == 1 and StatisticSpec("ones").bind()([0]) == 0
         assert count_descents([0]) == 0 and count_descents((0,)) == 0
-        with pytest.raises(ValueError):
-            count_letter([0], -1)
 
     def test_evaluate_matches_bind(self):
         for spec in ALL_SPECS:
