@@ -339,7 +339,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, genfun.StabilityError) as exc:
+    except ValueError as exc:  # genfun.StabilityError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

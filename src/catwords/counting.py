@@ -19,7 +19,8 @@ counts come from one recurrence in the letter i, filled for each s layer
 by layer from the zero array; no word of length n has a letter above
 (n - 1) / 2, so layer (n + 1) // 2 answers every larger i, and the
 avoidance rows r <= 2k of layer k are copies of the zero array's.  The
-public functions keep a cache of the values they answered.
+tables are the only store of counted values: the public recurrences keep
+no memo of their own, and every call reads its table.
 
 Arrays:
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -80,6 +81,14 @@ def catalan_number(n: int) -> int:
     if n < 0:
         raise ValueError("catalan_number: n must be >= 0")
     return math.comb(2 * n, n) // (n + 1)
+
+
+# The public recurrences store nothing beyond their tables, but the benchmark
+# tracer (perfbench/tracer.py, its COUNTING_CACHED) counts their calls through
+# cache_info().  A wrapper of size 0 keeps no value and counts every call as a
+# miss.  It goes only together with that lookup (ROADMAP item 6): without it
+# the tracer, perfbench/selftest.py and tests/test_tracer_coupling.py break.
+_counted = lru_cache(maxsize=0)
 
 
 # Tables grow under this lock and are only ever appended to, one finished
@@ -184,7 +193,7 @@ def _zeros(n: int) -> list[list[int]]:
     return Z
 
 
-@cache
+@_counted
 def a_desc(n: int, m: int, k: int) -> int:
     """Words of length n with m zeros and k descents.
 
@@ -197,7 +206,7 @@ def a_desc(n: int, m: int, k: int) -> int:
     return _descents(n)[n][k][m] if k < n else 0
 
 
-@cache
+@_counted
 def a_zeros(n: int, m: int) -> int:
     """Words of length n with m zeros, by the reduction recurrence.
 
@@ -228,7 +237,7 @@ def a_zeros_closed(n: int, m: int) -> int:
     return quot
 
 
-@cache
+@_counted
 def b_ones(n: int, m: int) -> int:
     """Words of length n with m ones, summed over their zero count i:
     sum_i (binom(i+m-1, m) - 1) * a(n - i, m).  The binomials are one
@@ -315,7 +324,7 @@ def _letter_row(s: int, i: int, n: int) -> tuple[int, ...]:
     return X[s][i][n]
 
 
-@cache
+@_counted
 def a_letter(i: int, n: int, s: int, t: int) -> int:
     """Words of length n with exactly s copies of the letter i and t zeros.
 

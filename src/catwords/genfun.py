@@ -157,6 +157,8 @@ def gf_A_m(m: int, order: int) -> MultiSeries:
     if m < 1:
         raise ValueError("gf_A_m needs m >= 1")
     caps = Caps.of(order)
+    if m > order:
+        return MultiSeries.zero(caps)  # x^m lies past the x cap
     c = catalan_series(caps)
     acc = MultiSeries.monomial(caps, 1, x=m)
     for _ in range(m - 1):

@@ -534,6 +534,33 @@ def test_ones_table_builds_no_weight_table():
     assert out.splitlines() == ["True", "199 1", "[]"]
 
 
+def test_tables_are_the_only_store():
+    # The public recurrences keep no memo: each call reads its table, and
+    # their wrappers count every call, a repeated one too, as a miss.
+    out = _run_fresh(
+        "import json, tracemalloc\n"
+        "from catwords import counting as ct, genfun\n"
+        "tracemalloc.start()\n"
+        "assert genfun.check_th3(12, 100, 14).passed\n"
+        "held = tracemalloc.get_traced_memory()[0]\n"
+        "calls = {'a_desc': (9, 3, 2), 'a_zeros': (9, 3), 'b_ones': (9, 3),\n"
+        "         'a_letter': (2, 9, 1, 3)}\n"
+        "infos = {}\n"
+        "for name, args in calls.items():\n"
+        "    f = getattr(ct, name)\n"
+        "    before = f.cache_info().misses\n"
+        "    assert f(*args) == f(*args)\n"
+        "    info = f.cache_info()\n"
+        "    infos[name] = [before, info.hits, info.misses, info.currsize]\n"
+        "print(json.dumps({'held': held, 'infos': infos}))\n"
+    )
+    result = json.loads(out)
+    for name, (before, hits, misses, currsize) in result["infos"].items():
+        assert (hits, misses, currsize) == (0, before + 2, 0), name
+    assert result["infos"]["a_letter"][0] > 0  # th3's reference reads a_letter
+    assert result["held"] < 2**20
+
+
 def test_threaded_queries_are_consistent():
     # Eight threads fill cold tables from shuffled queries of every size.
     out = _run_fresh(

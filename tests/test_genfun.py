@@ -40,6 +40,16 @@ class TestZerosGF:
         with pytest.raises(ValueError):
             gf.gf_A_m(0, 5)
 
+    def test_slice_past_the_order_multiplies_nothing(self, monkeypatch):
+        # x^m lies past the x cap, so no power of C(x) is needed
+        calls = []
+        orig = series._mul
+        monkeypatch.setattr(series, "_mul", lambda *a: calls.append(a) or orig(*a))
+        assert gf.gf_A_m(50, 5) == MultiSeries.zero(Caps.of(5))
+        assert calls == []
+        assert gf.gf_A_m(6, 5) == MultiSeries.zero(Caps.of(5))
+        assert gf.gf_A_m(5, 5).coeff(5) == 1
+
     def test_matches_enumeration(self, profiles):
         a = gf.gf_A(PROFILE_MAX_N)
         for n in range(1, PROFILE_MAX_N + 1):

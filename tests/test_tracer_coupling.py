@@ -48,3 +48,33 @@ def test_tracer_installs_and_reports():
     # the per-layer metrics read these by name
     assert out["self_s"]["genfun.compare"] > 0
     assert out["self_s"]["genfun.check.l2"] > 0
+
+
+COUNTING_CODE = """
+import contextlib, io, json
+import catwords.cli
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install(catwords)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = catwords.cli.main(["count", "--table", "zeros", "--n", "6"])
+rep = tracer.report()
+print(json.dumps({"code": code, "lookups": rep["counting_cache_lookups"],
+                  "entries": rep["counting_cache_entries"]}))
+"""
+
+
+def test_tracer_counts_counting_calls():
+    # counting.calls reads the wrappers' call counts; the tables are the
+    # only store, so the wrappers hold no entry
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", COUNTING_CODE],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    assert out["lookups"] == 6  # a_zeros(6, m) for m = 1 ... 6
+    assert out["entries"] == 0
