@@ -346,15 +346,16 @@ def max_letter_count(n: int, i: int) -> int:
     """Words of length n whose largest letter is exactly i.
 
     Avoiding the letter i+1 means the maximum is <= i, so the count is a
-    difference of avoidance totals; i = 0 is the all-zeros word alone.
+    difference of avoidance totals, each the sum of one row of the letter
+    table for s = 0, read at the layer a_letter reads; i = 0 is the
+    all-zeros word alone.
     """
     if n < 1 or i < 0:
         raise ValueError(f"max_letter_count: parameters out of range: {(n, i)}")
     if i == 0:
         return 1
-    return sum(
-        a_letter(i + 1, n, 0, t) - a_letter(i, n, 0, t) for t in range(1, n + 1)
-    )
+    top = (n + 1) // 2
+    return sum(_letter_row(0, min(i + 1, top), n)) - sum(_letter_row(0, min(i, top), n))
 
 
 def coeff_C_power(n: int, m: int) -> int:

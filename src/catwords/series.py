@@ -39,14 +39,14 @@ through _trim; every operation keeps the invariant.  Addition and
 subtraction rely on it: they merge the two stores without walking them
 again, and trim an operand only when its caps reach past the result's.
 
-Inversion is exact by construction and needs a unit constant term c.  A
-series whose layout is one block is a polynomial in x of some degree d,
-and its inverse follows the coefficient recurrence, one dot product of at
-most d terms per x order.  Otherwise, after normalising by c, the x-free
-slice (terms in w, v, q only) is inverted by its finite geometric series,
-which the w/v/q caps end; Newton steps b <- b + b*(1 - a*b) then double
-the x order the inverse is exact through until it covers the x cap, so an
-inversion costs O(log) products rather than one product per x order.
+Inversion is exact by construction and needs a unit constant term c.  It
+is one loop over the layout.  The block of the constant term is a
+polynomial A in x of some degree d, and each block of the inverse solves
+A * B = R by the coefficient recurrence, one dot product of at most d
+terms per x order, where R is 1 for that block and otherwise the sum of
+the other blocks of the series times blocks of the inverse already
+solved.  Block keys add without carry and every other block's key is
+positive, so taking blocks in increasing key order finds each R complete.
 
 cheb_u(j) is the Chebyshev value U_j at t = 1/(2y), y = sqrt(x), rescaled
 by y^j into an integer polynomial in x with constant term 1, so every
@@ -379,58 +379,67 @@ def _invert(
     coeffs: dict[int, int],
     caps4: tuple[int, int, int, int],
 ) -> dict[int, int]:
-    """Invert c*(1 + r), where the constant term c is 1 or -1, through the
-    caps caps4.  Any other constant term has no inverse over the integers
-    and raises NonInvertibleError.
+    """Invert a series whose constant term c is 1 or -1, through the caps
+    caps4.  Any other constant term has no inverse over the integers and
+    raises NonInvertibleError.
 
-    A series whose layout through the x cap (_dense_blocks) is one block
-    lies in block 0, the block of its constant term: it is a polynomial
-    a_0 + a_1 x + ... + a_d x^d in x alone.  Its inverse b follows the
-    coefficient recurrence b_0 = c, b_n = -c * sum_{k=1}^{min(n, d)}
-    a_k b_(n-k) (Knuth, TAOCP vol. 2, 4.7), one dot product in C per x
-    order, so a denominator of degree d costs O(d * caps4[0]) products and
-    no call to _mul.
-
-    Otherwise, with a = 1 + r = a0 + a1, where a0 is the x-free slice
-    (terms in w, v, q only) and a1 starts at x order m, the inverse is
-    built in two exact stages.  First b = 1/a0 by the finite geometric
-    series: every term of a0 - 1 raises a w/v/q degree, so the caps end
-    it.  Then a*b = 1 + a1*b agrees with 1 through x order m - 1, and each
-    Newton step b <- b + b*(1 - a*b) doubles that precision (Brent & Kung,
-    J. ACM 1978), truncated to it, until it passes caps4[0].  The inverse
-    in the truncated ring is unique, so either result equals the full
+    The inverse is solved block by block on the layout (_dense_blocks).
+    Block 0, the block of the constant term, is a polynomial A = a_0 + a_1 x
+    + ... + a_d x^d in x alone, with a_0 = c.  Each block B_k of the inverse
+    solves A * B_k = R_k, where R_0 = 1 and R_k = -sum D_g * B_(k-g) over the
+    other blocks D_g of the series, so its coefficients follow the
+    recurrence b_n = c * (r_n - sum_{j=1}^{min(n, d)} a_j b_(n-j)) (Knuth,
+    TAOCP vol. 2, 4.7): one dot product in C per x order.  Block keys add
+    without carry and every g is positive, so blocks solved in increasing
+    key order find their right side complete: each finished block is
+    convolved with every D_g, by dot products, into the right side of block
+    k + g, and a block past the w/v/q caps or starting past the x cap is
+    never formed.  A series of one block is the case with no D_g.  The
+    inverse in the truncated ring is unique, so this equals the full
     geometric series term by term."""
     c = coeffs.get(_ZERO, 0)
     if c != 1 and c != -1:
         raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
     xcap, wcap, vcap, qcap = caps4
-    layout = _dense_blocks(coeffs, xcap)
-    if len(layout) == 1:
-        ((_, (_, A)),) = layout.items()
-        A1 = A[1:]
-        B = [c]
-        for _ in range(xcap):
-            B.append(-c * sum(map(mul, A1, reversed(B))))
-        return {n << _XSHIFT: bn for n, bn in enumerate(B) if bn}
-    # -r = -rest / c = -c * rest; every term raises x or a w/v/q degree.
-    neg_r = {k: -c * v for k, v in coeffs.items() if k != _ZERO}
-    x1 = _pack(1, 0, 0, 0)
-    neg_r0 = {k: v for k, v in neg_r.items() if k < x1}
-    b = {_ZERO: 1}
-    power = neg_r0
-    while power:
-        b = _merge(b, power)
-        power = _mul(power, neg_r0, caps4)
-    if len(neg_r0) < len(neg_r):
-        a = _merge({_ZERO: 1}, neg_r, -1)
-        # b is exact below prec, the lowest x order of a's other terms
-        prec = min(k for k in neg_r if k >= x1) >> _XSHIFT
-        while prec <= xcap:
-            prec = min(2 * prec, xcap + 1)
-            step = (prec - 1, wcap, vcap, qcap)
-            err = _merge({_ZERO: 1}, _mul(a, b, step), -1)
-            b = _merge(b, _mul(b, err, step))
-    return _scale(b, c)
+    others = _dense_blocks(coeffs, xcap)
+    A1 = others.pop(_ZERO)[1][1:]
+    # block key -> [lowest start, right side through the x cap], for the
+    # blocks formed and not yet solved
+    rhs = {_ZERO: [0, [1] + [0] * xcap]}
+    out: dict[int, int] = {}
+    one_x = 1 << _XSHIFT
+    while rhs:
+        k = min(rhs)
+        lo, R = rhs.pop(k)
+        B: list[int] = []
+        for r in R[lo:]:
+            B.append(c * (r - sum(map(mul, A1, reversed(B)))))
+        key = k + lo * one_x
+        for b in B:
+            if b:
+                out[key] = b
+            key += one_x
+        top = xcap - lo
+        Brev = B[::-1]
+        # others ascend by start (see _dense_blocks), so the first start
+        # past the x cap ends the loop.
+        for kg, (xg, G) in others.items():
+            if xg > top:
+                break
+            t = k + kg
+            if (t & _FIELD) > qcap or ((t >> _VSHIFT) & _FIELD) > vcap or (t >> _WSHIFT) > wcap:
+                continue
+            e = rhs.get(t)
+            if e is None:
+                e = rhs[t] = [lo + xg, [0] * (xcap + 1)]
+            elif lo + xg < e[0]:
+                e[0] = lo + xg
+            R = e[1]
+            lg = len(G)
+            # x^(xcap+xg-j) takes G[i] * B[top-j-i], which is Brev[j+i].
+            for j in range(xg, top + 1):
+                R[xcap + xg - j] -= sum(map(mul, G, Brev[j : j + lg]))
+    return out
 
 
 @dataclass(frozen=True)

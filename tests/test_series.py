@@ -164,6 +164,20 @@ class TestMultiSeriesBasics:
             "        MultiSeries.from_terms(caps, [((0, 0, 0, 0), c), ((1, 0, 0, 0), 1)]).invert()\n"
             "    except NonInvertibleError as exc:\n"
             "        print(type(exc).__name__, exc)\n"
+            # multi-block inverses: a unit, a w term in reach, and random terms
+            "import random\n"
+            "from catwords import series\n"
+            "rng = random.Random(11)\n"
+            "exps = lambda: (rng.randint(0, 9), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))\n"
+            "blocks = bad = 0\n"
+            "for _ in range(100):\n"
+            "    caps = Caps(rng.randint(2, 9), 3, 3, 3)\n"
+            "    terms = [((0, 0, 0, 0), rng.choice((1, -1))), ((rng.randint(0, 2), 1, 0, 0), rng.choice((1, -1)))]\n"
+            "    terms += [(e, rng.randint(-3, 3)) for e in (exps() for _ in range(6)) if any(e)]\n"
+            "    a = MultiSeries.from_terms(caps, terms)\n"
+            "    blocks += len(series._dense_blocks(a.coeffs, caps.x)) > 1\n"
+            "    bad += a * a.invert() != MultiSeries.one(caps)\n"
+            "print('multi-block', blocks, 'not inverse', bad)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         proc = subprocess.run(
@@ -175,6 +189,7 @@ class TestMultiSeriesBasics:
             *["TypeError coefficients must be int, got Fraction"] * 3,
             *(f"NonInvertibleError constant term {c} is not a unit: expected 1 or -1"
               for c in (0, 2, -3)),
+            "multi-block 100 not inverse 0",
         ]
 
     def test_scalar_and_fraction_scaling(self):
@@ -225,7 +240,33 @@ class TestMultiSeriesBasics:
             MultiSeries.from_terms(caps, [((0, 0, 0, 0), 1), ((9, 0, 0, 0), Fraction(1, 2))])
 
 
+def ref_invert(coeffs, caps4):
+    """The geometric-series inversion kept as a reference: for c*(1 + r)
+    with c = 1 or -1, sums 1 + r + r**2 + ... one x order per product
+    until the caps kill it."""
+    c = coeffs.get(series._ZERO, 0)
+    if c not in (1, -1):
+        raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
+    neg_r = {k: -c * v for k, v in coeffs.items() if k != series._ZERO}
+    total = {series._ZERO: 1}
+    power = neg_r
+    while power:
+        total = series._merge(total, power)
+        power = series._mul(power, neg_r, caps4)
+    return {k: c * v for k, v in total.items()}
+
+
+def _inverse_or_error(s):
+    try:
+        return s.invert()
+    except NonInvertibleError as exc:
+        return str(exc)
+
+
 class TestInversion:
+    """The inverse equals the geometric series' key for key, both refuse
+    the same series, and it is solved with no series product."""
+
     def test_geometric(self):
         g = (ONE - X).invert()
         assert all(g.coeff(k) == 1 for k in range(9))
@@ -256,40 +297,15 @@ class TestInversion:
         assert base * inv == unit
         assert inv * base == unit
 
-
-def ref_invert(coeffs, caps4):
-    """The geometric-series inversion kept as a reference: for c*(1 + r)
-    with c = 1 or -1, sums 1 + r + r**2 + ... one x order per product
-    until the caps kill it."""
-    c = coeffs.get(series._ZERO, 0)
-    if c not in (1, -1):
-        raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
-    neg_r = {k: -c * v for k, v in coeffs.items() if k != series._ZERO}
-    total = {series._ZERO: 1}
-    power = neg_r
-    while power:
-        total = series._merge(total, power)
-        power = series._mul(power, neg_r, caps4)
-    return {k: c * v for k, v in total.items()}
-
-
-def _inverse_or_error(s):
-    try:
-        return s.invert()
-    except NonInvertibleError as exc:
-        return str(exc)
-
-
-class TestNewtonInversion:
-    """Newton doubling returns the geometric series' inverse key for key,
-    and both refuse the same series."""
-
     @settings(max_examples=150, deadline=None)
     @example(4, 0, 1, [(0, 0, 0, 1, -1)])  # 1 - q
     @example(4, 0, -1, [(0, 1, 1, 0, -1), (1, 0, 0, 0, 1)])  # -1 - wv + x
     @example(3, 1, 1, [(1, 0, 0, 0, 1)])  # no constant term
     @example(3, 0, 2, [(1, 0, 0, 0, 1)])  # non-unit constant terms
     @example(3, 0, -3, [])
+    @example(5, 0, 1, [(0, 1, 0, 0, -1), (0, 0, 0, 1, -1), (1, 0, 1, 0, 1)])  # 1 - w - q + xv
+    @example(6, 0, -1, [(0, 2, 0, 1, 3), (0, 0, 1, 0, 1), (2, 1, 1, 0, -2), (3, 0, 0, 2, 1)])
+    @example(5, 0, -1, [(1, 1, 0, 0, 1), (0, 0, 2, 0, 1), (2, 0, 1, 1, -1)])  # block 0 is -1
     @given(
         st.integers(1, 6),
         st.integers(0, 1),
@@ -315,8 +331,9 @@ class TestNewtonInversion:
             want = _inverse_or_error(s)
         assert got == want
 
-    def test_product_count_is_logarithmic(self, monkeypatch):
-        # gf_B's denominator spans many blocks, so it is inverted by Newton.
+    def test_multi_block_inverse_makes_no_product(self, monkeypatch):
+        # gf_B's denominator spans three v blocks; each block of its inverse
+        # is solved by the recurrence from blocks already solved.
         order = 60
         caps = Caps.of(order)
         one = MultiSeries.one(caps)
@@ -328,9 +345,18 @@ class TestNewtonInversion:
         mul = series._mul
         monkeypatch.setattr(series, "_mul", lambda *args: calls.append(1) or mul(*args))
         inv = a.invert()
-        assert 0 < len(calls) <= 2 * math.ceil(math.log2(order)) + 2
+        assert calls == []
         monkeypatch.undo()
         assert a * inv == one
+
+    @settings(max_examples=100, deadline=None)
+    @given(multi_series(max_terms=8), st.sampled_from([1, -1]), st.integers(0, 5))
+    def test_cap_prefix(self, a, c, n):
+        # The inverse at x cap n is the inverse at n + 5 cut to n.
+        base = a + (c - a.coeff(0, 0, 0, 0)) * MultiSeries.one(a.caps)
+        caps, wide = Caps(n, 5, 5, 5), Caps(n + 5, 5, 5, 5)
+        short = MultiSeries(base.coeffs, caps).invert()
+        assert short == MultiSeries(MultiSeries(base.coeffs, wide).invert().coeffs, caps)
 
     def test_one_block_inverse_makes_no_product(self, monkeypatch):
         # fine's kernel 1 - x^2 C^2 is one block: the recurrence inverts it.
