@@ -17,7 +17,6 @@ StabilityError instead of returning a silently short sum.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import counting
@@ -229,15 +228,6 @@ def gf_A_via_lemma(order: int, jmax: int) -> MultiSeries:
     return _lemma_A(order, jmax)
 
 
-def _l_chain(seed: MultiSeries, count: int) -> Iterator[MultiSeries]:
-    """L_0 .. L_(count-1) from L_{-1} = seed, each one l_family step from
-    the one before."""
-    cur = seed
-    for _ in range(count):
-        cur = l_family(0, cur)
-        yield cur
-
-
 def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
     """Caps of the letter sums, once jmax terms are shown to cover them."""
     caps = Caps.of(order, q=qmax)
@@ -256,42 +246,43 @@ def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[MultiSeries], list[Multi
     inside the caps are a prefix."""
     mains: list[MultiSeries] = []
     weights: list[MultiSeries] = []
-    w = MultiSeries.monomial(caps, 1, w=1)
     for j in range(min(jmax, caps.x - 1, caps.q - 1) + 1):
-        q = MultiSeries.monomial(caps, 1, q=j + 1)
-        mains.append(w * q * _cheb_term(j + 1, "w", caps, j + 1))
-        weights.append(q * _cheb_term(j + 2, None, caps))
+        wq = MultiSeries.monomial(caps, 1, w=1, q=j + 1)
+        mains.append(wq * _cheb_term(j + 1, "w", caps, j + 1))
+        weights.append(MultiSeries.monomial(caps, 1, q=j + 1) * _cheb_term(j + 2, None, caps))
     return mains, weights
 
 
-def _a4_inner(weights: list[MultiSeries], a_v: MultiSeries, xc: MultiSeries) -> MultiSeries:
-    """A(x, 1, v, q) = sum_i weight_i (A(x, v L_i(1)) - A(x, v)) over
-    1 + sum_i weight_i: the w = 1 slice that the four-variable sum
-    subtracts, where a_v = A(x, v) and xc = x*C(x)."""
-    caps = a_v.caps
-    v = MultiSeries.monomial(caps, 1, v=1)
-    num = MultiSeries.zero(caps)
-    den = MultiSeries.one(caps)
-    for wt, l in zip(weights, _l_chain(MultiSeries.one(caps), len(weights))):
-        num = num + wt * (_apply_A(v * l, xc) - a_v)
-        den = den + wt
-    return num * den.invert()
+def _sum_A(
+    pieces: list[MultiSeries], seed: MultiSeries, less: MultiSeries, xc: MultiSeries
+) -> MultiSeries:
+    """sum_j pieces_j (A(x, v L_j) - less), where L_{-1} = seed and each
+    L_j is one l_family step from the one before; xc = x*C(x)."""
+    v = MultiSeries.monomial(less.caps, 1, v=1)
+    acc = MultiSeries.zero(less.caps)
+    l = seed
+    for piece in pieces:
+        l = l_family(0, l)
+        acc = acc + piece * (_apply_A(v * l, xc) - less)
+    return acc
 
 
 def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
     """A(x, w, v, q): x^n w^t v^s q^i counts words with s copies of the
-    letter i (s >= 1) and t zeros."""
+    letter i (s >= 1) and t zeros.
+
+    A4 = sum_j main_j (A(x, v L_j(w)) - inner), where inner = (A(x, v) +
+    sum_i weight_i A(x, v L_i(1))) / (1 + sum_i weight_i) is A(x, v) plus
+    the w = 1 slice A(x, 1, v, q)."""
     caps = _letter_caps(order, qmax, jmax)
     mains, weights = _letter_pieces(caps, jmax)
-    v = MultiSeries.monomial(caps, 1, v=1)
+    one = MultiSeries.one(caps)
     xc = _x_catalan(caps)
-    a_v = _apply_A(v, xc)
-    inner = _a4_inner(weights, a_v, xc)
-    ws = _l_chain(MultiSeries.monomial(caps, 1, w=1), len(mains))
-    acc = MultiSeries.zero(caps)
-    for main, l in zip(mains, ws):
-        acc = acc + main * (_apply_A(v * l, xc) - a_v - inner)
-    return acc
+    # One name, so each partial result is freed as soon as the next is built.
+    inner = _apply_A(MultiSeries.monomial(caps, 1, v=1), xc)
+    inner = inner + _sum_A(weights, one, MultiSeries.zero(caps), xc)
+    inner = inner * sum(weights, one).invert()
+    return _sum_A(mains, MultiSeries.monomial(caps, 1, w=1), inner, xc)
 
 
 def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -253,10 +254,8 @@ class TestLetterGFs:
     def test_inner_slice_counts_by_occurrences(self):
         # A(x,1,v,q): the q^i v^s slice counts words with s copies of the
         # letter i, no matter how many zeros
-        caps = Caps.of(8, q=4)
-        _, weights = gf._letter_pieces(caps, 10)
-        xc = gf._x_catalan(caps)
-        inner = gf._a4_inner(weights, gf._apply_A(MultiSeries.monomial(caps, 1, v=1), xc), xc)
+        a4 = gf.gf_A4(8, 4, 10)
+        inner = a4.substitute("w", MultiSeries.one(a4.caps))
         for n in range(1, 9):
             for i in range(1, 5):
                 for s in range(1, n + 1):
@@ -495,12 +494,25 @@ class TestSharedPieces:
         assert len(calls) <= 40  # 178 when each cut rebuilt every piece
 
     def test_l_chain_steps_l_family(self, monkeypatch):
+        # each L_j is one l_family(0, ·) step from L_{j-1}: one step per
+        # main and one per weight, three of each at qmax 3
         seen = []
         monkeypatch.setattr(gf, "l_family", lambda j, seed: seen.append(j) or l_family(j, seed))
-        caps = Caps.of(5, q=3)
-        w = MultiSeries.monomial(caps, 1, w=1)
-        assert list(gf._l_chain(w, 4)) == [l_family(j, w) for j in range(4)]
-        assert seen == [0, 0, 0, 0]
+        gf.gf_A4(5, 3, 7)
+        assert seen == [0] * 6
+
+    def test_letter_sum_peak_memory(self):
+        # The subtraction stays inside each main term (about 2.5 MiB): the
+        # factored form, which holds sum_j main_j A_j and the shared factor
+        # as two A4-sized series at once, peaked at 3.8 MiB.
+        gf.gf_A4(6, 3, 8)
+        tracemalloc.start()
+        try:
+            gf.gf_A4(24, 8, 26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * 2**20, peak
 
 
 class TestChebTerms:
