@@ -614,6 +614,8 @@ class MultiSeries:
         """x^k times this series, k >= 0: exact through x order caps.x + k,
         so a factor inverted at the x cap lowered by k shifts back to full
         caps."""
+        if k < 0:
+            raise ValueError("power-series exponents must be >= 0")
         shift = k << _XSHIFT
         c = self.caps
         return MultiSeries(

@@ -10,16 +10,14 @@ The words of a fixed length n form a Catalan family: there are C(n-1)
 of them.  Everything here is brute force by design; the counting and
 series modules are checked against this one.
 
-Enumeration walks a prefix's state (u, M, p): its last letter, its
-maximum and its lowest pending target.  The state decides every later
-transition and whether the word ends valid, so the completions of a
-prefix depend only on the state and the number of slots left.  The
-search therefore walks each word's first n - _TAIL letters one by one
-and finishes every prefix with a block of tails looked up under the key
-(u, M, p, r) in a memo that lives for one call.  That walk, _walk, yields
-(prefix, block) pairs and has two consumers: enumerate_words, which joins
-each prefix to each of its tails as a CatalanWord, and tally, which joins
-them as plain tuples and evaluates its statistics on each word.
+Enumeration runs one finite-state machine, written once as _moves: a
+prefix's state decides every later letter and whether the word ends
+valid.  _walk searches each word's first n - _TAIL letters by it and
+finishes every prefix with a block of tails that _TailBlocks builds by
+the same machine.  The (prefix, block) pairs of _walk have two
+consumers: enumerate_words, which joins each prefix to each of its
+tails as a CatalanWord, and tally, which joins them as plain tuples and
+evaluates its statistics on each word.
 """
 
 from __future__ import annotations
@@ -123,77 +121,67 @@ def enumerate_words(n: int) -> Iterator[CatalanWord]:
         yield from map(new, map(prefix.__add__, block))
 
 
-def _walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Yield (prefix, block) for the words of length n, lexicographically:
-    the words are prefix + tail for each tail in block, in block order.
+def _moves(u: int, m: int, p: int, r: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """The state (v, M, P) after each letter v that may follow a prefix in
+    state (u, m, p) with r >= 1 slots left, in increasing v.
 
-    Depth-first search over a word's state (u, M, p): its last letter u,
-    its running maximum M and its lowest pending target p, where writing
-    M+1 for the first time creates the target "write M again later".  The
-    next letter v ranges over [max(0, u-1), M+1]; a larger v would lack a
-    v-1 on its left, which also caps letters at floor((n-1)/2).  "Nothing
-    pending" is the sentinel p = n, above every letter.  The lowest target
-    is all the state needs:
+    A prefix's state is its last letter u, its running maximum m and its
+    lowest pending target p, where writing m+1 for the first time creates
+    the target "write m again later"; "nothing pending" is p = n, above
+    every letter.  The next letter v ranges over [max(0, u-1), m+1]; a
+    larger v would lack a v-1 on its left, which also caps letters at
+    floor((n-1)/2).  The lowest target is all the state needs:
 
       - every pending target lies below the last letter;
       - letters drop by at most one, so reaching p passes through every
         pending target and discharges it;
       - writing any other letter leaves the minimum unchanged.
 
-    So v = p leaves nothing pending, v = M+1 with nothing pending makes M
+    So v = p leaves nothing pending, v = m+1 with nothing pending makes m
     the target, and every other v keeps p.  A word is valid iff nothing is
-    pending at full length.  A branch is cut when the remaining slots
-    cannot descend from u to p; the cut only drops branches that the
-    final test would reject.
+    pending at full length.  Reaching p from u takes at least u - p more
+    letters, so when r < u - p no completion is valid and nothing is
+    yielded: the cut drops only branches that the final test would reject.
+    """
+    if r < u - p:
+        return
+    for v in range(u - 1 if u else 0, m + 2):
+        if v == p:
+            yield v, m, n
+        elif v > m:
+            yield v, v, m if p == n else p
+        else:
+            yield v, m, p
 
-    The search walks only the first k = max(n - _TAIL, 1) letters, one
-    stack entry per depth, each computed from the depth before, so
-    backtracking undoes nothing.  The state decides every later transition
-    and the final test, so the completions of a prefix depend only on
-    (u, M, p) and the r = n - k slots left: each prefix comes with the
-    block tails[u, M, p, r] (see _TailBlocks), built once by the same
-    transitions and cut.  The memo belongs to the call and is freed with
-    the stream.
+
+def _walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Yield (prefix, block) for the words of length n, lexicographically:
+    the words are prefix + tail for each tail in block, in block order.
+
+    A depth-first search by _moves over the first k = max(n - _TAIL, 1)
+    letters, holding one _moves iterator per depth; the stack starts at
+    the first letter's state (0, 0, n).  Each prefix of length k comes
+    with the block tails[u, M, p, n - k] of its completions (see
+    _TailBlocks).  The search is a loop, not recursion, so any n streams;
+    the memo belongs to the call and is freed with the stream.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     tails = _TailBlocks(n)
     k = max(n - _TAIL, 1)  # prefix length
-    if k == 1:
-        yield (0,), tails[0, 0, n, n - 1]
-        return
-
-    word = [0] * k
-    maxs = [0] * k
-    low = [n] * k
-    d = 1
-    word[1] = -1  # each depth tries word[d] + 1 next
-    while d:
-        v = word[d] + 1
-        if v > maxs[d - 1] + 1:
-            d -= 1
+    word: list[int] = []
+    stack: list[Iterator[tuple[int, int, int]]] = [iter(((0, 0, n),))]
+    while stack:
+        d = len(stack) - 1  # the depth whose letter comes next
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
             continue
-        m, p = _step(v, maxs[d - 1], low[d - 1], n)
-        word[d] = v
+        word[d:] = state[:1]  # depth d's letter; deeper letters go
         if d == k - 1:
-            yield tuple(word), tails[v, m, p, n - k]
-            continue
-        maxs[d] = m
-        low[d] = p
-        if n - 1 - d < v - p:
-            continue
-        d += 1
-        word[d] = v - 2 if v else -1
-
-
-def _step(v: int, m: int, p: int, n: int) -> tuple[int, int]:
-    """The maximum and the lowest pending target after writing v to a
-    prefix with maximum m and lowest pending target p (n: none)."""
-    if v == p:
-        return m, n
-    if v > m:
-        return v, m if p == n else p
-    return m, p
+            yield tuple(word), tails[(*state, n - k)]
+        else:
+            stack.append(_moves(*state, n - 1 - d, n))
 
 
 # Letters per memoized tail: _walk searches all but the last
@@ -203,9 +191,9 @@ _TAIL = 6
 
 class _TailBlocks(dict):
     """tails[u, M, p, r] for words of length n: every r-letter tuple, in
-    lexicographic order, that completes a prefix in state (u, M, p), by the
-    transitions and the cut of _walk.  A block is built on its
-    first lookup, from the blocks one letter shorter, and kept."""
+    lexicographic order, that completes a prefix in state (u, M, p) by
+    _moves.  A block is built on its first lookup, from the blocks one
+    letter shorter, and kept."""
 
     __slots__ = ("n",)
 
@@ -215,16 +203,13 @@ class _TailBlocks(dict):
 
     def __missing__(self, key: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
         u, m, p, r = key
-        n = self.n
-        if not r:
-            block = ((),) if p == n else ()
-        elif r < u - p:
-            block = ()
+        if r:
+            block = tuple(chain.from_iterable(
+                map((v,).__add__, self[v, mv, pv, r - 1])
+                for v, mv, pv in _moves(u, m, p, r, self.n)
+            ))
         else:
-            out: list[tuple[int, ...]] = []
-            for v in range(u - 1 if u else 0, m + 2):
-                out += map((v,).__add__, self[(v, *_step(v, m, p, n), r - 1)])
-            block = tuple(out)
+            block = ((),) if p == self.n else ()
         self[key] = block
         return block
 

@@ -239,6 +239,16 @@ class TestMultiSeriesBasics:
         with pytest.raises(TypeError, match="must be int, got Fraction"):
             MultiSeries.from_terms(caps, [((0, 0, 0, 0), 1), ((9, 0, 0, 0), Fraction(1, 2))])
 
+    def test_times_x(self):
+        s = ONE + 2 * X
+        # a power series has no x^-1 term, as monomial and from_terms agree
+        with pytest.raises(ValueError, match="exponents must be >= 0"):
+            s.times_x(-1)
+        assert s.times_x(0) == s
+        shifted = s.times_x(3)
+        assert shifted.caps == Caps(CAPS.x + 3, CAPS.w, CAPS.v, CAPS.q)
+        assert list(shifted.terms()) == [((3, 0, 0, 0), 1), ((4, 0, 0, 0), 2)]
+
 
 def ref_invert(coeffs, caps4):
     """The geometric-series inversion kept as a reference: for c*(1 + r)

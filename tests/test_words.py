@@ -11,6 +11,7 @@ from catwords.counting import catalan_number
 from catwords.words import (
     CatalanWord,
     StatisticSpec,
+    _moves,
     count_descents,
     enumerate_words,
     tally,
@@ -283,6 +284,34 @@ class TestPrefixTailEnumeration:
         assert count == catalan_number(12)
         assert peak < 8 * 2**20
         assert current < 2**20
+
+    def test_walk_is_iterative(self):
+        # a recursive walk would pass the interpreter's recursion limit
+        # long before depth 994
+        pairs = zip(
+            itertools.islice(enumerate_words(1000), 5000),
+            itertools.islice(ref_dfs_enumerate(1000), 5000),
+        )
+        count = 0
+        for got, want in pairs:
+            assert got == want
+            count += 1
+        assert count == 5000
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_transitions_count_catalan(n):
+    # Push the number of prefixes in each state through _moves, one
+    # letter at a time, from the first letter's state; the states with
+    # nothing pending at full length are the words.
+    states = Counter({(0, 0, n): 1})
+    for r in range(n - 1, 0, -1):
+        after = Counter()
+        for (u, m, p), ways in states.items():
+            for state in _moves(u, m, p, r, n):
+                after[state] += ways
+        states = after
+    assert sum(ways for (u, m, p), ways in states.items() if p == n) == catalan_number(n - 1)
 
 
 class TestStatistics:
