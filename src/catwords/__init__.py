@@ -18,6 +18,7 @@ from .counting import (
     catalan_number,
     coeff_C_power,
     fine_number,
+    letter_row,
     max_letter_count,
 )
 from .genfun import (

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success / all identities pass, 1 verification failure,
 2 usage error, 3 internal error (one ``error: <Type>: <message>`` line on
-stderr).  Stdout carries data; stderr carries diagnostics.  All
-counts print as decimal strings since they outgrow 64 bits quickly.
+stderr), 141 stdout closed by its reader (as ``| head`` does; nothing on
+stderr, as for any filter cut off by SIGPIPE).  Stdout carries data;
+stderr carries diagnostics.  All counts print as decimal strings since
+they outgrow 64 bits quickly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from itertools import chain, islice
@@ -37,7 +40,7 @@ def _ones_zeros_closed(n: int, m: int, z: int) -> int:
 
 
 def _letter_genfun(n: int, i: int) -> dict[tuple[int, int], int]:
-    # Read at q^k, k = min(i, (n + 1) // 2), as counting.a_letter does: no
+    # Read at q^k, k = min(i, (n + 1) // 2), as counting.letter_row does: no
     # word of length n has a letter above (n - 1) / 2.
     k = min(i, (n + 1) // 2)
     a4 = genfun.gf_A4(n, k, n + 2)
@@ -83,9 +86,7 @@ ROUTES = {
     "letter": {
         "enum": lambda n, i: _tally(n, ("letter", i), ("zeros",)),
         "recurrence": lambda n, i: {
-            (s, t): counting.a_letter(i, n, s, t)
-            for t in range(1, n + 1)
-            for s in range(0, n - t + 1)
+            (s, t): c for s in range(n) for t, c in enumerate(counting.letter_row(i, n, s))
         },
         "genfun": _letter_genfun,
     },
@@ -339,6 +340,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's last flush of
+        # what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except ValueError as exc:  # genfun.StabilityError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

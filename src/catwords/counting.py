@@ -31,6 +31,7 @@ Arrays:
   b_ones_zeros(n, m, i)  words with m ones and i zeros
   b_ones_closed(n, m)    words with m ones, closed-form sum
   a_letter(i, n, s, t)   words with s copies of the letter i and t zeros
+  letter_row(i, n, s)    the same for every t at once, as one stored row
   max_letter_count(n, i) words whose largest letter is exactly i
   fine_number(n)         words with an odd number of zeros
 """
@@ -54,6 +55,7 @@ __all__ = [
     "b_ones_zeros",
     "b_ones_closed",
     "a_letter",
+    "letter_row",
     "max_letter_count",
     "coeff_C_power",
     "fine_number",
@@ -324,21 +326,25 @@ def _letter_row(s: int, i: int, n: int) -> tuple[int, ...]:
     return X[s][i][n]
 
 
+def letter_row(i: int, n: int, s: int) -> tuple[int, ...]:
+    """The stored row whose entry t is a_letter(i, n, s, t), 0 past its end.
+    Read at layer i of the letter table, capped at (n + 1) // 2, which answers
+    every larger i too: no word of length n has a letter above (n - 1) / 2."""
+    if i < 1 or n < 1 or s < 0:
+        raise ValueError(f"letter_row: parameters out of range: {(i, n, s)}")
+    return _letter_row(s, min(i, (n + 1) // 2), n) if s < n else ()
+
+
 @_counted
 def a_letter(i: int, n: int, s: int, t: int) -> int:
-    """Words of length n with exactly s copies of the letter i and t zeros.
-
-    Read at layer min(i, (n + 1) // 2) of the letter table, which answers
-    every larger i too: no word of length n has a letter above (n - 1) / 2.
-    """
+    """Words of length n with exactly s copies of the letter i and t zeros."""
     if i < 1:
         raise ValueError("a_letter: i must be >= 1 (zeros have their own array)")
     if n < 1 or s < 0 or t < 1:
         raise ValueError(f"a_letter: parameters out of range: {(i, n, s, t)}")
     if s + t > n:
         return 0  # s letters and t zeros do not fit in a word of length n
-    k = min(i, (n + 1) // 2)
-    row = _letter_row(s, k, n)
+    row = letter_row(i, n, s)
     return row[t] if t < len(row) else 0
 
 
@@ -346,16 +352,12 @@ def max_letter_count(n: int, i: int) -> int:
     """Words of length n whose largest letter is exactly i.
 
     Avoiding the letter i+1 means the maximum is <= i, so the count is a
-    difference of avoidance totals, each the sum of one row of the letter
-    table for s = 0, read at the layer a_letter reads; i = 0 is the
-    all-zeros word alone.
+    difference of avoidance totals, each the sum of one letter row for
+    s = 0; i = 0 is the all-zeros word alone.
     """
     if n < 1 or i < 0:
         raise ValueError(f"max_letter_count: parameters out of range: {(n, i)}")
-    if i == 0:
-        return 1
-    top = (n + 1) // 2
-    return sum(_letter_row(0, min(i + 1, top), n)) - sum(_letter_row(0, min(i, top), n))
+    return sum(letter_row(i + 1, n, 0)) - sum(letter_row(i, n, 0)) if i else 1
 
 
 def coeff_C_power(n: int, m: int) -> int:

@@ -421,9 +421,9 @@ def _letter_table(order: int, qmax: int, caps: Caps, with_s: bool) -> MultiSerie
             ((n, t, s, i), c)
             for n in range(1, order + 1)
             for i in range(1, qmax + 1)
-            for t in range(1, n + 1)
-            for s in (range(1, n - t + 1) if with_s else (0,))
-            if (c := counting.a_letter(i, n, s, t))
+            for s in (range(1, n) if with_s else (0,))
+            for t, c in enumerate(counting.letter_row(i, n, s))
+            if c
         ),
     )
 
@@ -492,23 +492,15 @@ def check_cheb_shift(jrange: int = 40) -> VerificationReport:
 def check_cheb_limit(jrange: int = 20) -> VerificationReport:
     """u_{j-1}/u_j, the convergent U_{j-1}/(y U_j), matches C(x) through
     x^(j-1) and differs at x^j."""
-    mismatch = None
     for j in range(1, jrange + 1):
         caps = Caps.of(j)
         conv = _cheb_p(j - 1, None, caps) * _cheb_p(j, None, caps).invert()
-        k = next((k for k in range(0, j) if conv.coeff(k) != counting.catalan_number(k)), None)
-        if k is not None:
-            mismatch = {
-                "j": j,
-                "exponents": [k, 0, 0, 0],
-                "lhs": str(conv.coeff(k)),
-                "rhs": str(counting.catalan_number(k)),
-            }
-        elif conv.coeff(j) == counting.catalan_number(j):
-            mismatch = {"j": j, "reason": f"no divergence at x^{j}"}
-        if mismatch is not None:
-            break
-    return VerificationReport("cheb-limit", {"jrange": jrange}, mismatch)
+        found = _first_mismatch(conv, catalan_series(Caps.of(j - 1)))
+        if found is None and conv.coeff(j) == counting.catalan_number(j):
+            found = {"reason": f"no divergence at x^{j}"}
+        if found is not None:
+            return VerificationReport("cheb-limit", {"jrange": jrange}, {"j": j, **found})
+    return VerificationReport("cheb-limit", {"jrange": jrange})
 
 
 def check_remark2(order: int) -> VerificationReport:

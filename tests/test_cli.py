@@ -127,6 +127,22 @@ class TestEnumerate:
         assert code == 0
         assert peak < 5 * 2**20
 
+    def test_closed_pipe_exits_141(self):
+        # A reader that stops early, as `| head -c 20` does, is no crash:
+        # exit 128 + SIGPIPE, as any filter cut off so, with nothing on stderr.
+        proc = subprocess.Popen(
+            [sys.executable, "-B", "-m", "catwords.cli", "enumerate", "--n", "30"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (len(head), proc.returncode, err) == (20, 141, b"")
+
     def test_encoder_paths_at_the_digit_boundary(self):
         # length 20 is the longest word whose letters are all single digits;
         # letter 10 would be a newline byte, and 256 does not fit in a byte

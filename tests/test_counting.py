@@ -15,6 +15,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from catwords import counting as ct
+from catwords.words import StatisticSpec, tally
 from conftest import PROFILE_MAX_N, project
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -219,6 +220,53 @@ class TestLetterArray:
                 for t in range(1, n + 1):
                     for s in range(0, n - t + 1):
                         assert ct.a_letter(i, n, s, t) == joint.get((s, t), 0)
+
+
+class TestLetterRow:
+    """letter_row(i, n, s) is the stored row read whole: entry t is
+    a_letter(i, n, s, t), and every entry past the row's end is 0."""
+
+    def test_matches_tally(self):
+        for n in range(1, PROFILE_MAX_N + 1):
+            letters = range(1, n + 3)
+            specs = [StatisticSpec("zeros"), *(StatisticSpec("letter", i) for i in letters)]
+            joint = tally(n, specs)
+            for i in letters:
+                by_s = {s: {} for s in range(n + 1)}
+                for key, c in joint.items():
+                    row = by_s[key[i]]
+                    row[key[0]] = row.get(key[0], 0) + c
+                for s, expected in by_s.items():
+                    row = ct.letter_row(i, n, s)
+                    assert {t: c for t, c in enumerate(row) if c} == expected, (i, n, s)
+
+    def test_matches_a_letter(self):
+        for n in range(1, 31):
+            for i in range(1, (n + 1) // 2 + 3):
+                for s in range(n + 2):
+                    row = ct.letter_row(i, n, s)
+                    assert all(c == 0 for c in row[n + 1:]), (i, n, s)
+                    padded = row + (0,) * (n + 2 - len(row))
+                    for t in range(1, n + 2):
+                        assert padded[t] == ct.a_letter(i, n, s, t), (i, n, s, t)
+
+    def test_domain_errors(self):
+        for bad in [(0, 5, 1), (1, 0, 1), (1, 5, -1)]:
+            with pytest.raises(ValueError):
+                ct.letter_row(*bad)
+
+    def test_domain_errors_under_optimize(self):
+        out = _run_fresh(
+            "assert False, 'asserts are on'\n"
+            "from catwords import counting as ct\n"
+            "for bad in [(0, 5, 1), (1, 0, 1), (1, 5, -1)]:\n"
+            "    try:\n"
+            "        ct.letter_row(*bad)\n"
+            "    except ValueError:\n"
+            "        print('ValueError')\n",
+            flags=("-O",),
+        )
+        assert out.splitlines() == ["ValueError"] * 3
 
 
 class TestMaxLetter:
@@ -540,9 +588,12 @@ def test_tables_are_the_only_store():
     out = _run_fresh(
         "import json, tracemalloc\n"
         "from catwords import counting as ct, genfun\n"
+        "read, letter_row = set(), ct.letter_row\n"
+        "ct.letter_row = lambda i, n, s: read.add(s) or letter_row(i, n, s)\n"
         "tracemalloc.start()\n"
         "assert genfun.check_th3(12, 100, 14).passed\n"
         "held = tracemalloc.get_traced_memory()[0]\n"
+        "ct.letter_row = letter_row\n"
         "calls = {'a_desc': (9, 3, 2), 'a_zeros': (9, 3), 'b_ones': (9, 3),\n"
         "         'a_letter': (2, 9, 1, 3)}\n"
         "infos = {}\n"
@@ -552,12 +603,12 @@ def test_tables_are_the_only_store():
         "    assert f(*args) == f(*args)\n"
         "    info = f.cache_info()\n"
         "    infos[name] = [before, info.hits, info.misses, info.currsize]\n"
-        "print(json.dumps({'held': held, 'infos': infos}))\n"
+        "print(json.dumps({'held': held, 'infos': infos, 'read': sorted(read)}))\n"
     )
     result = json.loads(out)
     for name, (before, hits, misses, currsize) in result["infos"].items():
         assert (hits, misses, currsize) == (0, before + 2, 0), name
-    assert result["infos"]["a_letter"][0] > 0  # th3's reference reads a_letter
+    assert result["read"] == list(range(1, 12))  # th3's reference reads rows s >= 1
     assert result["held"] < 2**20
 
 

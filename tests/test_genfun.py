@@ -278,6 +278,39 @@ class TestLetterGFs:
         assert getattr(gf, check)(6, 4, 3).passed
 
 
+def _x_slice(ms, n, q=None):
+    """The terms of ms at x^n, and only those at q^q when q is given."""
+    return {e: c for e, c in ms.terms() if e[0] == n and q in (None, e[3])}
+
+
+class TestTruncationContract:
+    """A coefficient at x^n does not depend on the x cap above n: each
+    route built at order N gives, at every x^n with n < N, what the same
+    route built at order n gives."""
+
+    N = 12
+
+    @pytest.mark.parametrize("build", [gf.gf_A, gf.gf_B, gf.gf_fine], ids=lambda b: b.__name__)
+    def test_one_variable_routes(self, build):
+        deep, compared = build(self.N), 0
+        for n in range(self.N):
+            expected = _x_slice(build(n), n)
+            assert _x_slice(deep, n) == expected, n
+            compared += len(expected)
+        assert compared > 0
+
+    @pytest.mark.parametrize("build", [gf.gf_A4, gf.gf_A0], ids=lambda b: b.__name__)
+    def test_letter_routes(self, build):
+        # the q^k slice of x^n, read at qmax = k as the letter genfun route does
+        deep, compared = build(self.N, 6, self.N + 2), 0
+        for n in range(self.N):
+            for k in range(1, (n + 1) // 2 + 1):
+                expected = _x_slice(build(n, k, n + 2), n, k)
+                assert _x_slice(deep, n, k) == expected, (n, k)
+                compared += len(expected)
+        assert compared > 0
+
+
 class TestHarness:
     def test_fault_injection_locates_mismatch(self):
         a = gf.gf_A(8)
