@@ -28,10 +28,11 @@ two coefficient lists, summed in C.  CPython multiplies big ints by
 Karatsuba at best, so one packed product of such a pair costs about what
 its dot products do, and packing and decoding would come on top.
 
-Truncation contract: every operation returns caps that are the
-componentwise minimum of its operands' caps, and never reports a
-coefficient beyond them.  Querying past the caps raises instead of
-returning a silently wrong zero.
+Truncation contract: the caps of a series are one validated 4-tuple
+(x, w, v, q), the Caps that every kernel function reads.  Every
+operation returns caps that are the componentwise minimum of its
+operands' caps, and never reports a coefficient beyond them.  Querying
+past the caps raises instead of returning a silently wrong zero.
 
 Stored coefficients are always trimmed: each one is a nonzero int and
 lies inside its series' caps.  Construction from outside data goes
@@ -55,7 +56,7 @@ Chebyshev sum is computed in this one ring (see genfun).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
@@ -96,6 +97,38 @@ _MAXCAP = 2000
 _MAXX = 1 << 15
 
 
+class Caps(namedtuple("Caps", "x w v q")):
+    """Per-variable truncation orders: one validated 4-tuple (x, w, v, q),
+    which every kernel function reads as it is.  A negative cap, or one
+    past its packed field's bound, raises ValueError; :meth:`of` copies
+    the x order into each of w, v and q not given.  Build caps through
+    the constructor: _replace and _make skip its checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, w: int, v: int, q: int) -> "Caps":
+        self = super().__new__(cls, x, w, v, q)
+        for name, val, bound in zip(cls._fields, self, (_MAXX, _MAXCAP, _MAXCAP, _MAXCAP)):
+            if val < 0:
+                raise ValueError(f"cap {name} must be >= 0")
+            if val > bound:
+                raise ValueError(f"cap {name} = {val} exceeds the packed-field bound {bound}")
+        return self
+
+    @classmethod
+    def of(cls, x: int, w: int | None = None, v: int | None = None, q: int | None = None) -> "Caps":
+        return cls(x, x if w is None else w, x if v is None else v, x if q is None else q)
+
+    def meet(self, other: "Caps") -> "Caps":
+        return Caps(*map(min, self, other))
+
+    def covers(self, e: tuple[int, int, int, int]) -> bool:
+        """Whether the exponents e = (x, w, v, q) lie inside these caps."""
+        x, w, v, q = e
+        cx, cw, cv, cq = self
+        return 0 <= x <= cx and 0 <= w <= cw and 0 <= v <= cv and 0 <= q <= cq
+
+
 def _pack(ex: int, ew: int, ev: int, eq: int) -> int:
     return (ex << _XSHIFT) | (ew << _WSHIFT) | (ev << _VSHIFT) | eq
 
@@ -109,17 +142,17 @@ def _unpack(key: int) -> tuple[int, int, int, int]:
     )
 
 
-def _trim(coeffs: dict[int, int], caps4: tuple[int, int, int, int]) -> dict[int, int]:
+def _trim(coeffs: dict[int, int], caps: Caps) -> dict[int, int]:
     """Drop monomials beyond the caps and zero coefficients; a kept
     coefficient that is not an int raises TypeError."""
-    xlim = (caps4[0] + 1) << _XSHIFT
-    return _fit(((k, _coerce_coeff(c)) for k, c in coeffs.items() if k < xlim), caps4)
+    xlim = (caps[0] + 1) << _XSHIFT
+    return _fit(((k, _coerce_coeff(c)) for k, c in coeffs.items() if k < xlim), caps)
 
 
-def _fit(items: Iterable[tuple[int, int]], caps4: tuple[int, int, int, int]) -> dict[int, int]:
+def _fit(items: Iterable[tuple[int, int]], caps: Caps) -> dict[int, int]:
     """_trim for int terms already below the x cap: drop monomials beyond
     the w/v/q caps and zero coefficients."""
-    _, wcap, vcap, qcap = caps4
+    _, wcap, vcap, qcap = caps
     out: dict[int, int] = {}
     for k, c in items:
         if (
@@ -146,11 +179,7 @@ def _merge(a: dict[int, int], b: dict[int, int], sign: int = 1) -> dict[int, int
     return out
 
 
-def _mul(
-    a: dict[int, int],
-    b: dict[int, int],
-    caps4: tuple[int, int, int, int],
-) -> dict[int, int]:
+def _mul(a: dict[int, int], b: dict[int, int], caps: Caps) -> dict[int, int]:
     """Truncated product, by one of three exact paths that return the same
     store.
 
@@ -170,29 +199,25 @@ def _mul(
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
-        return _mul_terms(a, b, caps4)
-    xcap = caps4[0]
+        return _mul_terms(a, b, caps)
+    xcap = caps[0]
     # A term of one factor reaches the x cap only with the other's lowest x.
     la = _dense_blocks(a, xcap - (min(b) >> _XSHIFT))
     lb = _dense_blocks(b, xcap - (min(a) >> _XSHIFT))
     if len(la) <= 1:
-        return _mul_dense(la, lb, caps4)
+        return _mul_dense(la, lb, caps)
     if len(lb) <= 1:
-        return _mul_dense(lb, la, caps4)
-    return _mul_blocks(la, lb, caps4)
+        return _mul_dense(lb, la, caps)
+    return _mul_blocks(la, lb, caps)
 
 
-def _mul_terms(
-    a: dict[int, int],
-    b: dict[int, int],
-    caps4: tuple[int, int, int, int],
-) -> dict[int, int]:
+def _mul_terms(a: dict[int, int], b: dict[int, int], caps: Caps) -> dict[int, int]:
     """Truncated product of nonempty a and b, len(a) <= len(b), one
     Python step per pair of terms.  Keys sort by x first, so iterating the
     second factor in key order allows an early break once the x cap is
     passed; only the w/v/q caps are left for _fit."""
     bitems = sorted(b.items())
-    xlim = (caps4[0] + 1) << _XSHIFT
+    xlim = (caps[0] + 1) << _XSHIFT
     out: dict[int, int] = {}
     get = out.get
     for ka, ca in a.items():
@@ -202,13 +227,13 @@ def _mul_terms(
                 break
             kk = ka + kb
             out[kk] = get(kk, 0) + ca * cb
-    return _fit(out.items(), caps4)
+    return _fit(out.items(), caps)
 
 
 def _mul_dense(
     a: dict[int, tuple[int, list[int]]],
     b: dict[int, tuple[int, list[int]]],
-    caps4: tuple[int, int, int, int],
+    caps: Caps,
 ) -> dict[int, int]:
     """Truncated product of the layouts a and b, where a holds at most one
     block.
@@ -218,7 +243,7 @@ def _mul_dense(
     list with a slice of the other list reversed, summed in C."""
     if not a:
         return {}
-    xcap, wcap, vcap, qcap = caps4
+    xcap, wcap, vcap, qcap = caps
     ((ka, (xa, A)),) = a.items()
     la = len(A)
     out: dict[int, int] = {}
@@ -280,7 +305,7 @@ def _dense_blocks(coeffs: dict[int, int], xmax: int) -> dict[int, tuple[int, lis
 def _mul_blocks(
     a: dict[int, tuple[int, list[int]]],
     b: dict[int, tuple[int, list[int]]],
-    caps4: tuple[int, int, int, int],
+    caps: Caps,
 ) -> dict[int, int]:
     """Truncated product of the layouts a and b by Kronecker substitution:
     each block is packed into one int with an s-bit slot per x order, and
@@ -300,7 +325,7 @@ def _mul_blocks(
     at most about one product of the block with itself.  Only the slots
     through the x cap are decoded, and they are read by slicing one
     to_bytes string, so the decoding is linear in their number."""
-    xcap, wcap, vcap, qcap = caps4
+    xcap, wcap, vcap, qcap = caps
     nb = (
         max((max(map(abs, A)) for _, A in a.values()), default=0).bit_length()
         + max((max(map(abs, B)) for _, B in b.values()), default=0).bit_length()
@@ -375,13 +400,10 @@ def _scale(coeffs: dict[int, int], c: int) -> dict[int, int]:
     return {k: v * c for k, v in coeffs.items()}
 
 
-def _invert(
-    coeffs: dict[int, int],
-    caps4: tuple[int, int, int, int],
-) -> dict[int, int]:
-    """Invert a series whose constant term c is 1 or -1, through the caps
-    caps4.  Any other constant term has no inverse over the integers and
-    raises NonInvertibleError.
+def _invert(coeffs: dict[int, int], caps: Caps) -> dict[int, int]:
+    """Invert a series whose constant term c is 1 or -1, through the caps.
+    Any other constant term has no inverse over the integers and raises
+    NonInvertibleError.
 
     The inverse is solved block by block on the layout (_dense_blocks).
     Block 0, the block of the constant term, is a polynomial A = a_0 + a_1 x
@@ -400,7 +422,7 @@ def _invert(
     c = coeffs.get(_ZERO, 0)
     if c != 1 and c != -1:
         raise NonInvertibleError(f"constant term {c} is not a unit: expected 1 or -1")
-    xcap, wcap, vcap, qcap = caps4
+    xcap, wcap, vcap, qcap = caps
     others = _dense_blocks(coeffs, xcap)
     A1 = others.pop(_ZERO)[1][1:]
     # block key -> [lowest start, right side through the x cap], for the
@@ -442,41 +464,6 @@ def _invert(
     return out
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Per-variable truncation orders.  x is mandatory; w, v, q default to
-    the x order at construction via :meth:`of`."""
-
-    x: int
-    w: int
-    v: int
-    q: int
-
-    def __post_init__(self) -> None:
-        for name in ("x", "w", "v", "q"):
-            val = getattr(self, name)
-            if val < 0:
-                raise ValueError(f"cap {name} must be >= 0")
-        if max(self.w, self.v, self.q) > _MAXCAP or self.x > _MAXX:
-            raise ValueError("cap exceeds the packed-field bound")
-
-    @classmethod
-    def of(cls, x: int, w: int | None = None, v: int | None = None, q: int | None = None) -> "Caps":
-        return cls(x, x if w is None else w, x if v is None else v, x if q is None else q)
-
-    def meet(self, other: "Caps") -> "Caps":
-        return Caps(
-            min(self.x, other.x),
-            min(self.w, other.w),
-            min(self.v, other.v),
-            min(self.q, other.q),
-        )
-
-    @property
-    def _caps4(self) -> tuple[int, int, int, int]:
-        return (self.x, self.w, self.v, self.q)
-
-
 def _coerce_coeff(c) -> int:
     # int subclasses (bool) become plain int; every other type is refused.
     if isinstance(c, int):
@@ -491,7 +478,7 @@ class MultiSeries:
 
     def __init__(self, coeffs: dict[int, int], caps: Caps, *, _trusted: bool = False):
         if not _trusted:
-            coeffs = _trim(coeffs, caps._caps4)
+            coeffs = _trim(coeffs, caps)
         self.coeffs = coeffs
         self.caps = caps
 
@@ -509,9 +496,7 @@ class MultiSeries:
     def monomial(
         cls, caps: Caps, coeff: int = 1, x: int = 0, w: int = 0, v: int = 0, q: int = 0
     ) -> "MultiSeries":
-        if min(x, w, v, q) < 0:
-            raise ValueError("power-series exponents must be >= 0")
-        return cls({_pack(x, w, v, q): _coerce_coeff(coeff)}, caps)
+        return cls.from_terms(caps, (((x, w, v, q), coeff),))
 
     @classmethod
     def from_terms(cls, caps: Caps, terms) -> "MultiSeries":
@@ -521,9 +506,8 @@ class MultiSeries:
                 raise ValueError("power-series exponents must be >= 0")
             key = _pack(x, w, v, q)
             coeffs[key] = coeffs.get(key, 0) + _coerce_coeff(c)
-        xlim = (caps._caps4[0] + 1) << _XSHIFT
-        return cls(_fit(((k, c) for k, c in coeffs.items() if k < xlim), caps._caps4), caps,
-                   _trusted=True)
+        xlim = (caps.x + 1) << _XSHIFT
+        return cls(_fit(((k, c) for k, c in coeffs.items() if k < xlim), caps), caps, _trusted=True)
 
     # -- ring operations ----------------------------------------------
 
@@ -531,7 +515,7 @@ class MultiSeries:
         # Stores are trimmed to their own caps: only an operand whose caps
         # are wider than the result's is trimmed again.
         caps = self.caps.meet(other.caps)
-        a, b = (s.coeffs if s.caps == caps else _trim(s.coeffs, caps._caps4) for s in (self, other))
+        a, b = (s.coeffs if s.caps == caps else _trim(s.coeffs, caps) for s in (self, other))
         return MultiSeries(_merge(a, b, sign), caps, _trusted=True)
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
@@ -546,14 +530,14 @@ class MultiSeries:
     def __mul__(self, other):
         if isinstance(other, MultiSeries):
             caps = self.caps.meet(other.caps)
-            return MultiSeries(_mul(self.coeffs, other.coeffs, caps._caps4), caps, _trusted=True)
+            return MultiSeries(_mul(self.coeffs, other.coeffs, caps), caps, _trusted=True)
         return MultiSeries(_scale(self.coeffs, _coerce_coeff(other)), self.caps, _trusted=True)
 
     __rmul__ = __mul__
 
     def invert(self) -> "MultiSeries":
         """Multiplicative inverse; requires a constant term of 1 or -1."""
-        return MultiSeries(_invert(self.coeffs, self.caps._caps4), self.caps, _trusted=True)
+        return MultiSeries(_invert(self.coeffs, self.caps), self.caps, _trusted=True)
 
     def substitute(self, var: str, s: "MultiSeries") -> "MultiSeries":
         """Replace w, v or q by the series s.
@@ -574,40 +558,29 @@ class MultiSeries:
         mmax = max(groups, default=0)
         if mmax == 0:
             return MultiSeries(dict(groups.get(0, {})), caps)
-        if s.coeffs:
-            const = s.coeffs.get(_ZERO, 0)
-            var_cap = getattr(self.caps, var)
-            if all((k >> shift) & _FIELD for k in s.coeffs):
-                pass  # s is a multiple of var: lost orders stay beyond the var cap
-            elif const == 0 and min(s.coeffs) >= _pack(1, 0, 0, 0):
-                if var_cap < caps.x:
-                    raise ValueError(
-                        f"substitution would lose precision: {var} cap {var_cap} < x cap {caps.x}"
-                    )
-            elif const != 0:
+        # A multiple of var needs no check: its lost orders stay beyond the
+        # var cap.
+        if s.coeffs and not all((k >> shift) & _FIELD for k in s.coeffs):
+            if s.coeffs.get(_ZERO, 0):
                 for m, part in groups.items():
                     if m and any(k >> _XSHIFT < m for k in part):
-                        raise ValueError(
-                            f"substitution into {var} is not x-adically convergent"
-                        )
-                if var_cap < caps.x:
-                    raise ValueError(
-                        f"substitution would lose precision: {var} cap {var_cap} < x cap {caps.x}"
-                    )
-            else:
+                        raise ValueError(f"substitution into {var} is not x-adically convergent")
+            elif min(s.coeffs) < _pack(1, 0, 0, 0):
+                raise ValueError(f"substitution into {var} has no exactness certificate")
+            var_cap = getattr(self.caps, var)
+            if var_cap < caps.x:
                 raise ValueError(
-                    f"substitution into {var} has no exactness certificate"
+                    f"substitution would lose precision: {var} cap {var_cap} < x cap {caps.x}"
                 )
         acc = dict(groups.get(0, {}))
         power = {_ZERO: 1}
-        caps4 = caps._caps4
         for m in range(1, mmax + 1):
-            power = _mul(power, s.coeffs, caps4)
+            power = _mul(power, s.coeffs, caps)
             if not power:
                 break
             part = groups.get(m)
             if part:
-                acc = _merge(acc, _mul(part, power, caps4))
+                acc = _merge(acc, _mul(part, power, caps))
         return MultiSeries(acc, caps)
 
     def times_x(self, k: int) -> "MultiSeries":
@@ -620,7 +593,7 @@ class MultiSeries:
         c = self.caps
         return MultiSeries(
             {key + shift: val for key, val in self.coeffs.items()},
-            Caps(c.x + k, c.w, c.v, c.q),
+            Caps(c.x + k, *c[1:]),
             _trusted=True,
         )
 
@@ -628,9 +601,8 @@ class MultiSeries:
 
     def coeff(self, x: int, w: int = 0, v: int = 0, q: int = 0) -> int:
         """Coefficient of x^x w^w v^v q^q; beyond-cap queries raise."""
-        c = self.caps
-        if not (0 <= x <= c.x and 0 <= w <= c.w and 0 <= v <= c.v and 0 <= q <= c.q):
-            raise ValueError(f"exponent {(x, w, v, q)} is beyond the caps {c}")
+        if not self.caps.covers((x, w, v, q)):
+            raise ValueError(f"exponent {(x, w, v, q)} is beyond the caps {self.caps}")
         return self.coeffs.get(_pack(x, w, v, q), 0)
 
     def first_difference(self, other: "MultiSeries") -> tuple[int, int, int, int] | None:
@@ -644,8 +616,7 @@ class MultiSeries:
         for mine, theirs in ((self.coeffs, other.coeffs), (other.coeffs, self.coeffs)):
             for k, c in mine.items():
                 if c != theirs.get(k, 0) and (first is None or k < first):
-                    x, w, v, q = _unpack(k)
-                    if x <= caps.x and w <= caps.w and v <= caps.v and q <= caps.q:
+                    if caps.covers(_unpack(k)):
                         first = k
         return None if first is None else _unpack(first)
 

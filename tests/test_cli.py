@@ -274,6 +274,12 @@ class TestSeries:
         assert code == 0
         assert {"exponents": [3, 3, 0, 1], "num": "1", "den": "1"} in data
 
+    def test_order_past_field_bound_names_the_cap(self, capsys):
+        # --order is copied into the w, v and q caps, whose bound is lower
+        code, out, err = run(capsys, "series", "--name", "fine", "--order", "2001")
+        assert code == 2 and out == ""
+        assert "error: cap w = 2001 exceeds the packed-field bound 2000" in err
+
     def test_insufficient_jmax_is_usage_error(self, capsys):
         code, out, err = run(capsys, "series", "--name", "A-lemma", "--order", "9", "--jmax", "2")
         assert code == 2

@@ -73,6 +73,58 @@ class TestCaps:
             with pytest.raises(ValueError, match="packed-field bound"):
                 Caps(1, w, v, q)
 
+    def test_is_a_tuple(self):
+        caps = Caps(5, 3, 9, 1)
+        assert isinstance(caps, tuple) and caps == (5, 3, 9, 1)
+        assert (caps.x, caps.w, caps.v, caps.q) == tuple(caps)
+        assert not hasattr(caps, "__dict__")
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_errors_name_the_cap(self, field):
+        name, bound = "xwvq"[field], (32768, 2000, 2000, 2000)[field]
+        caps = [1, 1, 1, 1]
+        caps[field] = bound + 1
+        with pytest.raises(
+            ValueError, match=f"^cap {name} = {bound + 1} exceeds the packed-field bound {bound}$"
+        ):
+            Caps(*caps)
+        caps[field] = -1
+        with pytest.raises(ValueError, match=f"^cap {name} must be >= 0$"):
+            Caps(*caps)
+
+    def test_times_x_checks_its_caps(self):
+        # built through the constructor: _replace would skip the checks
+        with pytest.raises(ValueError, match="^cap x = 40001 exceeds the packed-field bound 32768$"):
+            MultiSeries.one(Caps.of(1)).times_x(40000)
+
+    def test_covers(self):
+        caps = Caps(3, 2, 1, 0)
+        assert caps.covers((3, 2, 1, 0)) and caps.covers((0, 0, 0, 0))
+        for e in ((4, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1), (-1, 0, 0, 0),
+                  (0, 0, -1, 0)):
+            assert not caps.covers(e), e
+
+    def test_checks_hold_under_python_O(self):
+        code = (
+            "from catwords.series import Caps\n"
+            "for make in (lambda: Caps(-1, 0, 0, 0), lambda: Caps(1, 0, 2001, 0), lambda: Caps.of(32769)):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "cap x must be >= 0",
+            "cap v = 2001 exceeds the packed-field bound 2000",
+            "cap x = 32769 exceeds the packed-field bound 32768",
+        ]
+
 
 IN_CAP = st.tuples(
     st.integers(0, 32768), st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 2000)
@@ -238,6 +290,12 @@ class TestMultiSeriesBasics:
         assert s == MultiSeries({series._pack(*e): c for e, c in summed.items()}, caps)
         with pytest.raises(TypeError, match="must be int, got Fraction"):
             MultiSeries.from_terms(caps, [((0, 0, 0, 0), 1), ((9, 0, 0, 0), Fraction(1, 2))])
+        # monomial builds through from_terms: its one term is coerced once
+        with mock.patch.object(series, "_coerce_coeff", wraps=series._coerce_coeff) as coerce:
+            m = MultiSeries.monomial(caps, True, x=1, q=2)
+        assert coerce.call_count == 1
+        assert m.coeffs == {series._pack(1, 0, 0, 2): 1}
+        assert all(type(c) is int for c in m.coeffs.values())
 
     def test_times_x(self):
         s = ONE + 2 * X
@@ -561,6 +619,20 @@ class TestSubstitution:
         pure_v = (MultiSeries.one(CAPS) - V).invert()
         with pytest.raises(ValueError):
             pure_v.substitute("v", ONE)
+
+    def test_refusals_by_message(self):
+        caps, sub = Caps(6, 6, 3, 6), Caps.of(6)
+        a = (MultiSeries.one(caps) - MultiSeries.monomial(caps, 1, x=1, v=1)).invert()
+        one, x, w = (MultiSeries.monomial(sub, 1, x=e, w=f) for e, f in ((0, 0), (1, 0), (0, 1)))
+        for s in (one, x):
+            lost = "^substitution would lose precision: v cap 3 < x cap 6$"
+            with pytest.raises(ValueError, match=lost):
+                a.substitute("v", s)
+        with pytest.raises(ValueError, match="^substitution into v has no exactness certificate$"):
+            a.substitute("v", w)
+        pure_v = (MultiSeries.one(sub) - MultiSeries.monomial(sub, 1, v=1)).invert()
+        with pytest.raises(ValueError, match="^substitution into v is not x-adically convergent$"):
+            pure_v.substitute("v", one)
 
     def test_x_substitution_unsupported(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,14 @@
 looks its layers, classes and caches up by name.  A package change that
 breaks that lookup would otherwise only show in perfbench/selftest.py."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from catwords import genfun
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,3 +81,22 @@ def test_tracer_counts_counting_calls():
     assert out["code"] == 0
     assert out["lookups"] == 6  # a_zeros(6, m) for m = 1 ... 6
     assert out["entries"] == 0
+
+
+def _load(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_suite_matches_benchmark_identities():
+    # The benchmark gate rejects a verify-suite output whose identities are
+    # not exactly its own list, and the tracer keeps one more list for the
+    # per-identity metrics: a new identity fails here, not at the benchmark.
+    gate, tracer = _load("gate"), _load("tracer")
+    assert set(genfun.IDENTITIES) == gate.IDENTITIES == set(tracer.IDENTITIES), (
+        "the suite's identities differ from perfbench's pinned lists: widen the gate "
+        "and the tracer first, in a benchmark change (ROADMAP item 6)"
+    )
