@@ -14,9 +14,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from itertools import chain, islice
-from typing import Callable, Iterable, Sequence
 
 from . import counting, genfun, words
 from .series import Caps, MultiSeries, catalan_series

@@ -12,12 +12,17 @@ cap.  The one certificate is a denominator's constant term: if it is not
 1, CertificateError names the term, also under ``python -O``.  When the
 requested number of terms cannot cover the x or q caps, builders raise
 StabilityError instead of returning a silently short sum.
+
+Each check returns a VerificationReport, a plain class with __slots__
+for its four fields (identity, params, mismatch, millis).  It compares
+equal field by field, is unhashable, and its millis stays assignable, so
+that run_identity can record the time of a check.  Importing this module
+loads no dataclasses.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import counting
 from .series import (
@@ -66,17 +71,37 @@ class CertificateError(counting.ExactnessError):
     """A certificate that justifies a truncation failed."""
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one identity check, with the first mismatch if any.
 
     millis is the wall time run_identity measured around the check; a
     direct check_* call leaves it at 0.0."""
 
-    identity: str
-    params: dict
-    mismatch: dict | None = None
-    millis: float = 0.0
+    __slots__ = ("identity", "params", "mismatch", "millis")
+
+    def __init__(
+        self, identity: str, params: dict, mismatch: dict | None = None, millis: float = 0.0
+    ) -> None:
+        self.identity = identity
+        self.params = params
+        self.mismatch = mismatch
+        self.millis = millis
+
+    def _fields(self) -> tuple:
+        return self.identity, self.params, self.mismatch, self.millis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, and equal by value
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(identity={self.identity!r}, params={self.params!r}, "
+            f"mismatch={self.mismatch!r}, millis={self.millis!r})"
+        )
 
     @property
     def passed(self) -> bool:

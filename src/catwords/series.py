@@ -57,10 +57,10 @@ Chebyshev sum is computed in this one ring (see genfun).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
-from typing import Iterable, Iterator
 
 from .counting import catalan_number
 
@@ -500,14 +500,19 @@ class MultiSeries:
 
     @classmethod
     def from_terms(cls, caps: Caps, terms) -> "MultiSeries":
+        # A term past the caps is dropped before it is packed, so no
+        # exponent can carry into the next field: an in-cap one fits its
+        # field (caps are at most _MAXCAP), and only zero sums are left.
+        cx, cw, cv, cq = caps
         coeffs: dict[int, int] = {}
         for (x, w, v, q), c in terms:
             if min(x, w, v, q) < 0:
                 raise ValueError("power-series exponents must be >= 0")
-            key = _pack(x, w, v, q)
-            coeffs[key] = coeffs.get(key, 0) + _coerce_coeff(c)
-        xlim = (caps.x + 1) << _XSHIFT
-        return cls(_fit(((k, c) for k, c in coeffs.items() if k < xlim), caps), caps, _trusted=True)
+            c = _coerce_coeff(c)
+            if x <= cx and w <= cw and v <= cv and q <= cq:
+                key = _pack(x, w, v, q)
+                coeffs[key] = coeffs.get(key, 0) + c
+        return cls({k: c for k, c in coeffs.items() if c}, caps, _trusted=True)
 
     # -- ring operations ----------------------------------------------
 

@@ -18,16 +18,21 @@ the same machine.  The (prefix, block) pairs of _walk have two
 consumers: enumerate_words, which joins each prefix to each of its
 tails as a CatalanWord, and tally, which joins them as plain tuples and
 evaluates its statistics on each word.
+
+A statistic is named by a StatisticSpec, a validated 2-tuple (kind,
+letter) built by namedtuple: it compares, hashes and prints as that
+tuple, and its constructor refuses an unknown kind or a bad letter, also
+under ``python -O``.  Importing this module loads no dataclasses and no
+typing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, partial
 from itertools import chain, tee
 from operator import gt, methodcaller
-from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "CatalanWord",
@@ -232,21 +237,27 @@ _STATS: dict[str, Callable[[int | None], Callable[[Sequence[int]], int]]] = {
 STAT_KINDS = tuple(_STATS)
 
 
-@dataclass(frozen=True)
-class StatisticSpec:
-    """One word statistic: zeros, ones, descents, letter(i) or max-letter."""
+class StatisticSpec(namedtuple("StatisticSpec", "kind letter", defaults=(None,))):
+    """One word statistic, a validated 2-tuple (kind, letter): zeros, ones,
+    descents, letter(i) or max-letter.  Only "letter" takes a letter, an
+    int i >= 0 (a bool becomes a plain int); another type raises
+    TypeError, and every other fault ValueError.  Build specs through the
+    constructor: _replace and _make skip its checks."""
 
-    kind: str
-    letter: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in STAT_KINDS:
-            raise ValueError(f"unknown statistic kind: {self.kind!r}")
-        if self.kind == "letter":
-            if self.letter is None or self.letter < 0:
+    def __new__(cls, kind: str, letter: int | None = None) -> "StatisticSpec":
+        if kind not in STAT_KINDS:
+            raise ValueError(f"unknown statistic kind: {kind!r}")
+        if kind == "letter":
+            if letter is not None and not isinstance(letter, int):
+                raise TypeError(f"letter must be int, got {type(letter).__name__}")
+            if letter is None or letter < 0:
                 raise ValueError("letter statistic needs a letter i >= 0")
-        elif self.letter is not None:
-            raise ValueError(f"statistic {self.kind!r} takes no letter")
+            letter = int(letter)
+        elif letter is not None:
+            raise ValueError(f"statistic {kind!r} takes no letter")
+        return super().__new__(cls, kind, letter)
 
     def bind(self) -> Callable[[Sequence[int]], int]:
         """This statistic as a one-argument function of the word."""

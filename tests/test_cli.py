@@ -370,6 +370,25 @@ def test_fresh_interpreter_exits_zero(flags, argv):
         assert stdout == listing_digest(enumerate_words(9))
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """Every command pays its import before any work.  The package needs
+    none of these modules, and dataclasses alone pulls in inspect, ast,
+    dis and tokenize."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import catwords.cli\n"
+        "for name in ('dataclasses', 'inspect', 'typing', 'ast', 'dis', 'tokenize'):\n"
+        "    if name in sys.modules:\n"
+        "        print(name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 class TestInternalError:
     """Exit 3 with one stderr line, so that a crash never reads as exit 1,
     a failed identity."""

@@ -353,6 +353,59 @@ class TestHarness:
         assert gf.run_identity(name, 50).params == {"jrange": 52}
 
 
+class TestReportShape:
+    """VerificationReport is a __slots__ class with the API of a dataclass:
+    its defaults, equality, repr, an assignable millis and the bytes of
+    to_jsonable."""
+
+    MISMATCH = {"exponents": [1, 0, 0, 0], "lhs": "1", "rhs": "2"}
+
+    def test_defaults(self):
+        rep = gf.VerificationReport("co1", {"order": 4})
+        assert rep.mismatch is None and rep.millis == 0.0
+        assert rep.passed and rep.status == "pass"
+        failed = gf.VerificationReport(identity="co1", params={}, mismatch=self.MISMATCH)
+        assert not failed.passed and failed.status == "fail" and failed.millis == 0.0
+
+    def test_equality(self):
+        rep = gf.VerificationReport("co1", {"order": 4})
+        assert rep == gf.VerificationReport("co1", {"order": 4}, None, 0.0)
+        for other in (
+            gf.VerificationReport("co2", {"order": 4}),
+            gf.VerificationReport("co1", {"order": 5}),
+            gf.VerificationReport("co1", {"order": 4}, self.MISMATCH),
+            gf.VerificationReport("co1", {"order": 4}, millis=1.0),
+            ("co1", {"order": 4}, None, 0.0),
+        ):
+            assert rep != other
+        with pytest.raises(TypeError):
+            hash(rep)
+
+    def test_repr(self):
+        rep = gf.VerificationReport("co1", {"order": 4}, self.MISMATCH, 1.5)
+        assert repr(rep) == (
+            "VerificationReport(identity='co1', params={'order': 4}, mismatch={'exponents': "
+            "[1, 0, 0, 0], 'lhs': '1', 'rhs': '2'}, millis=1.5)"
+        )
+
+    def test_millis_is_assignable(self):
+        rep = gf.VerificationReport("co1", {"order": 4})
+        rep.millis = 2.5
+        assert rep.millis == 2.5 and rep.to_jsonable()["millis"] == 2.5
+        assert not hasattr(rep, "__dict__")
+
+    def test_to_jsonable(self):
+        rep = gf.VerificationReport("co1", {"order": 4}, millis=1.23456)
+        assert json.dumps(rep.to_jsonable()) == (
+            '{"identity": "co1", "params": {"order": 4}, "status": "pass", "millis": 1.235}'
+        )
+        rep = gf.VerificationReport("co1", {"order": 4}, self.MISMATCH, 0.5)
+        assert json.dumps(rep.to_jsonable()) == (
+            '{"identity": "co1", "params": {"order": 4}, "status": "fail", "millis": 0.5, '
+            '"mismatch": {"exponents": [1, 0, 0, 0], "lhs": "1", "rhs": "2"}}'
+        )
+
+
 def _report_without_millis(rep):
     payload = rep.to_jsonable()
     del payload["millis"]

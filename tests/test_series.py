@@ -297,6 +297,17 @@ class TestMultiSeriesBasics:
         assert m.coeffs == {series._pack(1, 0, 0, 2): 1}
         assert all(type(c) is int for c in m.coeffs.values())
 
+    @pytest.mark.parametrize("e", [(0, 4096, 0, 0), (0, 0, 4097, 0), (0, 0, 0, 4096), (1, 0, 0, 8191)])
+    def test_from_terms_drops_exponents_past_a_field(self, e):
+        # an exponent of 4096 or more does not fit its 12-bit field; it lies
+        # past every cap, so the term is dropped and never carries into the
+        # next field as another monomial
+        caps = Caps.of(8)
+        assert MultiSeries.from_terms(caps, [(e, 5)]) == MultiSeries.zero(caps)
+        assert list(MultiSeries.monomial(caps, 1, *e).terms()) == []
+        with pytest.raises(ValueError, match="exponents must be >= 0"):
+            MultiSeries.from_terms(caps, [(e, 5), ((0, -1, 0, 0), 1)])
+
     def test_times_x(self):
         s = ONE + 2 * X
         # a power series has no x^-1 term, as monomial and from_terms agree

@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +334,84 @@ class TestStatistics:
         with pytest.raises(ValueError):
             StatisticSpec("zeros", letter=3)
         assert StatisticSpec("letter", 2).bind()((0, 1, 2, 2, 1)) == 2
+
+
+# Every refusal of the StatisticSpec constructor, with its message.
+SPEC_ERRORS = [
+    (("weird",), ValueError, "unknown statistic kind: 'weird'"),
+    (("letter",), ValueError, "letter statistic needs a letter i >= 0"),
+    (("letter", -1), ValueError, "letter statistic needs a letter i >= 0"),
+    (("zeros", 3), ValueError, "statistic 'zeros' takes no letter"),
+    (("max-letter", 0), ValueError, "statistic 'max-letter' takes no letter"),
+    (("letter", 1.5), TypeError, "letter must be int, got float"),
+    (("letter", "2"), TypeError, "letter must be int, got str"),
+]
+
+
+class TestStatisticSpecShape:
+    """StatisticSpec is a validated 2-tuple (kind, letter) with the API of
+    a frozen dataclass: keyword construction, a default letter, equality,
+    hashing and read-only fields."""
+
+    def test_keyword_construction(self):
+        spec = StatisticSpec(kind="letter", letter=2)
+        assert spec == StatisticSpec("letter", 2) == ("letter", 2)
+        assert (spec.kind, spec.letter) == ("letter", 2)
+        assert StatisticSpec(kind="zeros").letter is None
+        assert repr(spec) == "StatisticSpec(kind='letter', letter=2)"
+        assert repr(StatisticSpec("zeros")) == "StatisticSpec(kind='zeros', letter=None)"
+
+    def test_equality_and_hashing(self):
+        a, b = StatisticSpec("letter", 2), StatisticSpec(kind="letter", letter=2)
+        assert a == b and hash(a) == hash(b)
+        assert a != StatisticSpec("letter", 3)
+        assert StatisticSpec("zeros") != StatisticSpec("ones")
+        table = {a: "second letter", StatisticSpec("zeros"): "zeros"}
+        assert table[b] == "second letter" and table[StatisticSpec("zeros")] == "zeros"
+        assert len({a, b, StatisticSpec("zeros"), StatisticSpec("zeros")}) == 2
+
+    def test_fields_are_read_only(self):
+        spec = StatisticSpec("letter", 2)
+        for field in ("kind", "letter", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, field, 1)
+        assert spec == ("letter", 2) and not hasattr(spec, "__dict__")
+
+    @pytest.mark.parametrize("args, error, message", SPEC_ERRORS)
+    def test_errors(self, args, error, message):
+        with pytest.raises(error) as exc:
+            StatisticSpec(*args)
+        assert str(exc.value) == message
+
+    def test_non_int_letter_is_refused_before_a_tally(self):
+        # no letter equals 1.5, so such a tally would read every word as
+        # holding none: refused, not counted
+        with pytest.raises(TypeError, match="letter must be int"):
+            tally(5, [StatisticSpec("letter", 1.5)])
+
+    def test_bool_letter_becomes_int(self):
+        spec = StatisticSpec("letter", True)
+        assert type(spec.letter) is int and spec == StatisticSpec("letter", 1)
+        assert tally(6, [spec]) == tally(6, [StatisticSpec("letter", 1)])
+
+    def test_checks_hold_under_python_O(self):
+        code = (
+            "from catwords.words import StatisticSpec\n"
+            f"for args in {[args for args, _, _ in SPEC_ERRORS]!r}:\n"
+            "    try:\n"
+            "        StatisticSpec(*args)\n"
+            "    except (TypeError, ValueError) as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{error.__name__} {message}" for _, error, message in SPEC_ERRORS
+        ]
 
 
 class TestTally:
