@@ -225,6 +225,23 @@ def _encode_lines(chunk: list[words.CatalanWord]) -> str:
     return (words._letters_format(length) + "\n") * len(chunk) % letters
 
 
+def _encode_json(chunk: list[words.CatalanWord]) -> str:
+    """The chunk as json.dumps writes the list, without its brackets: each
+    word an array [d, d, ..., d], with ", " between words.  Every word of a
+    listing has the same length, so single-digit letters are laid into a
+    buffer of the punctuation by one slice per letter position, after one
+    translate of the chunk's letters; longer words take json.dumps."""
+    length = len(chunk[0])
+    if length > _DIGIT_LENGTH:
+        return json.dumps(chunk)[1:-1]
+    stride = 3 * length + 2
+    out = bytearray(b"[" + b"0, " * (length - 1) + b"0], ") * len(chunk)
+    digits = bytes(chain.from_iterable(chunk)).translate(_DIGITS)
+    for i in range(length):
+        out[1 + 3 * i :: stride] = digits[i::length]
+    return out[:-2].decode()
+
+
 # format -> (encode a chunk of words, separator between chunks, opening,
 # closing).  Written chunk by chunk, a listing is byte for byte one print
 # per word (lines, csv) or one print of json.dumps of the whole list; json
@@ -233,7 +250,7 @@ _LINES = (_encode_lines, "", "", "")
 _LISTINGS: dict[str, tuple[Callable[[list], str], str, str, str]] = {
     "lines": _LINES,
     "csv": _LINES,
-    "json": (lambda chunk: json.dumps(chunk)[1:-1], ", ", "[", "]\n"),
+    "json": (_encode_json, ", ", "[", "]\n"),
 }
 
 

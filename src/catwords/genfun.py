@@ -8,8 +8,10 @@ for None) and T_j(z) = x^(j-1) / (p_{j-1}(z) p_j(z)).  co1 sums
 T_{j+1}(0), co2 T_j(v), the A-lemma x T_j(v), the letter mains
 x w q^(j+1) T_{j+1}(w) and the weights q^(j+1) T_{j+2}(0).  A term's
 start x^k is explicit, so each sum is cut exactly where x^k passes the x
-cap.  The one certificate is a denominator's constant term: if it is not
-1, CertificateError names the term, also under ``python -O``.  When the
+cap, and each term is built at the x cap lowered by k (the letter sums
+build their whole term there, bracket included).  The one certificate
+is a denominator's constant term: if it is not 1, CertificateError
+names the term, also under ``python -O``.  When the
 requested number of terms cannot cover the x or q caps, builders raise
 StabilityError instead of returning a silently short sum.
 
@@ -23,6 +25,8 @@ loads no dataclasses.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
+from itertools import chain
 
 from . import counting
 from .series import (
@@ -149,31 +153,38 @@ def _x_catalan(caps: Caps) -> MultiSeries:
     return MultiSeries.monomial(caps, 1, x=1) * catalan_series(caps)
 
 
+def _powers(first: MultiSeries, ratio: MultiSeries) -> Iterator[MultiSeries]:
+    """first * ratio^m for m = 0, 1, ... until a term vanishes at the caps;
+    every term of ratio must raise a capped degree, or it never ends."""
+    while first:
+        yield first
+        first = first * ratio
+
+
 def _geometric(first: MultiSeries, ratio: MultiSeries) -> MultiSeries:
-    """first * sum_m ratio^m, summed until a term vanishes at the caps;
-    every term of ratio must raise a capped degree, or the loop never ends."""
-    acc = MultiSeries.zero(first.caps)
-    p = first
-    while p:
-        acc = acc + p
-        p = p * ratio
-    return acc
+    """first * sum_m ratio^m, summed until a term vanishes at the caps."""
+    return sum(_powers(first, ratio), MultiSeries.zero(first.caps))
 
 
-def _apply_A(u: MultiSeries, xc: MultiSeries) -> MultiSeries:
-    """The zeros generating function evaluated at second argument u:
-    x*u / (1 - x*u*C(x)) = sum_m (x*u)^m C^(m-1), where xc = x*C(x) is
-    built once by the caller.
+def _apply_A(l: MultiSeries, xc: MultiSeries) -> MultiSeries:
+    """A(x, v*l) for a series l free of v: the zeros generating function
+    x*u / (1 - x*u*C(x)) at u = v*l, which is sum_m v^m x l^m (xC)^(m-1),
+    where xc = x*C(x) is built once by the caller.
 
-    Exact under truncation for any u, since every summand carries x^m.
-    """
-    return _geometric(MultiSeries.monomial(u.caps, 1, x=1) * u, u * xc)
+    Exact under truncation, since every summand carries x^m.  Term m is
+    the v^m slice, free of v (the v^0 slice is zero), so the terms are
+    joined into one store (MultiSeries.from_slices), not summed: the join
+    is exact because no two terms share a power of v.  An l that carries
+    v would break that, so it raises ValueError, also under python -O."""
+    caps = l.caps.meet(xc.caps)
+    terms = _powers(MultiSeries.monomial(caps, 1, x=1) * l, l * xc)
+    return MultiSeries.from_slices(caps, "v", chain((MultiSeries.zero(caps),), terms))
 
 
 def gf_A(order: int) -> MultiSeries:
     """A(x, v): coefficient of x^n v^m counts words with m zeros."""
     caps = Caps.of(order)
-    return _apply_A(MultiSeries.monomial(caps, 1, v=1), _x_catalan(caps))
+    return _apply_A(MultiSeries.one(caps), _x_catalan(caps))
 
 
 def gf_A_m(m: int, order: int) -> MultiSeries:
@@ -214,6 +225,21 @@ def gf_fine(order: int) -> MultiSeries:
 # -- Chebyshev-sum builders -------------------------------------------
 
 
+def _lowered(caps: Caps, k: int) -> Caps:
+    """caps with the x cap lowered by k <= caps.x."""
+    return Caps(caps.x - k, caps.w, caps.v, caps.q)
+
+
+def _cheb_inverse(j: int, z: str | None, caps: Caps) -> MultiSeries:
+    """1 / (p_{j-1}(z) p_j(z)) at caps, once its denominator's constant
+    term is certified to be 1."""
+    den = _cheb_p(j - 1, z, caps) * _cheb_p(j, z, caps)
+    c = den.coeff(0)
+    if c != 1:
+        raise CertificateError(f"T_{j}({z or 0}) denominator: constant term {c}, expected 1")
+    return den.invert()
+
+
 def _cheb_term(j: int, z: str | None, caps: Caps, k: int | None = None) -> MultiSeries:
     """x^k / (p_{j-1}(z) p_j(z)), which is T_j(z) for the default k = j - 1.
 
@@ -224,12 +250,7 @@ def _cheb_term(j: int, z: str | None, caps: Caps, k: int | None = None) -> Multi
         k = j - 1
     if k > caps.x:
         return MultiSeries.zero(caps)
-    low = Caps(caps.x - k, caps.w, caps.v, caps.q)
-    den = _cheb_p(j - 1, z, low) * _cheb_p(j, z, low)
-    c = den.coeff(0)
-    if c != 1:
-        raise CertificateError(f"T_{j}({z or 0}) denominator: constant term {c}, expected 1")
-    return den.invert().times_x(k)
+    return _cheb_inverse(j, z, _lowered(caps, k)).times_x(k)
 
 
 def _lemma_A(order: int, jmax: int) -> MultiSeries:
@@ -266,29 +287,44 @@ def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
 
 def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[MultiSeries], list[MultiSeries]]:
     """The pieces shared by both letter sums, for each term j <= jmax
-    that reaches the caps: the main x w q^(j+1) T_{j+1}(w) and the weight
-    q^(j+1) T_{j+2}(0).  Term j starts at x^(j+1) q^(j+1), so the terms
-    inside the caps are a prefix."""
+    that reaches the caps: the main w q^(j+1) / (p_j(w) p_{j+1}(w)) and the
+    weight q^(j+1) / (u_{j+1} u_{j+2}).  Each is x^-(j+1) times its term
+    (x w q^(j+1) T_{j+1}(w) and q^(j+1) T_{j+2}(0)), built at the x cap
+    lowered by j + 1, where x^(j+1) times it needs it and no further.
+    Term j starts at x^(j+1) q^(j+1), so the terms inside the caps are a
+    prefix."""
     mains: list[MultiSeries] = []
     weights: list[MultiSeries] = []
     for j in range(min(jmax, caps.x - 1, caps.q - 1) + 1):
-        wq = MultiSeries.monomial(caps, 1, w=1, q=j + 1)
-        mains.append(wq * _cheb_term(j + 1, "w", caps, j + 1))
-        weights.append(MultiSeries.monomial(caps, 1, q=j + 1) * _cheb_term(j + 2, None, caps))
+        low = _lowered(caps, j + 1)
+        mains.append(MultiSeries.monomial(low, 1, w=1, q=j + 1) * _cheb_inverse(j + 1, "w", low))
+        weights.append(MultiSeries.monomial(low, 1, q=j + 1) * _cheb_inverse(j + 2, None, low))
     return mains, weights
+
+
+def _shifted(pieces: list[MultiSeries]) -> Iterator[MultiSeries]:
+    """Each letter piece j times x^(j+1), its term at the full caps."""
+    return (piece.times_x(k) for k, piece in enumerate(pieces, 1))
 
 
 def _sum_A(
     pieces: list[MultiSeries], seed: MultiSeries, less: MultiSeries, xc: MultiSeries
 ) -> MultiSeries:
-    """sum_j pieces_j (A(x, v L_j) - less), where L_{-1} = seed and each
-    L_j is one l_family step from the one before; xc = x*C(x)."""
-    v = MultiSeries.monomial(less.caps, 1, v=1)
+    """sum_j x^(j+1) pieces_j (A(x, v L_j) - less), where L_{-1} = seed and
+    each L_j is one l_family step from the one before; xc = x*C(x).
+
+    Each whole term is built at its piece's caps, the x cap lowered by
+    k = j + 1, and shifted back once by x^k.  That is exact: x^k Y needs Y
+    only through x order X - k (the truncation contract), and the bracket
+    through that order needs L_j and less through it, and L_j needs
+    L_(j-1) through one order less.  So L_(j-1) and less are trimmed to
+    the lower cap before the step, and the caps fall with each term."""
     acc = MultiSeries.zero(less.caps)
     l = seed
-    for piece in pieces:
-        l = l_family(0, l)
-        acc = acc + piece * (_apply_A(v * l, xc) - less)
+    for k, piece in enumerate(pieces, 1):
+        l = l_family(0, MultiSeries(l.coeffs, piece.caps))
+        less = MultiSeries(less.coeffs, piece.caps)
+        acc = acc + (piece * (_apply_A(l, xc) - less)).times_x(k)
     return acc
 
 
@@ -298,15 +334,17 @@ def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
 
     A4 = sum_j main_j (A(x, v L_j(w)) - inner), where inner = (A(x, v) +
     sum_i weight_i A(x, v L_i(1))) / (1 + sum_i weight_i) is A(x, v) plus
-    the w = 1 slice A(x, 1, v, q)."""
+    the w = 1 slice A(x, 1, v, q).  Term j of each sum carries x^(j+1), so
+    _sum_A builds it at the x cap lowered by j + 1 and shifts it back:
+    every coefficient is the one the full caps give."""
     caps = _letter_caps(order, qmax, jmax)
     mains, weights = _letter_pieces(caps, jmax)
     one = MultiSeries.one(caps)
     xc = _x_catalan(caps)
     # One name, so each partial result is freed as soon as the next is built.
-    inner = _apply_A(MultiSeries.monomial(caps, 1, v=1), xc)
+    inner = _apply_A(one, xc)
     inner = inner + _sum_A(weights, one, MultiSeries.zero(caps), xc)
-    inner = inner * sum(weights, one).invert()
+    inner = inner * sum(_shifted(weights), one).invert()
     return _sum_A(mains, MultiSeries.monomial(caps, 1, w=1), inner, xc)
 
 
@@ -317,8 +355,8 @@ def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     caps = _letter_caps(order, qmax, jmax)
     mains, weights = _letter_pieces(caps, jmax)
     one = MultiSeries.one(caps)
-    num = sum(mains, MultiSeries.zero(caps))
-    den = sum(weights, one)
+    num = sum(_shifted(mains), MultiSeries.zero(caps))
+    den = sum(_shifted(weights), one)
     geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
     return num * geom_q * den.invert()
 

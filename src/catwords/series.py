@@ -39,6 +39,8 @@ lies inside its series' caps.  Construction from outside data goes
 through _trim; every operation keeps the invariant.  Addition and
 subtraction rely on it: they merge the two stores without walking them
 again, and trim an operand only when its caps reach past the result's.
+So does from_slices, which copies slices that land on distinct powers of
+one variable into one store, with no merge.
 
 Inversion is exact by construction and needs a unit constant term c.  It
 is one loop over the layout.  The block of the constant term is a
@@ -58,9 +60,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
-from operator import mul
+from operator import mul, or_
 
 from .counting import catalan_number
 
@@ -87,6 +89,8 @@ _VSHIFT = 12
 _WSHIFT = 24
 _XSHIFT = 36
 _ZERO = 0
+# The shift of each variable's field but x's.
+_SHIFT = {"w": _WSHIFT, "v": _VSHIFT, "q": 0}
 # The low fields of a key, its (w, v, q) exponents: the key of its block.
 _BLOCK = (1 << _XSHIFT) - 1
 
@@ -514,6 +518,29 @@ class MultiSeries:
                 coeffs[key] = coeffs.get(key, 0) + c
         return cls({k: c for k, c in coeffs.items() if c}, caps, _trusted=True)
 
+    @classmethod
+    def from_slices(cls, caps: Caps, var: str, slices: Iterable["MultiSeries"]) -> "MultiSeries":
+        """sum_m var^m slices[m] for slices free of var, each at these caps,
+        built as one store.
+
+        Each slice lands on its own power of var, so no two share a
+        monomial: each term is copied once, and no sum is merged.  A slice
+        that carries var would overlap another, so it raises ValueError
+        (an explicit raise, so python -O keeps it); so does one at other
+        caps.  Slices past the var cap are never read."""
+        shift = _SHIFT[_check_var(var)]
+        out: dict[int, int] = {}
+        for m, s in zip(range(getattr(caps, var) + 1), slices):
+            if s.caps != caps:
+                raise ValueError(f"slice {var}^{m} has caps {s.caps}, expected {caps}")
+            coeffs = s.coeffs
+            # The OR of the keys has a nonzero var field iff some key does.
+            if (reduce(or_, coeffs, 0) >> shift) & _FIELD:
+                raise ValueError(f"slice {var}^{m} carries {var}")
+            d = m << shift
+            out.update({k + d: c for k, c in coeffs.items()})
+        return cls(out, caps, _trusted=True)
+
     # -- ring operations ----------------------------------------------
 
     def _plus(self, other: "MultiSeries", sign: int) -> "MultiSeries":
@@ -554,7 +581,7 @@ class MultiSeries:
         has x degree >= m (and the var cap does not undercut the x cap).
         Anything else would silently lose coefficients, so it raises.
         """
-        shift = {"w": _WSHIFT, "v": _VSHIFT, "q": 0}[_check_var(var)]
+        shift = _SHIFT[_check_var(var)]
         caps = self.caps.meet(s.caps)
         groups: dict[int, dict[int, int]] = {}
         for k, c in self.coeffs.items():

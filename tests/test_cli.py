@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -145,13 +146,23 @@ class TestEnumerate:
 
     def test_encoder_paths_at_the_digit_boundary(self):
         # length 20 is the longest word whose letters are all single digits;
-        # letter 10 would be a newline byte, and 256 does not fit in a byte
+        # letter 10 would be a newline byte, and 256 does not fit in a byte.
+        # Words of length 25 take the fallback even when every letter is a digit.
         for chunk in (
             [CatalanWord((*peak_word(9), 0))] * 3,
             [peak_word(10), CatalanWord((*peak_word(9), 0, 0))],
+            [*islice(enumerate_words(25), 3), peak_word(12)],
             [peak_word(256)],
         ):
             assert cli._encode_lines(chunk) == "".join(f"{w}\n" for w in chunk)
+            assert cli._encode_json(chunk) == json.dumps(chunk)[1:-1]
+
+    def test_json_encoder_matches_json_dumps(self):
+        # every chunk of every listing through n = 12 takes the byte path
+        for n in range(1, 13):
+            stream = enumerate_words(n)
+            while chunk := list(islice(stream, cli._CHUNK_WORDS)):
+                assert cli._encode_json(chunk) == json.dumps(chunk)[1:-1], n
 
 
 class TestCount:

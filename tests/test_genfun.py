@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from catwords import counting as ct
 from catwords import genfun as gf
@@ -599,6 +601,102 @@ class TestSharedPieces:
         finally:
             tracemalloc.stop()
         assert peak < 3.2 * 2**20, peak
+
+
+def _letter_oracle(order, qmax, jmax):
+    """gf_A4 and gf_A0 by the full-caps formula: every piece is its
+    _cheb_term at the full caps, every L_j one l_family call and every
+    A(x, u) a _geometric sum.  No lowered cap and no slice join is used."""
+    caps = Caps.of(order, q=qmax)
+    one, zero = MultiSeries.one(caps), MultiSeries.zero(caps)
+    x, w, v, q = (MultiSeries.monomial(caps, 1, **{name: 1}) for name in "xwvq")
+    xc = x * catalan_series(caps)
+
+    def a(u):
+        return gf._geometric(x * u, u * xc)
+
+    js = range(min(jmax, order - 1, qmax - 1) + 1)
+    mains = [
+        MultiSeries.monomial(caps, 1, w=1, q=j + 1) * gf._cheb_term(j + 1, "w", caps, j + 1)
+        for j in js
+    ]
+    weights = [MultiSeries.monomial(caps, 1, q=j + 1) * gf._cheb_term(j + 2, None, caps) for j in js]
+    den = sum(weights, one)
+    inner = a(v) + sum((wt * a(v * l_family(j, one)) for j, wt in zip(js, weights)), zero)
+    inner = inner * den.invert()
+    a4 = sum((main * (a(v * l_family(j, w)) - inner) for j, main in zip(js, mains)), zero)
+    a0 = sum(mains, zero) * (one - q).invert() * den.invert()
+    return a4, a0
+
+
+class TestLoweredCaps:
+    """Each term of the letter sums is built at the x cap lowered by its
+    x^(j+1) factor and shifted back: every coefficient is the one the
+    full-caps formula gives."""
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_letter_sums_match_full_caps_formula(self, order):
+        for qmax in range(1, 7):
+            for jmax in sorted({min(order - 1, qmax - 1), order + 2}):
+                a4, a0 = _letter_oracle(order, qmax, jmax)
+                assert gf.gf_A4(order, qmax, jmax) == a4, (qmax, jmax)
+                assert gf.gf_A0(order, qmax, jmax) == a0, (qmax, jmax)
+
+    def test_letter_sums_match_full_caps_formula_at_24(self):
+        a4, a0 = _letter_oracle(24, 8, 26)
+        assert gf.gf_A4(24, 8, 26) == a4
+        assert gf.gf_A0(24, 8, 26) == a0
+
+
+@st.composite
+def xw_series(draw):
+    """A series in x and w alone, with random caps and coefficients."""
+    caps = Caps(draw(st.integers(0, 7)), draw(st.integers(0, 4)), draw(st.integers(0, 7)), 2)
+    terms = draw(
+        st.lists(
+            st.tuples(st.integers(0, caps.x), st.integers(0, caps.w), st.integers(-3, 3)),
+            max_size=8,
+        )
+    )
+    return MultiSeries.from_terms(caps, (((ex, ew, 0, 0), c) for ex, ew, c in terms))
+
+
+class TestApplyA:
+    @settings(max_examples=150, deadline=None)
+    @given(xw_series())
+    def test_matches_geometric_sum(self, l):
+        # A(x, v*l) = sum_m (x v l)^m C^(m-1), summed term by term
+        caps = l.caps
+        xc = gf._x_catalan(caps)
+        vl = MultiSeries.monomial(caps, 1, v=1) * l
+        expected = gf._geometric(MultiSeries.monomial(caps, 1, x=1) * vl, vl * xc)
+        assert gf._apply_A(l, xc) == expected
+
+    def test_l_with_v_raises(self):
+        caps = Caps.of(6)
+        l = MultiSeries.one(caps) + MultiSeries.monomial(caps, 1, v=1)
+        with pytest.raises(ValueError, match=r"^slice v\^1 carries v$"):
+            gf._apply_A(l, gf._x_catalan(caps))
+
+    def test_l_with_v_raises_under_optimize(self):
+        code = (
+            "from catwords import genfun as gf\n"
+            "from catwords.series import Caps, MultiSeries\n"
+            "assert False, 'asserts are on'\n"
+            "caps = Caps.of(6)\n"
+            "l = MultiSeries.one(caps) + MultiSeries.monomial(caps, 1, x=1, v=2)\n"
+            "try:\n"
+            "    gf._apply_A(l, gf._x_catalan(caps))\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ValueError slice v^1 carries v\n"
 
 
 class TestChebTerms:

@@ -319,6 +319,44 @@ class TestMultiSeriesBasics:
         assert list(shifted.terms()) == [((3, 0, 0, 0), 1), ((4, 0, 0, 0), 2)]
 
 
+class TestFromSlices:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(multi_series(), max_size=8),
+        st.sampled_from("wvq"),
+    )
+    def test_matches_sum_of_shifted_slices(self, slices, var):
+        # slice m is made free of var, then lands on var^m
+        caps = Caps.of(5)
+        zero = MultiSeries.zero(caps)
+        free = [s.substitute(var, zero) for s in slices]
+        expected = zero
+        for m, s in enumerate(free):
+            expected = expected + MultiSeries.monomial(caps, 1, **{var: m}) * s
+        assert MultiSeries.from_slices(caps, var, free) == expected
+
+    def test_reads_no_slice_past_the_var_cap(self):
+        caps = Caps(4, 1, 2, 1)
+
+        def slices():
+            yield from (MultiSeries.zero(caps), MultiSeries.one(caps))
+            yield MultiSeries.monomial(caps, 3, x=1)
+            raise AssertionError("a slice past the v cap was read")
+
+        out = MultiSeries.from_slices(caps, "v", slices())
+        assert list(out.terms()) == [((0, 0, 1, 0), 1), ((1, 0, 2, 0), 3)]
+
+    def test_refusals(self):
+        caps = Caps.of(3)
+        one, v = MultiSeries.one(caps), MultiSeries.monomial(caps, 1, v=1)
+        with pytest.raises(ValueError, match=r"^slice v\^1 carries v$"):
+            MultiSeries.from_slices(caps, "v", [one, one + v])
+        with pytest.raises(ValueError, match=r"^slice w\^0 has caps"):
+            MultiSeries.from_slices(caps, "w", [MultiSeries.one(Caps.of(2))])
+        with pytest.raises(ValueError, match="cannot substitute into 'x'"):
+            MultiSeries.from_slices(caps, "x", [one])
+
+
 def ref_invert(coeffs, caps4):
     """The geometric-series inversion kept as a reference: for c*(1 + r)
     with c = 1 or -1, sums 1 + r + r**2 + ... one x order per product
