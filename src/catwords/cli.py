@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from itertools import chain, islice
 
@@ -204,62 +204,71 @@ _CHUNK_WORDS = 4096
 # bytes.translate table that turns a letter 0..9 into its ASCII digit.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # A word of length L has no letter above (L - 1) // 2, so every letter of
-# a word this long or shorter is a single digit.
+# a word this long or shorter is a single digit, and fits in a byte.
 _DIGIT_LENGTH = 20
 
 
-def _encode_lines(chunk: list[words.CatalanWord]) -> str:
-    """One line per word, as str(word) writes it; every word of a listing
-    has the same length.  Single-digit letters become ASCII digits by one
-    translate of the chunk's letters, laid into a buffer of commas with a
-    newline after each word; longer words take one % format for the
-    whole chunk."""
-    length = len(chunk[0])
-    letters = tuple(chain.from_iterable(chunk))
+def _encode_lines(letters: bytes | tuple[int, ...], length: int) -> str:
+    """One line per word, as str(word) writes it, for the letters of a
+    chunk of words of this length laid end to end: bytes when length <=
+    _DIGIT_LENGTH, else a tuple.  Single-digit letters become ASCII digits
+    by one translate, laid into a buffer of commas with a newline after
+    each word; longer words take one % format for the whole chunk."""
+    count = len(letters) // length
     if length <= _DIGIT_LENGTH:
         width = 2 * length
-        out = bytearray(b",") * (width * len(chunk))
-        out[width - 1 :: width] = b"\n" * len(chunk)
-        out[::2] = bytes(letters).translate(_DIGITS)
+        out = bytearray(b",") * (width * count)
+        out[width - 1 :: width] = b"\n" * count
+        out[::2] = letters.translate(_DIGITS)
         return out.decode()
-    return (words._letters_format(length) + "\n") * len(chunk) % letters
+    return (words._letters_format(length) + "\n") * count % letters
 
 
-def _encode_json(chunk: list[words.CatalanWord]) -> str:
-    """The chunk as json.dumps writes the list, without its brackets: each
-    word an array [d, d, ..., d], with ", " between words.  Every word of a
-    listing has the same length, so single-digit letters are laid into a
-    buffer of the punctuation by one slice per letter position, after one
-    translate of the chunk's letters; longer words take json.dumps."""
-    length = len(chunk[0])
+def _encode_json(letters: bytes | tuple[int, ...], length: int) -> str:
+    """The chunk as json.dumps writes the list of its words, without the
+    brackets: each word an array [d, d, ..., d], with ", " between words.
+    The letters come as _encode_lines takes them.  Single-digit letters
+    are laid into a buffer of the punctuation by one slice per letter
+    position, after one translate; longer words take one % format for the
+    whole chunk."""
+    count = len(letters) // length
     if length > _DIGIT_LENGTH:
-        return json.dumps(chunk)[1:-1]
+        word = "[" + ", ".join(["%d"] * length) + "]"
+        return ", ".join([word] * count) % letters
     stride = 3 * length + 2
-    out = bytearray(b"[" + b"0, " * (length - 1) + b"0], ") * len(chunk)
-    digits = bytes(chain.from_iterable(chunk)).translate(_DIGITS)
+    out = bytearray(b"[" + b"0, " * (length - 1) + b"0], ") * count
+    digits = letters.translate(_DIGITS)
     for i in range(length):
         out[1 + 3 * i :: stride] = digits[i::length]
     return out[:-2].decode()
 
 
-# format -> (encode a chunk of words, separator between chunks, opening,
+# format -> (encode a chunk's letters, separator between chunks, opening,
 # closing).  Written chunk by chunk, a listing is byte for byte one print
 # per word (lines, csv) or one print of json.dumps of the whole list; json
 # writes a word, a tuple, as an array.
 _LINES = (_encode_lines, "", "", "")
-_LISTINGS: dict[str, tuple[Callable[[list], str], str, str, str]] = {
+_LISTINGS: dict[str, tuple[Callable[[bytes | tuple[int, ...], int], str], str, str, str]] = {
     "lines": _LINES,
     "csv": _LINES,
     "json": (_encode_json, ", ", "[", "]\n"),
 }
 
 
-def _write_listing(stream: Iterable[words.CatalanWord], fmt: str) -> None:
+def _write_listing(stream: Iterator[Sequence[int]], length: int, fmt: str) -> None:
+    """Write the words of the stream, each of this length, in the format.
+
+    Each chunk of _CHUNK_WORDS words is flattened to its letters in one
+    step as the words stream past, into bytes when every letter is a
+    digit and a tuple otherwise, so no more than a word or two is alive
+    at once: the listing builds no container of words for the cyclic
+    garbage collector to scan."""
     encode, sep, opening, closing = _LISTINGS[fmt]
+    flat = bytes if length <= _DIGIT_LENGTH else tuple
     write = sys.stdout.write
     lead = opening
-    while chunk := list(islice(stream, _CHUNK_WORDS)):
-        write(lead + encode(chunk))
+    while letters := flat(chain.from_iterable(islice(stream, _CHUNK_WORDS))):
+        write(lead + encode(letters, length))
         lead = sep
     write(closing)
 
@@ -267,7 +276,7 @@ def _write_listing(stream: Iterable[words.CatalanWord], fmt: str) -> None:
 def _cmd_enumerate(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
-    _write_listing(words.enumerate_words(args.n), args.format)
+    _write_listing(words.enumerate_words(args.n), args.n, args.format)
     return 0
 
 

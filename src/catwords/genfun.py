@@ -317,13 +317,13 @@ def _sum_A(
     k = j + 1, and shifted back once by x^k.  That is exact: x^k Y needs Y
     only through x order X - k (the truncation contract), and the bracket
     through that order needs L_j and less through it, and L_j needs
-    L_(j-1) through one order less.  So L_(j-1) and less are trimmed to
-    the lower cap before the step, and the caps fall with each term."""
+    L_(j-1) through one order less.  So L_(j-1) and less are cut to the
+    lower cap before the step, and the caps fall with each term."""
     acc = MultiSeries.zero(less.caps)
     l = seed
     for k, piece in enumerate(pieces, 1):
-        l = l_family(0, MultiSeries(l.coeffs, piece.caps))
-        less = MultiSeries(less.coeffs, piece.caps)
+        l = l_family(0, l.cut(piece.caps))
+        less = less.cut(piece.caps)
         acc = acc + (piece * (_apply_A(l, xc) - less)).times_x(k)
     return acc
 

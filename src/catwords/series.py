@@ -36,11 +36,13 @@ past the caps raises instead of returning a silently wrong zero.
 
 Stored coefficients are always trimmed: each one is a nonzero int and
 lies inside its series' caps.  Construction from outside data goes
-through _trim; every operation keeps the invariant.  Addition and
-subtraction rely on it: they merge the two stores without walking them
-again, and trim an operand only when its caps reach past the result's.
-So does from_slices, which copies slices that land on distinct powers of
-one variable into one store, with no merge.
+through _trim, which checks every coefficient; every operation keeps
+the invariant.  Addition and subtraction rely on it: they merge the two
+stores without walking them again, and cut an operand only when its caps
+reach past the result's, by _cut, which drops the keys past the caps and
+checks no coefficient again (MultiSeries.cut does the same).  So does
+from_slices, which copies slices that land on distinct powers of one
+variable into one store, with no merge.
 
 Inversion is exact by construction and needs a unit constant term c.  It
 is one loop over the layout.  The block of the constant term is a
@@ -151,6 +153,13 @@ def _trim(coeffs: dict[int, int], caps: Caps) -> dict[int, int]:
     coefficient that is not an int raises TypeError."""
     xlim = (caps[0] + 1) << _XSHIFT
     return _fit(((k, _coerce_coeff(c)) for k, c in coeffs.items() if k < xlim), caps)
+
+
+def _cut(coeffs: dict[int, int], caps: Caps) -> dict[int, int]:
+    """_trim for a store that is already trimmed to wider caps: drop the
+    monomials beyond these caps, and check no coefficient again."""
+    xlim = (caps[0] + 1) << _XSHIFT
+    return _fit(((k, c) for k, c in coeffs.items() if k < xlim), caps)
 
 
 def _fit(items: Iterable[tuple[int, int]], caps: Caps) -> dict[int, int]:
@@ -545,9 +554,9 @@ class MultiSeries:
 
     def _plus(self, other: "MultiSeries", sign: int) -> "MultiSeries":
         # Stores are trimmed to their own caps: only an operand whose caps
-        # are wider than the result's is trimmed again.
+        # are wider than the result's is cut to them.
         caps = self.caps.meet(other.caps)
-        a, b = (s.coeffs if s.caps == caps else _trim(s.coeffs, caps) for s in (self, other))
+        a, b = (s.coeffs if s.caps == caps else _cut(s.coeffs, caps) for s in (self, other))
         return MultiSeries(_merge(a, b, sign), caps, _trusted=True)
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
@@ -566,6 +575,11 @@ class MultiSeries:
         return MultiSeries(_scale(self.coeffs, _coerce_coeff(other)), self.caps, _trusted=True)
 
     __rmul__ = __mul__
+
+    def cut(self, caps: Caps) -> "MultiSeries":
+        """This series truncated to its caps met with caps."""
+        caps = self.caps.meet(caps)
+        return MultiSeries(_cut(self.coeffs, caps), caps, _trusted=True)
 
     def invert(self) -> "MultiSeries":
         """Multiplicative inverse; requires a constant term of 1 or -1."""

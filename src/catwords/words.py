@@ -14,10 +14,12 @@ Enumeration runs one finite-state machine, written once as _moves: a
 prefix's state decides every later letter and whether the word ends
 valid.  _walk searches each word's first n - _TAIL letters by it and
 finishes every prefix with a block of tails that _TailBlocks builds by
-the same machine.  The (prefix, block) pairs of _walk have two
-consumers: enumerate_words, which joins each prefix to each of its
-tails as a CatalanWord, and tally, which joins them as plain tuples and
-evaluates its statistics on each word.
+the same machine, as sequences of the type its caller names.  The
+(prefix, block) pairs of _walk have two consumers: enumerate_words,
+which walks tuples and joins each prefix to each of its tails as a
+CatalanWord, and tally, which walks bytes, joins each word as one bytes
+object and evaluates its statistics on it.  A byte holds a letter up to
+255, so tally takes words of length at most 509.
 
 A statistic is named by a StatisticSpec, a validated 2-tuple (kind,
 letter) built by namedtuple: it compares, hashes and prints as that
@@ -122,7 +124,7 @@ def enumerate_words(n: int) -> Iterator[CatalanWord]:
     visitor interface: stop consuming it to terminate early.
     """
     new = partial(tuple.__new__, CatalanWord)
-    for prefix, block in _walk(n):
+    for prefix, block in _walk(n, tuple):
         yield from map(new, map(prefix.__add__, block))
 
 
@@ -159,7 +161,9 @@ def _moves(u: int, m: int, p: int, r: int, n: int) -> Iterator[tuple[int, int, i
             yield v, m, p
 
 
-def _walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+def _walk(
+    n: int, seq: type[Sequence[int]]
+) -> Iterator[tuple[Sequence[int], tuple[Sequence[int], ...]]]:
     """Yield (prefix, block) for the words of length n, lexicographically:
     the words are prefix + tail for each tail in block, in block order.
 
@@ -167,12 +171,14 @@ def _walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]
     letters, holding one _moves iterator per depth; the stack starts at
     the first letter's state (0, 0, n).  Each prefix of length k comes
     with the block tails[u, M, p, n - k] of its completions (see
-    _TailBlocks).  The search is a loop, not recursion, so any n streams;
-    the memo belongs to the call and is freed with the stream.
+    _TailBlocks).  Prefixes and tails are of type seq, tuple or bytes,
+    built from an iterable of letters; bytes needs every letter <= 255.
+    The search is a loop, not recursion, so any n streams; the memo
+    belongs to the call and is freed with the stream.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    tails = _TailBlocks(n)
+    tails = _TailBlocks(n, seq)
     k = max(n - _TAIL, 1)  # prefix length
     word: list[int] = []
     stack: list[Iterator[tuple[int, int, int]]] = [iter(((0, 0, n),))]
@@ -184,7 +190,7 @@ def _walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]
             continue
         word[d:] = state[:1]  # depth d's letter; deeper letters go
         if d == k - 1:
-            yield tuple(word), tails[(*state, n - k)]
+            yield seq(word), tails[(*state, n - k)]
         else:
             stack.append(_moves(*state, n - 1 - d, n))
 
@@ -195,26 +201,29 @@ _TAIL = 6
 
 
 class _TailBlocks(dict):
-    """tails[u, M, p, r] for words of length n: every r-letter tuple, in
-    lexicographic order, that completes a prefix in state (u, M, p) by
-    _moves.  A block is built on its first lookup, from the blocks one
+    """tails[u, M, p, r] for words of length n: the tuple of every r-letter
+    tail, in lexicographic order, that completes a prefix in state
+    (u, M, p) by _moves, each tail a sequence of type seq (tuple or
+    bytes).  A block is built on its first lookup, from the blocks one
     letter shorter, and kept."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "seq")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, seq: type[Sequence[int]]) -> None:
         super().__init__()
         self.n = n
+        self.seq = seq
 
-    def __missing__(self, key: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
+    def __missing__(self, key: tuple[int, int, int, int]) -> tuple[Sequence[int], ...]:
         u, m, p, r = key
+        seq = self.seq
         if r:
             block = tuple(chain.from_iterable(
-                map((v,).__add__, self[v, mv, pv, r - 1])
+                map(seq((v,)).__add__, self[v, mv, pv, r - 1])
                 for v, mv, pv in _moves(u, m, p, r, self.n)
             ))
         else:
-            block = ((),) if p == self.n else ()
+            block = (seq(),) if p == self.n else ()
         self[key] = block
         return block
 
@@ -264,21 +273,38 @@ class StatisticSpec(namedtuple("StatisticSpec", "kind letter", defaults=(None,))
         return _STATS[self.kind](self.letter)
 
 
+# The longest word tally takes: its letters, at most (n - 1) // 2, and
+# the clamped letter spec, (n + 1) // 2, must each fit in a byte.
+_TALLY_MAX_N = 509
+
+
 def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
     """Joint distribution of the given statistics over all words of length n.
 
     Keys are tuples of statistic values in spec order; counts sum to C(n-1).
-    The words come from the shared walk (see _walk) as plain tuples, each
-    prefix + tail built once, and every statistic is evaluated on every
-    word.  Each statistic maps over its own copy of the word stream, zip
-    builds the key tuples and Counter counts them, so per word only a
-    statistic written in Python (descents) runs bytecode.  zip draws from
-    the copies in turn, so tee holds a single word.
+    The words come from the shared walk (see _walk) as bytes, one letter
+    per byte, each prefix + tail built once, and every statistic is
+    evaluated on every word.  Each statistic maps over its own copy of the
+    word stream, zip builds the key tuples and Counter counts them, so per
+    word only a statistic written in Python (descents) runs bytecode.  zip
+    draws from the copies in turn, so tee holds a single word.
+
+    A byte holds letters up to 255, so n is at most 509; a longer n raises
+    ValueError before any word is walked (no tally that large could
+    finish).  A letter spec i counts as min(i, (n + 1) // 2): no word of
+    length n holds a letter above (n - 1) // 2, so a larger i counts zero
+    as (n + 1) // 2 does.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
+    if n > _TALLY_MAX_N:
+        raise ValueError(f"tally takes word lengths up to {_TALLY_MAX_N}, got {n}")
     if not specs:
         raise ValueError("need at least one statistic")
-    fns = [spec.bind() for spec in specs]
-    stream = chain.from_iterable(map(prefix.__add__, block) for prefix, block in _walk(n))
+    top = (n + 1) // 2
+    fns = [
+        _STATS[spec.kind](spec.letter if spec.letter is None else min(spec.letter, top))
+        for spec in specs
+    ]
+    stream = chain.from_iterable(map(prefix.__add__, block) for prefix, block in _walk(n, bytes))
     return Counter(zip(*map(map, fns, tee(stream, len(fns)))))

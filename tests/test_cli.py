@@ -4,8 +4,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,6 +66,14 @@ def listing_digest(stream):
     for w in stream:
         digest.update(f"{w}\n".encode())
     return digest.hexdigest()
+
+
+def letters_of(chunk):
+    """A chunk's letters end to end and its word length, as _write_listing
+    passes them to an encoder: bytes up to the digit length, else a tuple."""
+    length = len(chunk[0])
+    flat = bytes if length <= cli._DIGIT_LENGTH else tuple
+    return flat(chain.from_iterable(chunk)), length
 
 
 def run_fresh(*argv, flags=()):
@@ -154,15 +163,49 @@ class TestEnumerate:
             [*islice(enumerate_words(25), 3), peak_word(12)],
             [peak_word(256)],
         ):
-            assert cli._encode_lines(chunk) == "".join(f"{w}\n" for w in chunk)
-            assert cli._encode_json(chunk) == json.dumps(chunk)[1:-1]
+            letters, length = letters_of(chunk)
+            assert cli._encode_lines(letters, length) == "".join(f"{w}\n" for w in chunk)
+            assert cli._encode_json(letters, length) == json.dumps(chunk)[1:-1]
 
     def test_json_encoder_matches_json_dumps(self):
         # every chunk of every listing through n = 12 takes the byte path
         for n in range(1, 13):
             stream = enumerate_words(n)
             while chunk := list(islice(stream, cli._CHUNK_WORDS)):
-                assert cli._encode_json(chunk) == json.dumps(chunk)[1:-1], n
+                assert cli._encode_json(*letters_of(chunk)) == json.dumps(chunk)[1:-1], n
+
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    @pytest.mark.parametrize("n", [12, 23])
+    def test_listing_holds_no_chunk_of_words(self, monkeypatch, n, fmt):
+        """The listing flattens each chunk's letters as the words stream
+        past: of two and a half chunks of words, on the byte path (n = 12)
+        and the tuple path (n = 23), no more than two are alive at once."""
+
+        class Counted(tuple):
+            live = peak = 0
+
+            def __new__(cls, letters):
+                word = tuple.__new__(cls, letters)
+                Counted.live += 1
+                Counted.peak = max(Counted.peak, Counted.live)
+                return word
+
+            def __del__(self):
+                Counted.live -= 1
+
+        total = 5 * cli._CHUNK_WORDS // 2
+        stream = (Counted(w) for w in islice(enumerate_words(n), total))
+        digest = hashlib.sha256()
+        sink = SimpleNamespace(write=lambda text: digest.update(text.encode()))
+        monkeypatch.setattr(sys, "stdout", sink)
+        cli._write_listing(stream, n, fmt)
+        expected = [list(w) for w in islice(enumerate_words(n), total)]
+        if fmt == "json":
+            text = json.dumps(expected) + "\n"
+        else:
+            text = "".join(",".join(map(str, w)) + "\n" for w in expected)
+        assert digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+        assert Counted.peak <= 2 and Counted.live == 0
 
 
 class TestCount:
@@ -210,6 +253,20 @@ class TestCount:
             assert code == 0
             outputs.append(out)
         assert all(o == outputs[0] for o in outputs)
+
+    def test_enum_letter_past_a_byte_counts_as_its_clamp(self, capsys):
+        # a tally reads its words as bytes; i = 300 counts as (n + 1) // 2 = 3
+        argv = ("count", "--table", "letter", "--n", "6", "--source", "enum", "--i")
+        _, want, _ = run(capsys, *argv, "3")
+        assert run(capsys, *argv, "300") == (0, want, "")
+
+    def test_enum_tally_past_a_byte_is_usage_error(self, capsys):
+        # refused before any word is walked, also under python -O
+        message = "error: tally takes word lengths up to 509, got 600\n"
+        argv = ("count", "--table", "zeros", "--n", "600", "--source", "enum")
+        proc = run_fresh(*argv, flags=("-O",))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+        assert run(capsys, *argv) == (2, "", message)
 
     def test_golden_grid_covers_every_route(self):
         assert sorted(ROUTE_PAIRS) == sorted(

@@ -644,6 +644,27 @@ class TestAddWithoutRetrim:
         _assert_plus_matches_reference(b, a)
 
 
+class TestCut:
+    """Sums and the letter sums' lowered terms cut stores that are already
+    trimmed ints to narrower caps, without checking each coefficient
+    again; data from outside still goes through the checked constructor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plus_operands())
+    def test_equals_trim_on_in_ring_stores(self, pair):
+        a, b = pair
+        caps = a.caps.meet(b.caps)
+        assert series._cut(a.coeffs, caps) == series._trim(a.coeffs, caps)
+        got = a.cut(b.caps)
+        assert (got.caps, got.coeffs) == (caps, series._trim(a.coeffs, caps))
+
+    def test_outside_non_int_still_raises(self):
+        key = series._pack(1, 0, 0, 0)
+        for c in (Fraction(1, 2), 0.5, "1"):
+            with pytest.raises(TypeError, match="must be int"):
+                MultiSeries({key: c}, CAPS)
+
+
 class TestSubstitution:
     def test_collapse_v(self):
         s = (ONE - X * V).invert()

@@ -538,10 +538,11 @@ BENCHMARK_SPECS = (
 @pytest.mark.parametrize("specs", BENCHMARK_SPECS, ids=["zeros-descents", "letter-2"])
 @pytest.mark.parametrize("n", [12, 13])
 def test_plain_tuple_tally_matches_word_stream(n, specs):
-    """tally joins each prefix to its tails as plain tuples; counting the
-    CatalanWord stream one word at a time, without listing it, must give
-    the same table.  Both sides bind the same statistics, which
-    test_tally_matches_reference checks, so only the streams differ."""
+    """tally joins each prefix to its tails as bytes, one letter per byte;
+    counting the CatalanWord stream one word at a time, without listing
+    it, must give the same table.  Both sides bind the same statistics,
+    which test_tally_matches_reference checks, so only the streams and
+    the sequence type the statistics read differ."""
     first, second = (spec.bind() for spec in specs)
     expected = Counter()
     for w in enumerate_words(n):
