@@ -8,10 +8,11 @@ for None) and T_j(z) = x^(j-1) / (p_{j-1}(z) p_j(z)).  co1 sums
 T_{j+1}(0), co2 T_j(v), the A-lemma x T_j(v), the letter mains
 x w q^(j+1) T_{j+1}(w) and the weights q^(j+1) T_{j+2}(0).  A term's
 start x^k is explicit, so each sum is cut exactly where x^k passes the x
-cap, and each term is built at the x cap lowered by k (the letter sums
-build their whole term there, bracket included).  The one certificate
-is a denominator's constant term: if it is not 1, CertificateError
-names the term, also under ``python -O``.  When the
+cap.  One builder, _cheb_piece, makes every term's 1/(p_{j-1} p_j) at
+the x cap lowered by k: _cheb_term shifts it back by x^k, and the letter
+sums build their whole term there, bracket included, and shift it back
+once.  The one certificate is a denominator's constant term: if it is
+not 1, CertificateError names the term, also under ``python -O``.  When the
 requested number of terms cannot cover the x or q caps, builders raise
 StabilityError instead of returning a silently short sum.
 
@@ -225,15 +226,13 @@ def gf_fine(order: int) -> MultiSeries:
 # -- Chebyshev-sum builders -------------------------------------------
 
 
-def _lowered(caps: Caps, k: int) -> Caps:
-    """caps with the x cap lowered by k <= caps.x."""
-    return Caps(caps.x - k, caps.w, caps.v, caps.q)
-
-
-def _cheb_inverse(j: int, z: str | None, caps: Caps) -> MultiSeries:
-    """1 / (p_{j-1}(z) p_j(z)) at caps, once its denominator's constant
-    term is certified to be 1."""
-    den = _cheb_p(j - 1, z, caps) * _cheb_p(j, z, caps)
+def _cheb_piece(j: int, z: str | None, caps: Caps, k: int) -> MultiSeries:
+    """1 / (p_{j-1}(z) p_j(z)) at caps with the x cap lowered by k <=
+    caps.x, where x^k times it needs it and no further, once its
+    denominator's constant term is certified to be 1.  The one builder of
+    every summed Chebyshev term."""
+    low = Caps(caps.x - k, caps.w, caps.v, caps.q)
+    den = _cheb_p(j - 1, z, low) * _cheb_p(j, z, low)
     c = den.coeff(0)
     if c != 1:
         raise CertificateError(f"T_{j}({z or 0}) denominator: constant term {c}, expected 1")
@@ -241,16 +240,14 @@ def _cheb_inverse(j: int, z: str | None, caps: Caps) -> MultiSeries:
 
 
 def _cheb_term(j: int, z: str | None, caps: Caps, k: int | None = None) -> MultiSeries:
-    """x^k / (p_{j-1}(z) p_j(z)), which is T_j(z) for the default k = j - 1.
-
-    The denominator is built and inverted at the x cap lowered by k, then
-    shifted back by x^k; a term whose x^k passes the x cap is zero and is
-    never built."""
+    """x^k / (p_{j-1}(z) p_j(z)), which is T_j(z) for the default k = j - 1:
+    its piece shifted back by x^k.  A term whose x^k passes the x cap is
+    zero and is never built."""
     if k is None:
         k = j - 1
     if k > caps.x:
         return MultiSeries.zero(caps)
-    return _cheb_inverse(j, z, _lowered(caps, k)).times_x(k)
+    return _cheb_piece(j, z, caps, k).times_x(k)
 
 
 def _lemma_A(order: int, jmax: int) -> MultiSeries:
@@ -274,32 +271,30 @@ def gf_A_via_lemma(order: int, jmax: int) -> MultiSeries:
     return _lemma_A(order, jmax)
 
 
-def _letter_caps(order: int, qmax: int, jmax: int) -> Caps:
-    """Caps of the letter sums, once jmax terms are shown to cover them."""
+def _letter_pieces(
+    order: int, qmax: int, jmax: int
+) -> tuple[Caps, list[MultiSeries], list[MultiSeries], MultiSeries]:
+    """What both letter sums share, once jmax terms are shown to cover the
+    caps: the caps, and for each term j <= jmax that reaches them the main
+    w q^(j+1) / (p_j(w) p_{j+1}(w)) and the weight q^(j+1) / (u_{j+1}
+    u_{j+2}), and 1/D for the weight denominator D = 1 + sum_j x^(j+1)
+    weight_j.  Each piece is x^-(j+1) times its term (x w q^(j+1)
+    T_{j+1}(w) and q^(j+1) T_{j+2}(0)), built by _cheb_piece at the x cap
+    lowered by j + 1.  Term j starts at x^(j+1) q^(j+1), so the terms
+    inside the caps are a prefix."""
     caps = Caps.of(order, q=qmax)
     if jmax < min(order - 1, qmax - 1):
         raise StabilityError(
             f"jmax={jmax} cannot cover order {order}, qmax {qmax}: "
             f"term j contributes through x^(j+1) q^(j+1)"
         )
-    return caps
-
-
-def _letter_pieces(caps: Caps, jmax: int) -> tuple[list[MultiSeries], list[MultiSeries]]:
-    """The pieces shared by both letter sums, for each term j <= jmax
-    that reaches the caps: the main w q^(j+1) / (p_j(w) p_{j+1}(w)) and the
-    weight q^(j+1) / (u_{j+1} u_{j+2}).  Each is x^-(j+1) times its term
-    (x w q^(j+1) T_{j+1}(w) and q^(j+1) T_{j+2}(0)), built at the x cap
-    lowered by j + 1, where x^(j+1) times it needs it and no further.
-    Term j starts at x^(j+1) q^(j+1), so the terms inside the caps are a
-    prefix."""
     mains: list[MultiSeries] = []
     weights: list[MultiSeries] = []
-    for j in range(min(jmax, caps.x - 1, caps.q - 1) + 1):
-        low = _lowered(caps, j + 1)
-        mains.append(MultiSeries.monomial(low, 1, w=1, q=j + 1) * _cheb_inverse(j + 1, "w", low))
-        weights.append(MultiSeries.monomial(low, 1, q=j + 1) * _cheb_inverse(j + 2, None, low))
-    return mains, weights
+    for k in range(1, min(jmax + 1, order, qmax) + 1):
+        mains.append(MultiSeries.monomial(caps, 1, w=1, q=k) * _cheb_piece(k, "w", caps, k))
+        weights.append(MultiSeries.monomial(caps, 1, q=k) * _cheb_piece(k + 1, None, caps, k))
+    inv_d = sum(_shifted(weights), MultiSeries.one(caps)).invert()
+    return caps, mains, weights, inv_d
 
 
 def _shifted(pieces: list[MultiSeries]) -> Iterator[MultiSeries]:
@@ -337,14 +332,13 @@ def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
     the w = 1 slice A(x, 1, v, q).  Term j of each sum carries x^(j+1), so
     _sum_A builds it at the x cap lowered by j + 1 and shifts it back:
     every coefficient is the one the full caps give."""
-    caps = _letter_caps(order, qmax, jmax)
-    mains, weights = _letter_pieces(caps, jmax)
+    caps, mains, weights, inv_d = _letter_pieces(order, qmax, jmax)
     one = MultiSeries.one(caps)
     xc = _x_catalan(caps)
     # One name, so each partial result is freed as soon as the next is built.
     inner = _apply_A(one, xc)
     inner = inner + _sum_A(weights, one, MultiSeries.zero(caps), xc)
-    inner = inner * sum(_shifted(weights), one).invert()
+    inner = inner * inv_d
     return _sum_A(mains, MultiSeries.monomial(caps, 1, w=1), inner, xc)
 
 
@@ -352,13 +346,10 @@ def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     """A(x, w, q | 0): x^n w^t q^i counts words with t zeros avoiding the
     letter i.  The q cap is a hard cap: avoidance counts stabilize in i,
     so the q degree per x^n is unbounded."""
-    caps = _letter_caps(order, qmax, jmax)
-    mains, weights = _letter_pieces(caps, jmax)
-    one = MultiSeries.one(caps)
+    caps, mains, _, inv_d = _letter_pieces(order, qmax, jmax)
     num = sum(_shifted(mains), MultiSeries.zero(caps))
-    den = sum(_shifted(weights), one)
-    geom_q = (one - MultiSeries.monomial(caps, 1, q=1)).invert()
-    return num * geom_q * den.invert()
+    geom_q = (MultiSeries.one(caps) - MultiSeries.monomial(caps, 1, q=1)).invert()
+    return num * geom_q * inv_d
 
 
 # -- identity checks ---------------------------------------------------
@@ -457,22 +448,14 @@ def check_th2(order: int) -> VerificationReport:
     assembled = MultiSeries.zero(caps)
     for m in range(1, order + 1):
         assembled = assembled + MultiSeries.monomial(caps, 1, v=m) * gf_A_m(m, order)
-    recur = MultiSeries.from_terms(
-        caps,
-        (
-            ((n, 0, m, 0), counting.a_zeros(n, m))
-            for n in range(1, order + 1)
-            for m in range(1, n + 1)
-        ),
-    )
-    closed = MultiSeries.from_terms(
-        caps,
-        (
-            ((n, 0, m, 0), counting.a_zeros_closed(n, m))
-            for n in range(1, order + 1)
-            for m in range(1, n + 1)
-        ),
-    )
+
+    def table(count) -> MultiSeries:
+        return MultiSeries.from_terms(
+            caps,
+            (((n, 0, m, 0), count(n, m)) for n in range(1, order + 1) for m in range(1, n + 1)),
+        )
+
+    recur, closed = table(counting.a_zeros), table(counting.a_zeros_closed)
     return compare_series("th2", {"order": order}, a, assembled, recur, closed)
 
 
@@ -511,11 +494,11 @@ def check_th4(order: int, qmax: int, jmax: int) -> VerificationReport:
     return _letter_check("th4", gf_A0, order, qmax, jmax, with_s=False)
 
 
-def _first_j(identity: str, jrange: int, js: range, pair) -> VerificationReport:
-    """A per-j check: pair(j) gives the two series compared at j, and the
-    first j in js where they differ is named in the mismatch."""
-    for j in js:
-        found = _first_mismatch(*pair(j))
+def _first_j(identity: str, first: int, jrange: int, find) -> VerificationReport:
+    """A per-j check over first <= j <= jrange: find(j) gives the mismatch
+    at j or None, and the first j with a mismatch is named in the report."""
+    for j in range(first, jrange + 1):
+        found = find(j)
         if found is not None:
             return VerificationReport(identity, {"jrange": jrange}, {"j": j, **found})
     return VerificationReport(identity, {"jrange": jrange})
@@ -525,12 +508,12 @@ def check_cheb_det(jrange: int = 40) -> VerificationReport:
     """u_{j-2} u_j - u_{j-1}^2 = -x^(j-1), exactly, for 1 <= j <= jrange:
     U_{j-2} U_j - U_{j-1}^2 = -1 rescaled by y^(2j-2)."""
 
-    def pair(j):
+    def find(j):
         caps = Caps.of(j)
         u2, u1, u0 = (_cheb_p(i, None, caps) for i in (j - 2, j - 1, j))
-        return u2 * u0 - u1 * u1, MultiSeries.monomial(caps, -1, x=j - 1)
+        return _first_mismatch(u2 * u0 - u1 * u1, MultiSeries.monomial(caps, -1, x=j - 1))
 
-    return _first_j("cheb-det", jrange, range(1, jrange + 1), pair)
+    return _first_j("cheb-det", 1, jrange, find)
 
 
 def check_cheb_shift(jrange: int = 40) -> VerificationReport:
@@ -541,29 +524,30 @@ def check_cheb_shift(jrange: int = 40) -> VerificationReport:
     rescaled by y^j; the sums lean on exactly this rewriting, so it is
     checked against a formula that does not use it."""
 
-    def pair(j):
+    def find(j):
         caps = Caps.of(j)
         closed = MultiSeries.from_terms(
             caps,
             (((k, 0, 0, 0), (-1) ** k * counting.binomial(j - k, k)) for k in range(j // 2 + 1)),
         )
-        return _cheb_p(j, None, caps), closed
+        return _first_mismatch(_cheb_p(j, None, caps), closed)
 
-    return _first_j("cheb-shift", jrange, range(0, jrange + 1), pair)
+    return _first_j("cheb-shift", 0, jrange, find)
 
 
 def check_cheb_limit(jrange: int = 20) -> VerificationReport:
     """u_{j-1}/u_j, the convergent U_{j-1}/(y U_j), matches C(x) through
     x^(j-1) and differs at x^j."""
-    for j in range(1, jrange + 1):
+
+    def find(j):
         caps = Caps.of(j)
         conv = _cheb_p(j - 1, None, caps) * _cheb_p(j, None, caps).invert()
         found = _first_mismatch(conv, catalan_series(Caps.of(j - 1)))
         if found is None and conv.coeff(j) == counting.catalan_number(j):
-            found = {"reason": f"no divergence at x^{j}"}
-        if found is not None:
-            return VerificationReport("cheb-limit", {"jrange": jrange}, {"j": j, **found})
-    return VerificationReport("cheb-limit", {"jrange": jrange})
+            return {"reason": f"no divergence at x^{j}"}
+        return found
+
+    return _first_j("cheb-limit", 1, jrange, find)
 
 
 def check_remark2(order: int) -> VerificationReport:

@@ -36,11 +36,12 @@ past the caps raises instead of returning a silently wrong zero.
 
 Stored coefficients are always trimmed: each one is a nonzero int and
 lies inside its series' caps.  Construction from outside data goes
-through _trim, which checks every coefficient; every operation keeps
-the invariant.  Addition and subtraction rely on it: they merge the two
-stores without walking them again, and cut an operand only when its caps
-reach past the result's, by _cut, which drops the keys past the caps and
-checks no coefficient again (MultiSeries.cut does the same).  So does
+through _trim, which checks every coefficient, inside the caps or past
+them; every operation keeps the invariant.  Addition and subtraction
+rely on it: they merge the two stores without walking them again, and
+cut an operand only when its caps reach past the result's, by _cut,
+which drops the keys past the caps and checks no coefficient again
+(MultiSeries.cut and substitute do the same).  So does
 from_slices, which copies slices that land on distinct powers of one
 variable into one store, with no merge.
 
@@ -107,8 +108,8 @@ class Caps(namedtuple("Caps", "x w v q")):
     """Per-variable truncation orders: one validated 4-tuple (x, w, v, q),
     which every kernel function reads as it is.  A negative cap, or one
     past its packed field's bound, raises ValueError; :meth:`of` copies
-    the x order into each of w, v and q not given.  Build caps through
-    the constructor: _replace and _make skip its checks."""
+    the x order into w and v, and into q unless q is given.  Build caps
+    through the constructor: _replace and _make skip its checks."""
 
     __slots__ = ()
 
@@ -122,8 +123,8 @@ class Caps(namedtuple("Caps", "x w v q")):
         return self
 
     @classmethod
-    def of(cls, x: int, w: int | None = None, v: int | None = None, q: int | None = None) -> "Caps":
-        return cls(x, x if w is None else w, x if v is None else v, x if q is None else q)
+    def of(cls, x: int, q: int | None = None) -> "Caps":
+        return cls(x, x, x, x if q is None else q)
 
     def meet(self, other: "Caps") -> "Caps":
         return Caps(*map(min, self, other))
@@ -149,10 +150,10 @@ def _unpack(key: int) -> tuple[int, int, int, int]:
 
 
 def _trim(coeffs: dict[int, int], caps: Caps) -> dict[int, int]:
-    """Drop monomials beyond the caps and zero coefficients; a kept
-    coefficient that is not an int raises TypeError."""
-    xlim = (caps[0] + 1) << _XSHIFT
-    return _fit(((k, _coerce_coeff(c)) for k, c in coeffs.items() if k < xlim), caps)
+    """Drop monomials beyond the caps and zero coefficients.  Every
+    coefficient is checked first, wherever it lies: one that is not an int
+    raises TypeError."""
+    return _cut({k: _coerce_coeff(c) for k, c in coeffs.items()}, caps)
 
 
 def _cut(coeffs: dict[int, int], caps: Caps) -> dict[int, int]:
@@ -603,7 +604,7 @@ class MultiSeries:
             groups.setdefault(m, {})[k - (m << shift)] = c
         mmax = max(groups, default=0)
         if mmax == 0:
-            return MultiSeries(dict(groups.get(0, {})), caps)
+            return MultiSeries(_cut(groups.get(0, {}), caps), caps, _trusted=True)
         # A multiple of var needs no check: its lost orders stay beyond the
         # var cap.
         if s.coeffs and not all((k >> shift) & _FIELD for k in s.coeffs):
@@ -627,7 +628,7 @@ class MultiSeries:
             part = groups.get(m)
             if part:
                 acc = _merge(acc, _mul(part, power, caps))
-        return MultiSeries(acc, caps)
+        return MultiSeries(_cut(acc, caps), caps, _trusted=True)
 
     def times_x(self, k: int) -> "MultiSeries":
         """x^k times this series, k >= 0: exact through x order caps.x + k,

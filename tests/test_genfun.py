@@ -312,6 +312,32 @@ class TestTruncationContract:
                 compared += len(expected)
         assert compared > 0
 
+    def test_jmax_past_the_caps_changes_nothing(self, monkeypatch):
+        # Every sum stops at the last term inside the caps, so a jmax far
+        # past them builds the same terms: the same results from the same
+        # number of inversions.
+        order = 8
+        calls = []
+        orig = series._invert
+        monkeypatch.setattr(series, "_invert", lambda *a: calls.append(1) or orig(*a))
+
+        def run(jmax):
+            calls.clear()
+            out = [
+                gf.gf_A_via_lemma(order, jmax),
+                gf.gf_A4(order, 5, jmax),
+                gf.gf_A0(order, 5, jmax),
+                *(check(order, jmax) for check in (gf.check_co1, gf.check_co2, gf.check_l2)),
+            ]
+            return out, len(calls)
+
+        (*series_near, co1, co2, l2), inverts_near = run(order + 2)
+        (*series_far, co1_far, co2_far, l2_far), inverts_far = run(10**9)
+        assert series_far == series_near
+        for near, far in ((co1, co1_far), (co2, co2_far), (l2, l2_far)):
+            assert near.passed and far.passed and far.mismatch == near.mismatch
+        assert inverts_far == inverts_near
+
 
 class TestHarness:
     def test_fault_injection_locates_mismatch(self):

@@ -57,6 +57,10 @@ class TestCaps:
     def test_defaults(self):
         assert Caps.of(7) == Caps(7, 7, 7, 7)
         assert Caps.of(7, q=2) == Caps(7, 7, 7, 2)
+        # only the q cap can be set apart from the x order
+        for name in "wv":
+            with pytest.raises(TypeError):
+                Caps.of(7, **{name: 2})
 
     def test_meet(self):
         assert Caps(5, 3, 9, 1).meet(Caps(4, 8, 2, 2)) == Caps(4, 3, 2, 1)
@@ -659,10 +663,12 @@ class TestCut:
         assert (got.caps, got.coeffs) == (caps, series._trim(a.coeffs, caps))
 
     def test_outside_non_int_still_raises(self):
-        key = series._pack(1, 0, 0, 0)
-        for c in (Fraction(1, 2), 0.5, "1"):
-            with pytest.raises(TypeError, match="must be int"):
-                MultiSeries({key: c}, CAPS)
+        # in the caps, and past the x, w, v and q caps of CAPS = Caps.of(8)
+        exps = [(1, 0, 0, 0), (9, 0, 0, 0), (0, 9, 0, 0), (0, 0, 9, 0), (0, 0, 0, 9)]
+        for e in exps:
+            for c in (Fraction(1, 2), 0.5, "1"):
+                with pytest.raises(TypeError, match="must be int"):
+                    MultiSeries({series._pack(*e): c}, CAPS)
 
 
 class TestSubstitution:
@@ -707,6 +713,25 @@ class TestSubstitution:
     def test_x_substitution_unsupported(self):
         with pytest.raises(ValueError):
             ONE.substitute("x", X)
+
+    def test_coerces_no_coefficient(self):
+        # both stores are built from trimmed ints and only cut to the caps,
+        # also when s has narrower caps than the series
+        a = (ONE - X * V).invert() + X * W
+        narrow = Caps(5, 8, 8, 8)
+        subs = [
+            ("v", (ONE - X).invert()),
+            ("v", MultiSeries.monomial(narrow, 1, x=1, v=1)),
+            ("q", MultiSeries.monomial(narrow, 1, x=1)),
+        ]
+        with mock.patch.object(series, "_coerce_coeff", wraps=series._coerce_coeff) as coerce:
+            got = [(var, s, a.substitute(var, s)) for var, s in subs]
+        assert coerce.call_count == 0
+        for var, s, out in got:
+            assert out == MultiSeries(dict(out.coeffs), out.caps)  # trimmed ints
+            assert out.caps == a.caps.meet(s.caps), var
+        # a series free of q comes back cut to the narrower caps
+        assert got[2][2] == a.cut(narrow)
 
     @settings(max_examples=60, deadline=None)
     @given(
