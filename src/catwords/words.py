@@ -17,9 +17,16 @@ finishes every prefix with a block of tails that _TailBlocks builds by
 the same machine, as sequences of the type its caller names.  The
 (prefix, block) pairs of _walk have two consumers: enumerate_words,
 which walks tuples and joins each prefix to each of its tails as a
-CatalanWord, and tally, which walks bytes, joins each word as one bytes
-object and evaluates its statistics on it.  A byte holds a letter up to
-255, so tally takes words of length at most 509.
+CatalanWord, and tally, which walks bytes and joins each block's words
+end to end into one bytes chunk, one letter per byte.  tally evaluates
+every statistic on every word of a chunk at once, as byte lanes of big
+ints (broadword arithmetic): a letter count or the maximum is a window
+sum of translated flags, read every n-th byte of one product, and
+descents are the sign bits of one lane-wise subtraction of the chunk
+shifted by a letter.  This is exact while n <= 255: letters are then at
+most 127, so a lane difference a - b + 127 lies in [0, 254] and never
+borrows, and a lane sum is at most n, so it never carries.  So tally
+takes words of length at most 255.
 
 A statistic is named by a StatisticSpec, a validated 2-tuple (kind,
 letter) built by namedtuple: it compares, hashes and prints as that
@@ -33,7 +40,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, partial
-from itertools import chain, tee
+from itertools import chain
 from operator import gt, methodcaller
 
 __all__ = [
@@ -233,15 +240,90 @@ def count_descents(word: Sequence[int]) -> int:
     return sum(map(gt, word, word[1:]))
 
 
-# kind -> letter -> the statistic as a one-argument function of the word;
-# only "letter" reads the letter.  The letter counts and the maximum bind
-# to C callables, so a tally runs no bytecode for them.
-_STATS: dict[str, Callable[[int | None], Callable[[Sequence[int]], int]]] = {
-    "zeros": lambda letter: methodcaller("count", 0),
-    "ones": lambda letter: methodcaller("count", 1),
-    "descents": lambda letter: count_descents,
-    "letter": lambda letter: methodcaller("count", letter),
-    "max-letter": lambda letter: max,
+# Lane evaluation.  A chunk is a run of n-letter words written end to
+# end, one letter per byte; a lane evaluator maps it to one byte per word,
+# that word's statistic, in a few bytes and big-int operations over the
+# whole chunk.  Byte k of a little-endian int is its lane k.
+def _word_sums(flags: int, size: int, n: int, width: int) -> bytes:
+    """For each n-byte word of a size-byte chunk, the sum of the flag lanes
+    at its first width positions, 0 <= width <= n.
+
+    The product by 1 + 256 + ... + 256**(width - 1) adds each lane into the
+    width - 1 lanes above it, so a word's sum lands in its lane width - 1.
+    Flags are 0 or 1, so every lane of the product is at most width <= n
+    and no lane carries into the next while n <= 255."""
+    if not width:
+        return bytes(size // n)
+    product = flags * int.from_bytes(b"\x01" * width, "little")
+    return product.to_bytes(size + n, "little")[width - 1 : size : n]
+
+
+def _flag_lanes(flag: bytes, n: int) -> Callable[[bytes], bytes]:
+    """Evaluator of the number of letters a in each word with flag[a] == 1;
+    flag is a 256-byte table of zeros and ones."""
+    return lambda chunk: _word_sums(
+        int.from_bytes(chunk.translate(flag), "little"), len(chunk), n, n
+    )
+
+
+def _letter_lanes(c: int, n: int) -> Callable[[bytes], bytes]:
+    """Evaluator of the number of letters c in each word, 0 <= c <= 255."""
+    return _flag_lanes(bytes(c) + b"\x01" + bytes(255 - c), n)
+
+
+def _descent_lanes(n: int) -> Callable[[bytes], bytes]:
+    """Evaluator of the number of descents in each word; letters <= 127.
+
+    With X the chunk and Y = X >> 8 the chunk shifted by one letter, lane k
+    of X - Y + 0x7f...7f is a_k - a_(k+1) + 127.  Letters are at most 127,
+    so the lane lies in [0, 254] and borrows nothing from the next, and
+    its top bit is set iff a_k > a_(k+1).  A word's n - 1 pairs are the
+    lanes at its first n - 1 positions; the window of n - 1 never reads
+    the lane at its last letter, whose pair straddles two words or runs
+    off the chunk."""
+
+    def lanes(chunk: bytes) -> bytes:
+        size = len(chunk)
+        x = int.from_bytes(chunk, "little")
+        low = int.from_bytes(b"\x7f" * size, "little")
+        high = int.from_bytes(b"\x80" * size, "little")
+        return _word_sums(((x - (x >> 8) + low) & high) >> 7, size, n, n - 1)
+
+    return lanes
+
+
+def _max_lanes(n: int, top: int) -> Callable[[bytes], bytes]:
+    """Evaluator of the largest letter of each word whose letters are all
+    at most top <= 255: the number of h in 1..top such that some letter of
+    the word is >= h.  Each term is a window sum of the flags (letter >= h)
+    mapped to 0 or 1, so the lane total is at most top and never carries."""
+    at_least = [_flag_lanes(bytes(h) + b"\x01" * (256 - h), n) for h in range(1, top + 1)]
+    nonzero = b"\x00" + b"\x01" * 255
+
+    def lanes(chunk: bytes) -> bytes:
+        total = sum(int.from_bytes(count(chunk).translate(nonzero), "little") for count in at_least)
+        return total.to_bytes(len(chunk) // n, "little")
+
+    return lanes
+
+
+# kind -> (word, lanes).  word(i) is the statistic as a one-argument
+# function of the word; the letter counts and the maximum bind to C
+# callables.  lanes(i, n, top) is its lane evaluator for chunks of n-letter
+# words whose letters are at most top <= 127; it counts a letter i as
+# min(i, top + 1), which no such word holds either.  Only "letter" reads
+# the letter i.
+_STATS: dict[str, tuple[
+    Callable[[int | None], Callable[[Sequence[int]], int]],
+    Callable[[int | None, int, int], Callable[[bytes], bytes]],
+]] = {
+    "zeros": (lambda i: methodcaller("count", 0), lambda i, n, top: _letter_lanes(0, n)),
+    "ones": (lambda i: methodcaller("count", 1), lambda i, n, top: _letter_lanes(1, n)),
+    "descents": (lambda i: count_descents, lambda i, n, top: _descent_lanes(n)),
+    "letter": (
+        lambda i: methodcaller("count", i), lambda i, n, top: _letter_lanes(min(i, top + 1), n)
+    ),
+    "max-letter": (lambda i: max, lambda i, n, top: _max_lanes(n, top)),
 }
 STAT_KINDS = tuple(_STATS)
 
@@ -270,12 +352,19 @@ class StatisticSpec(namedtuple("StatisticSpec", "kind letter", defaults=(None,))
 
     def bind(self) -> Callable[[Sequence[int]], int]:
         """This statistic as a one-argument function of the word."""
-        return _STATS[self.kind](self.letter)
+        return _STATS[self.kind][0](self.letter)
 
 
-# The longest word tally takes: its letters, at most (n - 1) // 2, and
-# the clamped letter spec, (n + 1) // 2, must each fit in a byte.
-_TALLY_MAX_N = 509
+def _lanes(spec: StatisticSpec, n: int, top: int) -> Callable[[bytes], bytes]:
+    """The spec's lane evaluator for chunks of n-letter words whose letters
+    are at most top <= 127 (see _STATS)."""
+    return _STATS[spec.kind][1](spec.letter, n, top)
+
+
+# The longest word tally takes.  Its letters, at most (n - 1) // 2, must
+# not exceed 127 for the descent lanes, and a word's count of any letter,
+# up to n, must fit in a byte lane.
+_TALLY_MAX_N = 255
 
 
 def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
@@ -283,17 +372,26 @@ def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
 
     Keys are tuples of statistic values in spec order; counts sum to C(n-1).
     The words come from the shared walk (see _walk) as bytes, one letter
-    per byte, each prefix + tail built once, and every statistic is
-    evaluated on every word.  Each statistic maps over its own copy of the
-    word stream, zip builds the key tuples and Counter counts them, so per
-    word only a statistic written in Python (descents) runs bytecode.  zip
-    draws from the copies in turn, so tee holds a single word.
+    per byte.  Each (prefix, block) pair becomes one chunk, its words
+    written end to end, and every statistic is evaluated on every word of
+    the chunk at once, each from that word's own letters, as one byte per
+    word (see _word_sums):
 
-    A byte holds letters up to 255, so n is at most 509; a longer n raises
-    ValueError before any word is walked (no tally that large could
-    finish).  A letter spec i counts as min(i, (n + 1) // 2): no word of
-    length n holds a letter above (n - 1) // 2, so a larger i counts zero
-    as (n + 1) // 2 does.
+      - a letter count c is the sum of the flags (letter == c) over the
+        word's n lanes;
+      - descents are the sum of the pair flags of X - Y + 0x7f...7f over
+        the word's first n - 1 lanes, Y being the chunk shifted by a letter;
+      - the maximum is the number of h in 1..(n - 1) // 2 for which the
+        word's sum of the flags (letter >= h) is nonzero.
+
+    Counter then counts the zipped columns, once per block.  This is exact
+    with no check while n <= 255: letters are at most 127, so each descent
+    lane a - b + 127 lies in [0, 254] and never borrows, and every lane sum
+    is at most n <= 255, so it never carries.  A longer n raises ValueError
+    before any word is walked (no tally that large could finish).  A letter
+    spec i counts as min(i, (n + 1) // 2): no word of length n holds a
+    letter above (n - 1) // 2, so a larger i counts zero as (n + 1) // 2
+    does.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -301,10 +399,9 @@ def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
         raise ValueError(f"tally takes word lengths up to {_TALLY_MAX_N}, got {n}")
     if not specs:
         raise ValueError("need at least one statistic")
-    top = (n + 1) // 2
-    fns = [
-        _STATS[spec.kind](spec.letter if spec.letter is None else min(spec.letter, top))
-        for spec in specs
-    ]
-    stream = chain.from_iterable(map(prefix.__add__, block) for prefix, block in _walk(n, bytes))
-    return Counter(zip(*map(map, fns, tee(stream, len(fns)))))
+    evaluators = [_lanes(spec, n, (n - 1) // 2) for spec in specs]
+    table: Counter[tuple[int, ...]] = Counter()
+    for prefix, block in _walk(n, bytes):
+        chunk = prefix.join(chain((b"",), block))
+        table.update(zip(*[lanes(chunk) for lanes in evaluators]))
+    return table

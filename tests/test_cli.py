@@ -261,9 +261,15 @@ class TestCount:
         assert run(capsys, *argv, "300") == (0, want, "")
 
     def test_enum_tally_past_a_byte_is_usage_error(self, capsys):
-        # refused before any word is walked, also under python -O
-        message = "error: tally takes word lengths up to 509, got 600\n"
+        # refused before any word is walked, also under python -O; the
+        # byte lanes of a tally hold sums up to 255
+        message = "error: tally takes word lengths up to 255, got 600\n"
         argv = ("count", "--table", "zeros", "--n", "600", "--source", "enum")
+        proc = run_fresh(*argv, flags=("-O",))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+        assert run(capsys, *argv) == (2, "", message)
+        argv = ("count", "--table", "zeros-descents", "--n", "256", "--source", "enum")
+        message = "error: tally takes word lengths up to 255, got 256\n"
         proc = run_fresh(*argv, flags=("-O",))
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
         assert run(capsys, *argv) == (2, "", message)

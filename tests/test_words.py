@@ -15,6 +15,7 @@ from catwords.counting import catalan_number
 from catwords.words import (
     CatalanWord,
     StatisticSpec,
+    _lanes,
     _moves,
     count_descents,
     enumerate_words,
@@ -533,22 +534,102 @@ BENCHMARK_SPECS = (
     (StatisticSpec("zeros"), StatisticSpec("descents")),
     (StatisticSpec("letter", 2), StatisticSpec("zeros")),
 )
+STREAM_CASES = [
+    *(
+        pytest.param(n, specs, id=f"{n}-{name}")
+        for n in (12, 13)
+        for name, specs in zip(("zeros-descents", "letter-2"), BENCHMARK_SPECS)
+    ),
+    pytest.param(12, (StatisticSpec("ones"), StatisticSpec("max-letter")), id="12-ones-max-letter"),
+]
 
 
-@pytest.mark.parametrize("specs", BENCHMARK_SPECS, ids=["zeros-descents", "letter-2"])
-@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("n, specs", STREAM_CASES)
 def test_plain_tuple_tally_matches_word_stream(n, specs):
-    """tally joins each prefix to its tails as bytes, one letter per byte;
+    """tally evaluates its statistics as byte lanes over each block of
+    words joined end to end; binding each statistic with bind() and
     counting the CatalanWord stream one word at a time, without listing
-    it, must give the same table.  Both sides bind the same statistics,
-    which test_tally_matches_reference checks, so only the streams and
-    the sequence type the statistics read differ."""
+    it, must give the same table."""
     first, second = (spec.bind() for spec in specs)
     expected = Counter()
     for w in enumerate_words(n):
         expected[first(w), second(w)] += 1
     assert sum(expected.values()) == catalan_number(n - 1)
     assert tally(n, specs) == expected
+
+
+def lanes_match_bind(words, top, specs):
+    """Each spec's lane evaluator on the words written end to end gives,
+    word by word, what bind() and the reference statistics give."""
+    n = len(words[0])
+    chunk = bytes(itertools.chain.from_iterable(words))
+    for spec in specs:
+        got = list(_lanes(spec, n, top)(chunk))
+        assert got == [spec.bind()(w) for w in words], spec
+        assert got == [REF_STATS[spec.kind](w, spec.letter) for w in words], spec
+
+
+@st.composite
+def letter_words(draw):
+    """One to three words of a common length n in 1..255, letters 0..127."""
+    n = draw(st.integers(min_value=1, max_value=255))
+    count = draw(st.integers(min_value=1, max_value=3))
+    letters = draw(st.lists(st.integers(0, 127), min_size=n * count, max_size=n * count))
+    return [tuple(letters[k : k + n]) for k in range(0, n * count, n)]
+
+
+class TestLanes:
+    """The lane evaluators of tally on arbitrary letter sequences, not
+    only Catalan words."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(letter_words(), st.integers(min_value=0, max_value=300))
+    def test_match_bind(self, words, i):
+        specs = [*ALL_SPECS, StatisticSpec("letter", i), StatisticSpec("letter", 127)]
+        lanes_match_bind(words, 127, specs)
+        lanes_match_bind(words, max(map(max, words)), specs)
+
+    def test_lane_sum_of_255(self):
+        zeros = (0,) * 255
+        lanes_match_bind([zeros, zeros], 127, ALL_SPECS)
+        assert _lanes(StatisticSpec("zeros"), 255, 0)(bytes(510)) == b"\xff\xff"
+        peak = (127, *zeros[1:])
+        lanes_match_bind([zeros, peak, zeros, peak], 127, ALL_SPECS)
+
+    @pytest.mark.parametrize("words", [
+        [(0, 127), (0, 127)],
+        [(127, 0), (127, 0)],
+        [(0, 127), (127, 0), (0, 127)],
+        [(127, 0), (0, 127), (127, 0)],
+        [(0, 0, 127), (0, 127, 0), (127, 0, 0)],
+    ])
+    def test_127_next_to_0(self, words):
+        lanes_match_bind(words, 127, ALL_SPECS)
+
+    @pytest.mark.parametrize("words", [
+        [(127,), (0,), (127,), (5,)],
+        [(0,)],
+        [(0, 0), (1, 0), (0, 1), (127, 127)],
+    ])
+    def test_one_and_two_letters(self, words):
+        lanes_match_bind(words, 127, ALL_SPECS)
+        lanes_match_bind(words, max(map(max, words)), ALL_SPECS)
+
+    def test_descents_never_read_across_words(self):
+        # every pair that straddles two words, or runs off the chunk,
+        # descends; no pair inside a word does
+        descents = StatisticSpec("descents")
+        assert _lanes(descents, 4, 127)(bytes((0, 1, 2, 3) * 3)) == bytes(3)
+        assert _lanes(descents, 2, 127)(bytes((0, 127) * 2)) == bytes(2)
+
+    def test_empty_chunk(self):
+        # the walk yields a prefix with no tails (one at n = 14)
+        for spec in ALL_SPECS:
+            assert _lanes(spec, 5, 2)(b"") == b""
+
+    def test_length_past_a_byte_lane_is_refused(self):
+        with pytest.raises(ValueError, match="^tally takes word lengths up to 255, got 256$"):
+            tally(256, [StatisticSpec("zeros")])
 
 
 @settings(max_examples=30, deadline=None)
