@@ -10,8 +10,14 @@ x w q^(j+1) T_{j+1}(w) and the weights q^(j+1) T_{j+2}(0).  A term's
 start x^k is explicit, so each sum is cut exactly where x^k passes the x
 cap.  One builder, _cheb_piece, makes every term's 1/(p_{j-1} p_j) at
 the x cap lowered by k: _cheb_term shifts it back by x^k, and the letter
-sums build their whole term there, bracket included, and shift it back
-once.  The one certificate is a denominator's constant term: if it is
+sums build their whole term there and shift it back once.  A letter
+term's piece rides the power chain of its A(x, v L_j) as a scale, so it
+is never multiplied by a series in v.  gf_A4 is built distributed, as
+sum_j x^(j+1) main_j A(x, v L_j) - M inner with M = sum_j x^(j+1)
+main_j (gf_A0's numerator): M inner is its one product in all four
+variables.  Its sum starts at -M inner, so that one A4-sized series is
+alive at a time; a sum of the A terms minus M inner would hold two.
+The one certificate is a denominator's constant term: if it is
 not 1, CertificateError names the term, also under ``python -O``.  When the
 requested number of terms cannot cover the x or q caps, builders raise
 StabilityError instead of returning a silently short sum.
@@ -167,19 +173,26 @@ def _geometric(first: MultiSeries, ratio: MultiSeries) -> MultiSeries:
     return sum(_powers(first, ratio), MultiSeries.zero(first.caps))
 
 
-def _apply_A(l: MultiSeries, xc: MultiSeries) -> MultiSeries:
-    """A(x, v*l) for a series l free of v: the zeros generating function
-    x*u / (1 - x*u*C(x)) at u = v*l, which is sum_m v^m x l^m (xC)^(m-1),
-    where xc = x*C(x) is built once by the caller.
+def _apply_A(l: MultiSeries, xc: MultiSeries, scale: MultiSeries | None = None) -> MultiSeries:
+    """scale * A(x, v*l) for series l and scale free of v (scale 1 by
+    default): the zeros generating function x*u / (1 - x*u*C(x)) at
+    u = v*l, which is sum_m v^m x l^m (xC)^(m-1), where xc = x*C(x) is
+    built once by the caller.
 
-    Exact under truncation, since every summand carries x^m.  Term m is
-    the v^m slice, free of v (the v^0 slice is zero), so the terms are
-    joined into one store (MultiSeries.from_slices), not summed: the join
-    is exact because no two terms share a power of v.  An l that carries
-    v would break that, so it raises ValueError, also under python -O."""
+    The power chain starts at scale*x*l, so its term m is scale*x*l *
+    (l*xC)^(m-1): a letter main rides the chain's products in x, w and q,
+    and no product with a v-carrying A is formed.  Exact under
+    truncation, since every summand carries x^m.  Term m is the v^m slice,
+    free of v (the v^0 slice is zero), so the terms are joined into one
+    store (MultiSeries.from_slices), not summed: the join is exact because
+    no two terms share a power of v.  An l or a scale that carries v would
+    break that, so it raises ValueError, also under python -O."""
     caps = l.caps.meet(xc.caps)
-    terms = _powers(MultiSeries.monomial(caps, 1, x=1) * l, l * xc)
-    return MultiSeries.from_slices(caps, "v", chain((MultiSeries.zero(caps),), terms))
+    first = MultiSeries.monomial(caps, 1, x=1) * l
+    if scale is not None:
+        first = scale * first
+    terms = _powers(first, l * xc)
+    return MultiSeries.from_slices(first.caps, "v", chain((MultiSeries.zero(first.caps),), terms))
 
 
 def gf_A(order: int) -> MultiSeries:
@@ -293,33 +306,34 @@ def _letter_pieces(
     for k in range(1, min(jmax + 1, order, qmax) + 1):
         mains.append(MultiSeries.monomial(caps, 1, w=1, q=k) * _cheb_piece(k, "w", caps, k))
         weights.append(MultiSeries.monomial(caps, 1, q=k) * _cheb_piece(k + 1, None, caps, k))
-    inv_d = sum(_shifted(weights), MultiSeries.one(caps)).invert()
+    inv_d = _x_sum(weights, MultiSeries.one(caps)).invert()
     return caps, mains, weights, inv_d
 
 
-def _shifted(pieces: list[MultiSeries]) -> Iterator[MultiSeries]:
-    """Each letter piece j times x^(j+1), its term at the full caps."""
-    return (piece.times_x(k) for k, piece in enumerate(pieces, 1))
+def _x_sum(pieces: list[MultiSeries], start: MultiSeries) -> MultiSeries:
+    """start + sum_j x^(j+1) pieces_j: the letter pieces summed at the full
+    caps.  With the mains and start 0 it is M = sum_j x^(j+1) main_j, the
+    numerator gf_A0 scales and the factor gf_A4 multiplies inner by."""
+    return sum((piece.times_x(k) for k, piece in enumerate(pieces, 1)), start)
 
 
 def _sum_A(
-    pieces: list[MultiSeries], seed: MultiSeries, less: MultiSeries, xc: MultiSeries
+    pieces: list[MultiSeries], seed: MultiSeries, xc: MultiSeries, acc: MultiSeries
 ) -> MultiSeries:
-    """sum_j x^(j+1) pieces_j (A(x, v L_j) - less), where L_{-1} = seed and
+    """acc + sum_j x^(j+1) pieces_j A(x, v L_j), where L_{-1} = seed and
     each L_j is one l_family step from the one before; xc = x*C(x).
 
-    Each whole term is built at its piece's caps, the x cap lowered by
+    Each piece rides the power chain of its A (_apply_A's scale), and the
+    whole term is built at the piece's caps, the x cap lowered by
     k = j + 1, and shifted back once by x^k.  That is exact: x^k Y needs Y
-    only through x order X - k (the truncation contract), and the bracket
-    through that order needs L_j and less through it, and L_j needs
-    L_(j-1) through one order less.  So L_(j-1) and less are cut to the
-    lower cap before the step, and the caps fall with each term."""
-    acc = MultiSeries.zero(less.caps)
+    only through x order X - k (the truncation contract), and A(x, v L_j)
+    through that order needs L_j through it, and L_j needs L_(j-1)
+    through one order less.  So L_(j-1) is cut to the lower cap before
+    the step, and the caps fall with each term."""
     l = seed
     for k, piece in enumerate(pieces, 1):
         l = l_family(0, l.cut(piece.caps))
-        less = less.cut(piece.caps)
-        acc = acc + (piece * (_apply_A(l, xc) - less)).times_x(k)
+        acc = acc + _apply_A(l, xc, piece).times_x(k)
     return acc
 
 
@@ -329,17 +343,25 @@ def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
 
     A4 = sum_j main_j (A(x, v L_j(w)) - inner), where inner = (A(x, v) +
     sum_i weight_i A(x, v L_i(1))) / (1 + sum_i weight_i) is A(x, v) plus
-    the w = 1 slice A(x, 1, v, q).  Term j of each sum carries x^(j+1), so
-    _sum_A builds it at the x cap lowered by j + 1 and shifts it back:
-    every coefficient is the one the full caps give."""
+    the w = 1 slice A(x, 1, v, q).  It is built distributed, as
+    sum_j main_j A(x, v L_j(w)) - M inner with M = sum_j main_j (the
+    numerator of gf_A0): the one product in all four variables is M inner,
+    and each main rides the power chain of its A in x, w and q (_sum_A).
+    The sum starts at -M inner, with inner freed before the terms are
+    added, so one A4-sized series is alive at a time.  Term j of each sum
+    carries x^(j+1), so _sum_A builds it at the x cap lowered by j + 1 and
+    shifts it back: every coefficient is the one the full caps give."""
     caps, mains, weights, inv_d = _letter_pieces(order, qmax, jmax)
     one = MultiSeries.one(caps)
+    zero = MultiSeries.zero(caps)
     xc = _x_catalan(caps)
     # One name, so each partial result is freed as soon as the next is built.
     inner = _apply_A(one, xc)
-    inner = inner + _sum_A(weights, one, MultiSeries.zero(caps), xc)
+    inner = inner + _sum_A(weights, one, xc, zero)
     inner = inner * inv_d
-    return _sum_A(mains, MultiSeries.monomial(caps, 1, w=1), inner, xc)
+    acc = -_x_sum(mains, zero) * inner
+    del inner
+    return _sum_A(mains, MultiSeries.monomial(caps, 1, w=1), xc, acc)
 
 
 def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
@@ -347,7 +369,7 @@ def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     letter i.  The q cap is a hard cap: avoidance counts stabilize in i,
     so the q degree per x^n is unbounded."""
     caps, mains, _, inv_d = _letter_pieces(order, qmax, jmax)
-    num = sum(_shifted(mains), MultiSeries.zero(caps))
+    num = _x_sum(mains, MultiSeries.zero(caps))
     geom_q = (MultiSeries.one(caps) - MultiSeries.monomial(caps, 1, q=1)).invert()
     return num * geom_q * inv_d
 

@@ -616,9 +616,10 @@ class TestSharedPieces:
         assert seen == [0] * 6
 
     def test_letter_sum_peak_memory(self):
-        # The subtraction stays inside each main term (about 2.5 MiB): the
-        # factored form, which holds sum_j main_j A_j and the shared factor
-        # as two A4-sized series at once, peaked at 3.8 MiB.
+        # The sum starts at -M inner, so one A4-sized series is alive at a
+        # time (about 2.9 MiB; 2.4 MiB in the per-term bracket form).  The
+        # fully factored form, which built sum_j main_j A_j and then
+        # subtracted M inner, holding two at once, peaked at 3.8 MiB.
         gf.gf_A4(6, 3, 8)
         tracemalloc.start()
         try:
@@ -627,6 +628,52 @@ class TestSharedPieces:
         finally:
             tracemalloc.stop()
         assert peak < 3.2 * 2**20, peak
+
+
+def _per_term_a4(order, qmax, jmax):
+    """gf_A4 in its per-term bracket form, sum_j x^(j+1) main_j (A(x, v
+    L_j) - inner): each main multiplies its whole bracket, built at the
+    main's lowered caps, and there is no M inner product.  The same pieces,
+    L_j chain and lowered caps as gf_A4."""
+    caps, mains, weights, inv_d = gf._letter_pieces(order, qmax, jmax)
+    one = MultiSeries.one(caps)
+    xc = gf._x_catalan(caps)
+
+    def sum_a(pieces, seed, less):
+        acc = MultiSeries.zero(less.caps)
+        l = seed
+        for k, piece in enumerate(pieces, 1):
+            l = l_family(0, l.cut(piece.caps))
+            less = less.cut(piece.caps)
+            acc = acc + (piece * (gf._apply_A(l, xc) - less)).times_x(k)
+        return acc
+
+    inner = (gf._apply_A(one, xc) + sum_a(weights, one, MultiSeries.zero(caps))) * inv_d
+    return sum_a(mains, MultiSeries.monomial(caps, 1, w=1), inner)
+
+
+class TestFoldedLetterSum:
+    """gf_A4 is built as sum_j x^(j+1) main_j A(x, v L_j) - M inner, each
+    main riding its A's power chain: the stores and caps are the per-term
+    bracket form's, with fewer block products."""
+
+    @pytest.mark.parametrize("order, qmax, jmax", LETTER_GRID + [(24, 8, 26)])
+    def test_equals_per_term_bracket_form(self, order, qmax, jmax):
+        a4 = gf.gf_A4(order, qmax, jmax)
+        ref = _per_term_a4(order, qmax, jmax)
+        assert a4.caps == ref.caps
+        assert a4.coeffs == ref.coeffs
+
+    def test_block_product_work(self, monkeypatch):
+        # Block pairs multiplied by _mul_blocks: 49,844 with a 4-variable
+        # main_j x bracket product per term, 40,128 with one M inner.
+        work = []
+        orig = series._mul_blocks
+        monkeypatch.setattr(
+            series, "_mul_blocks", lambda a, b, caps: work.append(len(a) * len(b)) or orig(a, b, caps)
+        )
+        gf.gf_A4(24, 8, 26)
+        assert sum(work) <= 40_128, sum(work)
 
 
 def _letter_oracle(order, qmax, jmax):
@@ -687,6 +734,24 @@ def xw_series(draw):
     return MultiSeries.from_terms(caps, (((ex, ew, 0, 0), c) for ex, ew, c in terms))
 
 
+@st.composite
+def xw_series_and_scale(draw):
+    """An x, w series l and a scale in x, w and q at the same random caps."""
+    l = draw(xw_series())
+    caps = l.caps
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, caps.x), st.integers(0, caps.w), st.integers(0, caps.q),
+                st.integers(-3, 3),
+            ),
+            max_size=6,
+        )
+    )
+    scale = MultiSeries.from_terms(caps, (((ex, ew, 0, eq), c) for ex, ew, eq, c in terms))
+    return l, scale
+
+
 class TestApplyA:
     @settings(max_examples=150, deadline=None)
     @given(xw_series())
@@ -705,24 +770,51 @@ class TestApplyA:
             gf._apply_A(l, gf._x_catalan(caps))
 
     def test_l_with_v_raises_under_optimize(self):
-        code = (
-            "from catwords import genfun as gf\n"
-            "from catwords.series import Caps, MultiSeries\n"
-            "assert False, 'asserts are on'\n"
-            "caps = Caps.of(6)\n"
-            "l = MultiSeries.one(caps) + MultiSeries.monomial(caps, 1, x=1, v=2)\n"
-            "try:\n"
-            "    gf._apply_A(l, gf._x_catalan(caps))\n"
-            "except ValueError as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
+        assert _apply_A_under_optimize("l = carrier\nscale = None") == (
+            "ValueError slice v^1 carries v\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-B", "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
+
+    @settings(max_examples=150, deadline=None)
+    @given(xw_series_and_scale())
+    def test_scale_multiplies_the_sum(self, l_scale):
+        l, scale = l_scale
+        xc = gf._x_catalan(l.caps)
+        assert gf._apply_A(l, xc, scale) == scale * gf._apply_A(l, xc)
+
+    def test_scale_with_v_raises(self):
+        caps = Caps.of(6)
+        scale = MultiSeries.one(caps) + MultiSeries.monomial(caps, 1, v=1)
+        with pytest.raises(ValueError, match=r"^slice v\^1 carries v$"):
+            gf._apply_A(MultiSeries.one(caps), gf._x_catalan(caps), scale)
+
+    def test_scale_with_v_raises_under_optimize(self):
+        assert _apply_A_under_optimize("l = MultiSeries.one(caps)\nscale = carrier") == (
+            "ValueError slice v^1 carries v\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "ValueError slice v^1 carries v\n"
+
+
+def _apply_A_under_optimize(setup):
+    """What _apply_A(l, xc, scale) prints as ValueError under python -O,
+    with l and scale set by setup from carrier = 1 + x v^2."""
+    code = (
+        "from catwords import genfun as gf\n"
+        "from catwords.series import Caps, MultiSeries\n"
+        "assert False, 'asserts are on'\n"
+        "caps = Caps.of(6)\n"
+        "carrier = MultiSeries.one(caps) + MultiSeries.monomial(caps, 1, x=1, v=2)\n"
+        f"{setup}\n"
+        "try:\n"
+        "    gf._apply_A(l, gf._x_catalan(caps), scale)\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestChebTerms:
