@@ -197,8 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Words per sys.stdout.write of an `enumerate` listing.
-_CHUNK_WORDS = 4096
+# Letters per sys.stdout.write of an `enumerate` listing: a chunk holds
+# max(1, _CHUNK_LETTERS // n) words of length n, so its size is bounded
+# at any n.
+_CHUNK_LETTERS = 1 << 15
 
 
 # bytes.translate table that turns a letter 0..9 into its ASCII digit.
@@ -258,16 +260,18 @@ _LISTINGS: dict[str, tuple[Callable[[bytes | tuple[int, ...], int], str], str, s
 def _write_listing(stream: Iterator[Sequence[int]], length: int, fmt: str) -> None:
     """Write the words of the stream, each of this length, in the format.
 
-    Each chunk of _CHUNK_WORDS words is flattened to its letters in one
-    step as the words stream past, into bytes when every letter is a
-    digit and a tuple otherwise, so no more than a word or two is alive
-    at once: the listing builds no container of words for the cyclic
-    garbage collector to scan."""
+    Each chunk of max(1, _CHUNK_LETTERS // length) words is flattened to
+    its letters in one step as the words stream past, into bytes when
+    every letter is a digit and a tuple otherwise, so no more than a word
+    or two is alive at once: the listing builds no container of words for
+    the cyclic garbage collector to scan, and a chunk's size does not grow
+    with the word length."""
     encode, sep, opening, closing = _LISTINGS[fmt]
     flat = bytes if length <= _DIGIT_LENGTH else tuple
     write = sys.stdout.write
     lead = opening
-    while letters := flat(chain.from_iterable(islice(stream, _CHUNK_WORDS))):
+    size = max(1, _CHUNK_LETTERS // length)
+    while letters := flat(chain.from_iterable(islice(stream, size))):
         write(lead + encode(letters, length))
         lead = sep
     write(closing)

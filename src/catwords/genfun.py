@@ -9,18 +9,19 @@ T_{j+1}(0), co2 T_j(v), the A-lemma x T_j(v), the letter mains
 x w q^(j+1) T_{j+1}(w) and the weights q^(j+1) T_{j+2}(0).  A term's
 start x^k is explicit, so each sum is cut exactly where x^k passes the x
 cap.  One builder, _cheb_piece, makes every term's 1/(p_{j-1} p_j) at
-the x cap lowered by k: _cheb_term shifts it back by x^k, and the letter
-sums build their whole term there and shift it back once.  A letter
-term's piece rides the power chain of its A(x, v L_j) as a scale, so it
-is never multiplied by a series in v.  gf_A4 is built distributed, as
-sum_j x^(j+1) main_j A(x, v L_j) - M inner with M = sum_j x^(j+1)
-main_j (gf_A0's numerator): M inner is its one product in all four
-variables.  Its sum starts at -M inner, so that one A4-sized series is
-alive at a time; a sum of the A terms minus M inner would hold two.
-The one certificate is a denominator's constant term: if it is
-not 1, CertificateError names the term, also under ``python -O``.  When the
-requested number of terms cannot cover the x or q caps, builders raise
-StabilityError instead of returning a silently short sum.
+the x cap lowered by k, and one sum, _x_sum, shifts each piece back by
+x^k.  _sum_A builds a letter term's whole product with A(x, v L_j) at
+the lowered cap and shifts it back once: the piece rides the power
+chain of its A as a scale, so it is never multiplied by a series in v.
+gf_A4 is built distributed, as sum_j x^(j+1) main_j A(x, v L_j) - M
+inner with M = sum_j x^(j+1) main_j (gf_A0's numerator): M inner is its
+one product in all four variables.  Its sum starts at -M inner, so
+that one A4-sized series is alive at a time; a sum of the A terms minus
+M inner would hold two.  The one certificate is a denominator's constant
+term: if it is not 1, CertificateError names the term, also under
+``python -O``.  When the requested number of terms cannot cover the x
+or q caps, builders raise StabilityError instead of returning a
+silently short sum.
 
 Each check returns a VerificationReport, a plain class with __slots__
 for its four fields (identity, params, mismatch, millis).  It compares
@@ -32,7 +33,7 @@ loads no dataclasses.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from . import counting
@@ -252,24 +253,20 @@ def _cheb_piece(j: int, z: str | None, caps: Caps, k: int) -> MultiSeries:
     return den.invert()
 
 
-def _cheb_term(j: int, z: str | None, caps: Caps, k: int | None = None) -> MultiSeries:
-    """x^k / (p_{j-1}(z) p_j(z)), which is T_j(z) for the default k = j - 1:
-    its piece shifted back by x^k.  A term whose x^k passes the x cap is
-    zero and is never built."""
-    if k is None:
-        k = j - 1
-    if k > caps.x:
-        return MultiSeries.zero(caps)
-    return _cheb_piece(j, z, caps, k).times_x(k)
+def _x_sum(terms: Iterable[tuple[int, MultiSeries]], start: MultiSeries) -> MultiSeries:
+    """start + sum of x^k piece over the (k, piece) pairs, each piece built
+    at the x cap lowered by k (_cheb_piece): the one shifted sum of every
+    Chebyshev series.  Each k is at most caps.x: a term past the x cap is
+    zero, so it is never built."""
+    return sum((piece.times_x(k) for k, piece in terms), start)
 
 
 def _lemma_A(order: int, jmax: int) -> MultiSeries:
     """v/C times sum_{j=1..jmax} x T_j(v) = x^j / (p_{j-1}(v) p_j(v)); the
     terms past the x cap are zero."""
     caps = Caps.of(order)
-    acc = MultiSeries.zero(caps)
-    for j in range(1, min(jmax, caps.x) + 1):
-        acc = acc + _cheb_term(j, "v", caps, j)
+    js = range(1, min(jmax, caps.x) + 1)
+    acc = _x_sum(((j, _cheb_piece(j, "v", caps, j)) for j in js), MultiSeries.zero(caps))
     v = MultiSeries.monomial(caps, 1, v=1)
     return v * catalan_series(caps).invert() * acc
 
@@ -306,15 +303,8 @@ def _letter_pieces(
     for k in range(1, min(jmax + 1, order, qmax) + 1):
         mains.append(MultiSeries.monomial(caps, 1, w=1, q=k) * _cheb_piece(k, "w", caps, k))
         weights.append(MultiSeries.monomial(caps, 1, q=k) * _cheb_piece(k + 1, None, caps, k))
-    inv_d = _x_sum(weights, MultiSeries.one(caps)).invert()
+    inv_d = _x_sum(enumerate(weights, 1), MultiSeries.one(caps)).invert()
     return caps, mains, weights, inv_d
-
-
-def _x_sum(pieces: list[MultiSeries], start: MultiSeries) -> MultiSeries:
-    """start + sum_j x^(j+1) pieces_j: the letter pieces summed at the full
-    caps.  With the mains and start 0 it is M = sum_j x^(j+1) main_j, the
-    numerator gf_A0 scales and the factor gf_A4 multiplies inner by."""
-    return sum((piece.times_x(k) for k, piece in enumerate(pieces, 1)), start)
 
 
 def _sum_A(
@@ -353,13 +343,11 @@ def gf_A4(order: int, qmax: int, jmax: int) -> MultiSeries:
     shifts it back: every coefficient is the one the full caps give."""
     caps, mains, weights, inv_d = _letter_pieces(order, qmax, jmax)
     one = MultiSeries.one(caps)
-    zero = MultiSeries.zero(caps)
     xc = _x_catalan(caps)
     # One name, so each partial result is freed as soon as the next is built.
-    inner = _apply_A(one, xc)
-    inner = inner + _sum_A(weights, one, xc, zero)
+    inner = _sum_A(weights, one, xc, _apply_A(one, xc))
     inner = inner * inv_d
-    acc = -_x_sum(mains, zero) * inner
+    acc = -_x_sum(enumerate(mains, 1), MultiSeries.zero(caps)) * inner
     del inner
     return _sum_A(mains, MultiSeries.monomial(caps, 1, w=1), xc, acc)
 
@@ -369,7 +357,7 @@ def gf_A0(order: int, qmax: int, jmax: int) -> MultiSeries:
     letter i.  The q cap is a hard cap: avoidance counts stabilize in i,
     so the q degree per x^n is unbounded."""
     caps, mains, _, inv_d = _letter_pieces(order, qmax, jmax)
-    num = _x_sum(mains, MultiSeries.zero(caps))
+    num = _x_sum(enumerate(mains, 1), MultiSeries.zero(caps))
     geom_q = (MultiSeries.one(caps) - MultiSeries.monomial(caps, 1, q=1)).invert()
     return num * geom_q * inv_d
 
@@ -398,9 +386,8 @@ def check_l2(order: int, jmax: int) -> VerificationReport:
 def check_co1(order: int, jmax: int) -> VerificationReport:
     """sum_j T_{j+1}(0) = sum_j x^j / (u_j u_{j+1}) = x C(x)^2."""
     caps = Caps.of(order)
-    acc = MultiSeries.zero(caps)
-    for j in range(1, min(jmax, caps.x) + 1):
-        acc = acc + _cheb_term(j + 1, None, caps)
+    js = range(1, min(jmax, caps.x) + 1)
+    acc = _x_sum(((j, _cheb_piece(j + 1, None, caps, j)) for j in js), MultiSeries.zero(caps))
     c = catalan_series(caps)
     rhs = MultiSeries.monomial(caps, 1, x=1) * c * c
     return compare_series("co1", {"order": order, "jmax": jmax}, acc, rhs)
@@ -410,9 +397,8 @@ def check_co2(order: int, jmax: int) -> VerificationReport:
     """sum_j T_j(v) = sum_j x^(j-1) / (p_{j-1}(v) p_j(v))
     = sum_m x^(m-1) v^(m-1) C^m = C / (1 - x v C)."""
     caps = Caps.of(order)
-    lhs = MultiSeries.zero(caps)
-    for j in range(1, min(jmax, caps.x + 1) + 1):
-        lhs = lhs + _cheb_term(j, "v", caps)
+    js = range(1, min(jmax, caps.x + 1) + 1)
+    lhs = _x_sum(((j - 1, _cheb_piece(j, "v", caps, j - 1)) for j in js), MultiSeries.zero(caps))
     c = catalan_series(caps)
     one = MultiSeries.one(caps)
     x = MultiSeries.monomial(caps, 1, x=1)
@@ -467,9 +453,8 @@ def check_th2(order: int) -> VerificationReport:
     recurrence and the closed form for the zero counts."""
     caps = Caps.of(order)
     a = gf_A(order)
-    assembled = MultiSeries.zero(caps)
-    for m in range(1, order + 1):
-        assembled = assembled + MultiSeries.monomial(caps, 1, v=m) * gf_A_m(m, order)
+    slices = (gf_A_m(m, order) for m in range(1, order + 1))
+    assembled = MultiSeries.from_slices(caps, "v", chain((MultiSeries.zero(caps),), slices))
 
     def table(count) -> MultiSeries:
         return MultiSeries.from_terms(

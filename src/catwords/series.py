@@ -204,10 +204,8 @@ def _mul(a: dict[int, int], b: dict[int, int], caps: Caps) -> dict[int, int]:
     packed ints.  Otherwise one layout is at most a single block (a series
     in x alone, such as fine's 300-term kernel, is one block), which meets
     each block of the other once, and _mul_dense computes each coefficient
-    of those block products as one dot product in C.  CPython multiplies
-    big ints by Karatsuba at best, so one packed product of such a pair
-    costs about what its dot products do, and packing and decoding would
-    come on top."""
+    of those block products as one dot product in C; the module docstring
+    says why that path packs nothing."""
     if not a or not b:
         return {}
     if len(a) > len(b):

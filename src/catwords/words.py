@@ -367,7 +367,7 @@ def _lanes(spec: StatisticSpec, n: int, top: int) -> Callable[[bytes], bytes]:
 _TALLY_MAX_N = 255
 
 
-def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
+def tally(n: int, specs: Iterable[StatisticSpec]) -> Counter[tuple[int, ...]]:
     """Joint distribution of the given statistics over all words of length n.
 
     Keys are tuples of statistic values in spec order; counts sum to C(n-1).
@@ -391,8 +391,9 @@ def tally(n: int, specs: Sequence[StatisticSpec]) -> Counter[tuple[int, ...]]:
     before any word is walked (no tally that large could finish).  A letter
     spec i counts as min(i, (n + 1) // 2): no word of length n holds a
     letter above (n - 1) // 2, so a larger i counts zero as (n + 1) // 2
-    does.
+    does.  specs may be any iterable; it is read once, into a tuple.
     """
+    specs = tuple(specs)
     if n < 1:
         raise ValueError("word length must be >= 1")
     if n > _TALLY_MAX_N:

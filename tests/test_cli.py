@@ -111,7 +111,7 @@ class TestEnumerate:
         assert json.loads(json.dumps(words)) == words
 
     def test_json_listing_streams(self, monkeypatch):
-        """At n = 11 the JSON listing (16,796 words, five chunks) is written
+        """At n = 11 the JSON listing (16,796 words, six chunks) is written
         chunk by chunk: the same bytes as json.dumps of the whole list, with
         a traced peak well under what holding every word as a list takes
         (about 6.3 MiB with CPython 3.11)."""
@@ -125,7 +125,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["lines", "csv"])
     def test_listing_is_str_per_line(self, monkeypatch, fmt):
-        """Every listing up to n = 13 (208,012 words, 51 chunks) on the
+        """Every listing up to n = 13 (208,012 words, 83 chunks) on the
         byte path is one str(word) per line."""
         for n in range(1, 14):
             code, digest, _ = run_streamed(monkeypatch, "enumerate", "--n", str(n), "--format", fmt)
@@ -153,6 +153,32 @@ class TestEnumerate:
             proc.kill()
         assert (len(head), proc.returncode, err) == (20, 141, b"")
 
+    def test_cut_long_listing_peak_rss(self):
+        # A chunk holds at most _CHUNK_LETTERS letters, so a listing of
+        # 3,000-letter words cut by its reader peaks at about 17 MiB
+        # (CPython 3.11 on Linux); chunks of 4,096 words peaked at 238 MiB
+        # before the first byte was written.  A small fresh interpreter
+        # starts the listing and reads its peak, so the peak is not raised
+        # to that of this process, which a child can inherit at exec.
+        code = (
+            "import json, resource, subprocess, sys\n"
+            "argv = [sys.executable, '-B', '-m', 'catwords.cli', 'enumerate', '--n', '3000']\n"
+            "proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+            "head = proc.stdout.read(40)\n"
+            "proc.stdout.close()\n"
+            "_, err = proc.communicate(timeout=60)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(json.dumps([len(head), proc.returncode, err.decode(), peak // 1024]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        length, code, err, peak_mib = json.loads(proc.stdout)
+        assert (length, code, err) == (40, 141, "")
+        assert peak_mib < 40, peak_mib
+
     def test_encoder_paths_at_the_digit_boundary(self):
         # length 20 is the longest word whose letters are all single digits;
         # letter 10 would be a newline byte, and 256 does not fit in a byte.
@@ -171,7 +197,7 @@ class TestEnumerate:
         # every chunk of every listing through n = 12 takes the byte path
         for n in range(1, 13):
             stream = enumerate_words(n)
-            while chunk := list(islice(stream, cli._CHUNK_WORDS)):
+            while chunk := list(islice(stream, max(1, cli._CHUNK_LETTERS // n))):
                 assert cli._encode_json(*letters_of(chunk)) == json.dumps(chunk)[1:-1], n
 
     @pytest.mark.parametrize("fmt", ["lines", "json"])
@@ -193,7 +219,7 @@ class TestEnumerate:
             def __del__(self):
                 Counted.live -= 1
 
-        total = 5 * cli._CHUNK_WORDS // 2
+        total = 5 * max(1, cli._CHUNK_LETTERS // n) // 2
         stream = (Counted(w) for w in islice(enumerate_words(n), total))
         digest = hashlib.sha256()
         sink = SimpleNamespace(write=lambda text: digest.update(text.encode()))

@@ -96,7 +96,8 @@ def _grid():
             yield f"series --name {name} --order 6{extra} --format {fmt}"
     for fmt in FORMATS:
         yield f"enumerate --n 5 --format {fmt}"
-    # 4,862 words: the listing spans two of the CLI's 4,096-word chunks
+    # 4,862 words: the listing spans two of the CLI's chunks of 3,276 words
+    # (its _CHUNK_LETTERS // 10)
     for fmt in FORMATS:
         yield f"enumerate --n 10 --format {fmt}"
     yield "verify --identity all --order 6 --qmax 3"

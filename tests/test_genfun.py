@@ -677,9 +677,10 @@ class TestFoldedLetterSum:
 
 
 def _letter_oracle(order, qmax, jmax):
-    """gf_A4 and gf_A0 by the full-caps formula: every piece is its
-    _cheb_term at the full caps, every L_j one l_family call and every
-    A(x, u) a _geometric sum.  No lowered cap and no slice join is used."""
+    """gf_A4 and gf_A0 by the full-caps formula: every term is x^k /
+    (p_{j-1} p_j) inverted at the full caps, every L_j one l_family call
+    and every A(x, u) a _geometric sum.  No lowered cap and no slice join
+    is used."""
     caps = Caps.of(order, q=qmax)
     one, zero = MultiSeries.one(caps), MultiSeries.zero(caps)
     x, w, v, q = (MultiSeries.monomial(caps, 1, **{name: 1}) for name in "xwvq")
@@ -688,12 +689,13 @@ def _letter_oracle(order, qmax, jmax):
     def a(u):
         return gf._geometric(x * u, u * xc)
 
+    def term(j, z, k):
+        den = series._cheb_p(j - 1, z, caps) * series._cheb_p(j, z, caps)
+        return MultiSeries.monomial(caps, 1, x=k) * den.invert()
+
     js = range(min(jmax, order - 1, qmax - 1) + 1)
-    mains = [
-        MultiSeries.monomial(caps, 1, w=1, q=j + 1) * gf._cheb_term(j + 1, "w", caps, j + 1)
-        for j in js
-    ]
-    weights = [MultiSeries.monomial(caps, 1, q=j + 1) * gf._cheb_term(j + 2, None, caps) for j in js]
+    mains = [MultiSeries.monomial(caps, 1, w=1, q=j + 1) * term(j + 1, "w", j + 1) for j in js]
+    weights = [MultiSeries.monomial(caps, 1, q=j + 1) * term(j + 2, None, j + 1) for j in js]
     den = sum(weights, one)
     inner = a(v) + sum((wt * a(v * l_family(j, one)) for j, wt in zip(js, weights)), zero)
     inner = inner * den.invert()
@@ -820,13 +822,14 @@ def _apply_A_under_optimize(setup):
 class TestChebTerms:
     @pytest.mark.parametrize("z", ["v", "w"])
     def test_u_only_term_is_the_z0_slice(self, z):
-        # P_j(z) at z = 0 is U_j, so T_j(z) at z = 0 is the U-only term,
-        # including the zero terms that start beyond the x cap
-        order = 6
-        caps = Caps.of(order)
-        zero = MultiSeries.zero(caps)
-        for j in range(1, order + 3):
-            assert gf._cheb_term(j, z, caps).substitute(z, zero) == gf._cheb_term(j, None, caps), j
+        # P_j(z) at z = 0 is U_j, so a piece at z = 0 is the U-only piece,
+        # at every lowered x cap
+        caps = Caps.of(6)
+        for j in range(1, caps.x + 3):
+            for k in range(caps.x + 1):
+                piece = gf._cheb_piece(j, z, caps, k)
+                zero = MultiSeries.zero(piece.caps)
+                assert piece.substitute(z, zero) == gf._cheb_piece(j, None, caps, k), (j, k)
 
 
 # Every builder that inverts a Chebyshev denominator, run under python -O

@@ -440,6 +440,11 @@ class TestTally:
         with pytest.raises(ValueError):
             tally(3, [])
 
+    def test_empty_iterator_is_refused_as_an_empty_list(self):
+        # an iterator is truthy even when empty, so it is read before the check
+        with pytest.raises(ValueError, match="^need at least one statistic$"):
+            tally(5, iter([]))
+
 
 # Reference forms of the statistics and of CatalanWord.__str__, one Python
 # generator per word, as they were written before the builtin forms.  The
