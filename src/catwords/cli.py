@@ -147,11 +147,9 @@ def _emit_table(rows: dict[tuple[int, ...], int], fmt: str, meta: dict) -> str:
 def _emit_series(ms: MultiSeries, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(ms.to_jsonable(), sort_keys=True)
-    lines = []
     sep = "," if fmt == "csv" else " "
-    for item in ms.to_jsonable():
-        lines.append(sep.join([*(str(e) for e in item["exponents"]), item["num"], item["den"]]))
-    return "\n".join(lines)
+    # "den" stays in the output format, always 1
+    return "\n".join(sep.join(map(str, (*exps, c, 1))) for exps, c in ms.terms())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,50 +208,35 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _DIGIT_LENGTH = 20
 
 
-def _encode_lines(letters: bytes | tuple[int, ...], length: int) -> str:
-    """One line per word, as str(word) writes it, for the letters of a
-    chunk of words of this length laid end to end: bytes when length <=
-    _DIGIT_LENGTH, else a tuple.  Single-digit letters become ASCII digits
-    by one translate, laid into a buffer of commas with a newline after
-    each word; longer words take one % format for the whole chunk."""
+def _encode(letters: bytes | tuple[int, ...], length: int, punct: tuple[str, str, str, str]) -> str:
+    """A chunk of words of this length, their letters laid end to end, with
+    punct = (before, inner, after, between): before each word, between its
+    letters, after it, and between words.  Byte letters, all single
+    digits, become ASCII digits by one translate, laid into the chunk's
+    punctuation by one slice per letter position; a tuple of letters
+    takes one % format for the whole chunk."""
+    before, inner, after, between = punct
     count = len(letters) // length
-    if length <= _DIGIT_LENGTH:
-        width = 2 * length
-        out = bytearray(b",") * (width * count)
-        out[width - 1 :: width] = b"\n" * count
-        out[::2] = letters.translate(_DIGITS)
-        return out.decode()
-    return (words._letters_format(length) + "\n") * count % letters
-
-
-def _encode_json(letters: bytes | tuple[int, ...], length: int) -> str:
-    """The chunk as json.dumps writes the list of its words, without the
-    brackets: each word an array [d, d, ..., d], with ", " between words.
-    The letters come as _encode_lines takes them.  Single-digit letters
-    are laid into a buffer of the punctuation by one slice per letter
-    position, after one translate; longer words take one % format for the
-    whole chunk."""
-    count = len(letters) // length
-    if length > _DIGIT_LENGTH:
-        word = "[" + ", ".join(["%d"] * length) + "]"
-        return ", ".join([word] * count) % letters
-    stride = 3 * length + 2
-    out = bytearray(b"[" + b"0, " * (length - 1) + b"0], ") * count
+    if type(letters) is tuple:
+        return between.join([before + inner.join(["%d"] * length) + after] * count) % letters
+    word = (before + inner.join("0" * length) + after + between).encode()
+    out = bytearray(word) * count
     digits = letters.translate(_DIGITS)
+    step = 1 + len(inner)
     for i in range(length):
-        out[1 + 3 * i :: stride] = digits[i::length]
-    return out[:-2].decode()
+        out[len(before) + step * i :: len(word)] = digits[i::length]
+    del out[len(out) - len(between) :]
+    return out.decode()
 
 
-# format -> (encode a chunk's letters, separator between chunks, opening,
-# closing).  Written chunk by chunk, a listing is byte for byte one print
-# per word (lines, csv) or one print of json.dumps of the whole list; json
-# writes a word, a tuple, as an array.
-_LINES = (_encode_lines, "", "", "")
-_LISTINGS: dict[str, tuple[Callable[[bytes | tuple[int, ...], int], str], str, str, str]] = {
-    "lines": _LINES,
-    "csv": _LINES,
-    "json": (_encode_json, ", ", "[", "]\n"),
+# format -> (punctuation of _encode, opening, closing).  Chunks are joined
+# by the punctuation between words, so a listing is byte for byte one
+# str(word) per line (lines, csv) or one print of json.dumps of the whole
+# list, which writes a word, a tuple, as an array.
+_LISTINGS: dict[str, tuple[tuple[str, str, str, str], str, str]] = {
+    "lines": (("", ",", "\n", ""), "", ""),
+    "csv": (("", ",", "\n", ""), "", ""),
+    "json": (("[", ", ", "]", ", "), "[", "]\n"),
 }
 
 
@@ -266,14 +249,14 @@ def _write_listing(stream: Iterator[Sequence[int]], length: int, fmt: str) -> No
     or two is alive at once: the listing builds no container of words for
     the cyclic garbage collector to scan, and a chunk's size does not grow
     with the word length."""
-    encode, sep, opening, closing = _LISTINGS[fmt]
+    punct, opening, closing = _LISTINGS[fmt]
     flat = bytes if length <= _DIGIT_LENGTH else tuple
     write = sys.stdout.write
     lead = opening
     size = max(1, _CHUNK_LETTERS // length)
     while letters := flat(chain.from_iterable(islice(stream, size))):
-        write(lead + encode(letters, length))
-        lead = sep
+        write(lead + _encode(letters, length, punct))
+        lead = punct[3]
     write(closing)
 
 

@@ -273,8 +273,9 @@ def _lemma_A(order: int, jmax: int) -> MultiSeries:
 
 def gf_A_via_lemma(order: int, jmax: int) -> MultiSeries:
     """A(x, v) evaluated as v/C times the sum over Chebyshev denominators,
-    an independent route to the closed form xv/(1 - xvC)."""
-    if jmax < order + 1:
+    an independent route to the closed form xv/(1 - xvC).  Term j starts
+    at x^j, so jmax >= order terms reach the x cap."""
+    if jmax < order:
         raise StabilityError(
             f"jmax={jmax} cannot cover order {order}: term j starts at x^j"
         )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 from operator import gt, methodcaller
 
@@ -111,16 +111,10 @@ class CatalanWord(tuple):
         return word
 
     def __str__(self) -> str:
-        return _letters_format(len(self)) % self
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"CatalanWord({tuple.__repr__(self)})"
-
-
-@cache
-def _letters_format(k: int) -> str:
-    """The format string that writes k letters as CatalanWord.__str__ does."""
-    return ",".join(["%d"] * k)
 
 
 def enumerate_words(n: int) -> Iterator[CatalanWord]:

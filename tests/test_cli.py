@@ -76,6 +76,14 @@ def letters_of(chunk):
     return flat(chain.from_iterable(chunk)), length
 
 
+def chunk_text(chunk, fmt):
+    """A chunk of words as a listing in the format writes it: one line per
+    word, or the words as json.dumps writes the list, without brackets."""
+    if fmt == "json":
+        return json.dumps(chunk)[1:-1]
+    return "".join(",".join(map(str, w)) + "\n" for w in chunk)
+
+
 def run_fresh(*argv, flags=()):
     """`catwords` in a fresh interpreter, whose caches start empty."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -182,25 +190,27 @@ class TestEnumerate:
     def test_encoder_paths_at_the_digit_boundary(self):
         # length 20 is the longest word whose letters are all single digits;
         # letter 10 would be a newline byte, and 256 does not fit in a byte.
-        # Words of length 25 take the fallback even when every letter is a digit.
+        # Words of length 25 take the tuple path even when every letter is a digit.
         for chunk in (
             [CatalanWord((*peak_word(9), 0))] * 3,
             [peak_word(10), CatalanWord((*peak_word(9), 0, 0))],
             [*islice(enumerate_words(25), 3), peak_word(12)],
             [peak_word(256)],
         ):
-            letters, length = letters_of(chunk)
-            assert cli._encode_lines(letters, length) == "".join(f"{w}\n" for w in chunk)
-            assert cli._encode_json(letters, length) == json.dumps(chunk)[1:-1]
+            for fmt, (punct, _, _) in cli._LISTINGS.items():
+                assert cli._encode(*letters_of(chunk), punct) == chunk_text(chunk, fmt), fmt
 
     def test_json_encoder_matches_json_dumps(self):
-        # every chunk of every listing through n = 12 takes the byte path
+        # every chunk of every listing through n = 12 takes the byte path;
+        # json's is what json.dumps writes of the chunk, without brackets
         for n in range(1, 13):
             stream = enumerate_words(n)
             while chunk := list(islice(stream, max(1, cli._CHUNK_LETTERS // n))):
-                assert cli._encode_json(*letters_of(chunk)) == json.dumps(chunk)[1:-1], n
+                letters, length = letters_of(chunk)
+                for fmt, (punct, _, _) in cli._LISTINGS.items():
+                    assert cli._encode(letters, length, punct) == chunk_text(chunk, fmt), (n, fmt)
 
-    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
     @pytest.mark.parametrize("n", [12, 23])
     def test_listing_holds_no_chunk_of_words(self, monkeypatch, n, fmt):
         """The listing flattens each chunk's letters as the words stream

@@ -168,6 +168,15 @@ class TestLemmaRoute:
     def test_extra_terms_change_nothing(self):
         assert gf._first_mismatch(gf.gf_A_via_lemma(8, 9), gf.gf_A_via_lemma(8, 14)) is None
 
+    def test_order_terms_cover_the_order(self):
+        # term j starts at x^j, so terms j <= order reach the x cap, and
+        # one term fewer misses an x^order coefficient
+        for order in range(1, 31):
+            assert gf.gf_A_via_lemma(order, order) == gf.gf_A(order), order
+            with pytest.raises(gf.StabilityError, match=f"^jmax={order - 1} cannot cover"):
+                gf.gf_A_via_lemma(order, order - 1)
+            assert gf._lemma_A(order, order - 1) != gf.gf_A(order), order
+
 
 class TestChecks:
     @pytest.mark.parametrize("order", [1, 5, 25])
