@@ -213,8 +213,10 @@ def _encode(letters: bytes | tuple[int, ...], length: int, punct: tuple[str, str
     punct = (before, inner, after, between): before each word, between its
     letters, after it, and between words.  Byte letters, all single
     digits, become ASCII digits by one translate, laid into the chunk's
-    punctuation by one slice per letter position; a tuple of letters
-    takes one % format for the whole chunk."""
+    punctuation by one slice per letter position, or by one slice in all
+    when nothing comes before a word and as much follows its last letter
+    as follows each other one, so that the digits are evenly spaced; a
+    tuple of letters takes one % format for the whole chunk."""
     before, inner, after, between = punct
     count = len(letters) // length
     if type(letters) is tuple:
@@ -223,8 +225,11 @@ def _encode(letters: bytes | tuple[int, ...], length: int, punct: tuple[str, str
     out = bytearray(word) * count
     digits = letters.translate(_DIGITS)
     step = 1 + len(inner)
-    for i in range(length):
-        out[len(before) + step * i :: len(word)] = digits[i::length]
+    if before or len(after + between) != len(inner):
+        for i in range(length):
+            out[len(before) + step * i :: len(word)] = digits[i::length]
+    else:  # the digits are evenly spaced through the chunk (lines and csv)
+        out[::step] = digits
     del out[len(out) - len(between) :]
     return out.decode()
 

@@ -6,21 +6,35 @@ closed-form divisions are performed in the integers and checked for
 exactness, which doubles as a self-test.
 
 The recurrences are filled bottom-up in n, into private tables that grow
-in place, one whole row of n at a time, so no evaluation recurses through
-n.  The zero array's weights W[m][j] = binom(j+m-1, j) - 1 are never
-multiplied out: by the hockey-stick identity, each weighted sum is a
-source row summed m times over, so every earlier row keeps its running
-sums and a new row costs one pass of additions per source.  The letter
-layers read the weight table W itself; the ones array steps along one
-column of binomials per call and builds no table.  The descent
-array is summed through a prefix array over its zero count, which makes
-each entry a single sum over the descents taken by the zeros.  The letter
-counts come from one recurrence in the letter i, filled for each s layer
-by layer from the zero array; no word of length n has a letter above
-(n - 1) / 2, so layer (n + 1) // 2 answers every larger i, and the
-avoidance rows r <= 2k of layer k are copies of the zero array's.  The
-tables are the only store of counted values: the public recurrences keep
-no memo of their own, and every call reads its table.
+one whole row of n at a time, so no evaluation recurses through n.  The
+zero array's weights W[m][j] = binom(j+m-1, j) - 1 are never multiplied
+out: by the hockey-stick identity, each weighted sum is a source row
+summed m times over, so every earlier row keeps its running sums and a
+new row costs one pass of additions per source.  The letter layers read
+the weight table W itself; the ones array steps along one column of
+binomials per call and builds no table.  The descent array is summed
+through a prefix array over its zero count, which makes each entry a
+single sum over the descents taken by the zeros.  The letter counts come
+from one recurrence in the letter i, seeded for each s from the zero
+array; no word of length n has a letter above (n - 1) / 2, so layer
+(n + 1) // 2 answers every larger i.
+
+The descent and letter tables pack a whole dimension into one int:
+entry m of a descent row holds its count at every number of descents k,
+and entry t of a letter row its count at every layer k through the
+table's depth, each in slot k of a fixed number of whole bytes
+(Kronecker substitution).  One dot product of small binomial weights
+with packed entries then fills every k at once, and a step in k is a
+shift by whole slots.  The slot widths are proved from count bounds, not
+checked: a row entry counts words of length at most n, so it is below
+4^n; a descent prefix sum is below 8^n; every term is nonnegative, so
+no partial sum exceeds its final value and no slot carries.  A packed
+table takes its width from the largest n asked for so far, and the
+letter table its depth from the largest layer; a call that needs more
+rebuilds the table at the larger of what it needs and twice what it
+has, and swaps it in whole.  The tables are the only store of counted
+values: the public recurrences keep no memo of their own, and every
+call reads its table.
 
 Arrays:
 
@@ -31,7 +45,7 @@ Arrays:
   b_ones_zeros(n, m, i)  words with m ones and i zeros
   b_ones_closed(n, m)    words with m ones, closed-form sum
   a_letter(i, n, s, t)   words with s copies of the letter i and t zeros
-  letter_row(i, n, s)    the same for every t at once, as one stored row
+  letter_row(i, n, s)    the same for every t at once, as one row
   max_letter_count(n, i) words whose largest letter is exactly i
   fine_number(n)         words with an odd number of zeros
 """
@@ -118,41 +132,67 @@ def _weights(n: int) -> list[list[int]]:
     return W
 
 
-# _DESC[n][k][m] = a_desc(n, m, k) for 0 <= k < n and 1 <= m <= n (m = 0 holds 0).
-_DESC: list[list[list[int]]] = [[]]
-# _DIAG[r][k][d] = S(r, d, k - d) for 1 <= d <= min(k, r) (d = 0 holds 0), where
-# S(r, d, k') = sum_j binom(j, d) * a_desc(r, j, k') is the descent array's
-# prefix array over the zero count j.
-_DIAG: list[list[list[int]]] = [[]]
+# Slot k of a packed int is its bits from 8 * size * k up, for slots of
+# `size` whole bytes (Schönhage 1982; Harvey, J. Symbolic Comput. 2009).  A
+# rebuilt table is swapped in only once it holds the row asked for, and a
+# reader that took the old one keeps reading it with the old width.
 
 
-def _descents(n: int) -> list[list[list[int]]]:
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot for values below 2**bits."""
+    return (bits + 7) // 8
+
+
+def _slot(packed: int, k: int, size: int) -> int:
+    """Slot k of an int packed in slots of `size` bytes."""
+    return (packed >> 8 * size * k) & ((1 << 8 * size) - 1)
+
+
+# _DESC = (cap, size, rows, prefix) holds the descent array for words of length
+# up to cap.  rows[n][m] packs a_desc(n, m, k) at slot k for 1 <= m <= n (m = 0
+# holds 0).  prefix[n][d] packs S(n, d, k') at slot d + k' for 1 <= d <= n
+# (d = 0 holds 0), where S(n, d, k') = sum_j binom(j, d) * a_desc(n, j, k') is
+# the descent array's prefix array over the zero count j.  Row 0 is empty.
+_DESC: tuple[int, int, list[list[int]], list[list[int]]] = (0, 1, [[]], [[]])
+
+
+def _descents(n: int) -> tuple[int, int, list[list[int]], list[list[int]]]:
     """The descent array, grown to hold every row n' <= n.
 
-    a(n, m, k) = sum_d binom(m-1, d) * S(n-m, d, k-d): the recurrence's sum
-    over j is read from the prefix array S of row n - m, filled once per row.
+    a(r, m, k) = sum_d binom(m-1, d) * S(r-m, d, k-d) for m < r, and
+    a(r, r, k) = [k == 0].  Packed over k, entry m of row r is one dot
+    product of row m - 1 of Pascal's triangle with prefix row r - m, whose
+    entry d already sits d slots up; and prefix entry d of row r is one dot
+    product of column d of Pascal's triangle with row r, shifted d slots up.
+
+    Width: a(r, m, k) <= C(r-1) < 4**r, and S(r, d, k') <= 2**r * C(r-1)
+    < 8**r since binom(j, d) <= 2**j, so slots of 3 * cap bits hold every
+    final value.
     """
-    A, D = _DESC, _DIAG
-    if len(A) <= n:
+    global _DESC
+    table = _DESC
+    cap, size, rows, prefix = table
+    if len(rows) <= n:
         with _GROW:
+            cap, size, rows, prefix = table = _DESC
+            if n > cap:
+                cap = max(n, 2 * cap)
+                size, rows, prefix = _slot_bytes(3 * cap), [[]], [[]]
+            bits = 8 * size
             pascal = [[math.comb(j, d) for d in range(j + 1)] for j in range(n + 1)]
             cols = [[math.comb(j, d) for j in range(n + 1)] for d in range(n + 1)]
-            for r in range(len(A), n + 1):
-                row = [[0] * (r + 1) for _ in range(r)]  # row[k][m] = a(r, m, k)
-                row[0][r] = 1  # only the all-zeros word is descent-free
+            for r in range(len(rows), n + 1):
+                row = [0] * r + [1]  # only the all-zeros word is descent-free
                 for m in range(1, r):
-                    diag, w = D[r - m], pascal[m - 1]
-                    for k in range(1, min(r, len(diag))):
-                        row[k][m] = sum(map(mul, w, diag[k]))
-                D.append([
-                    [0] + [
-                        sum(map(mul, cols[d], row[k - d])) if k - d < r else 0
-                        for d in range(1, min(k, r) + 1)
-                    ]
-                    for k in range(2 * r)
-                ])
-                A.append(row)
-    return A
+                    row[m] = sum(map(mul, pascal[m - 1], prefix[r - m]))
+                # A slice, so that a prefix row left by an interrupted fill
+                # is replaced, not shifted.
+                prefix[r:] = [[0] + [
+                    sum(map(mul, cols[d], row)) << bits * d for d in range(1, r + 1)
+                ]]
+                rows.append(row)
+            table = _DESC = (cap, size, rows, prefix)
+    return table
 
 
 # _ZEROS[n][m] = a_zeros(n, m) for 1 <= m <= n (m = 0 holds 0).
@@ -201,11 +241,12 @@ def a_desc(n: int, m: int, k: int) -> int:
 
     Double-sum recurrence over the zero-deleting reduction; boundaries
     a(n, n, k) = [k == 0] and a(n, m, 0) = [n == m].  No word of length n
-    has n descents, so the table holds k < n.
+    has n descents, so slots k >= n of a row are 0.
     """
     if n < 1 or not 1 <= m <= n or k < 0:
         raise ValueError(f"a_desc: parameters out of range: {(n, m, k)}")
-    return _descents(n)[n][k][m] if k < n else 0
+    _, size, rows, _ = _descents(n)
+    return _slot(rows[n][m], k, size)
 
 
 @_counted
@@ -284,52 +325,87 @@ def b_ones_closed(n: int, m: int) -> int:
     )
 
 
-# _LETTER[s][i][n][t] = a_letter(i, n, s, t), held layer by layer in i; layer 0
-# is [t == s] * a_zeros(n, s).  Each smaller positive letter occurs twice where
-# i does, so a row for s > 0 stops at t = n - s - 2(i-1), and a read past the
-# end of a row is 0.  Most rows for s > 0 are then the one empty tuple.
-_LETTER: list[list[list[tuple[int, ...]]]] = []
+# _LETTER = (cap, depth, size, rows) holds the letter table for words of length
+# up to cap.  rows[s][n][t] packs a_letter(k, n, s, t) at slot k for every layer
+# 0 <= k <= depth, where layer 0 is [t == s] * a_zeros(n, s): s copies of the
+# letter 0 are the zeros.  Entry 0 of a row holds 0, and a row for s > 0 ends
+# at t = max(n - s, s), the last t that layer 1 or layer 0 reaches; row 0, and
+# every row n < s, is empty.
+_LETTER: tuple[int, int, int, list[list[list[int]]]] = (0, 0, 1, [])
 
 
-def _letter_row(s: int, i: int, n: int) -> tuple[int, ...]:
-    """Row n of layer i of the letter table for s.
+def _letters(s: int, k: int, n: int) -> tuple[int, int, int, list[list[list[int]]]]:
+    """The letter table, grown to hold row n for s at every layer through k.
 
     X(k, r, t) = [r == t][s == 0] + sum_ell W[t][ell] * X(k - 1, r - t, ell):
     deleting the t zeros leaves a word of length r - t whose zeros were the
-    ones, with every letter lowered by one.  A missing row grows layer k to
-    row n - (i - k), and every layer above i to row n.  For s = 0, a row
-    r <= 2k is the zero array's row r: a word needs length 2k + 1 to hold
-    the letter k.
+    ones, with every letter lowered by one.  Packed over k, entry t of row r
+    is one dot product of W[t] with row r - t, moved one slot up, with the
+    slot past the depth cut off; the term [r == t][s == 0] is 1 at every
+    layer above 0.  The rows r <= 2k of avoidance layer k come out equal to
+    the zero array's: a word needs length 2k + 1 to hold the letter k.
+
+    Width: every entry, and every row sum, counts words of length r <= cap,
+    so it is below C(r-1) < 4**r, and slots of 2 * cap bits hold it.  The
+    depth grows like the width, but doubles no further than (cap + 1) // 2,
+    the deepest layer that `letter_row` reads.
     """
-    X = _LETTER
-    try:
-        return X[s][i][n]
-    except IndexError:
+    global _LETTER
+    table = _LETTER
+    cap, depth, size, rows = table
+    if k > depth or s >= len(rows) or len(rows[s]) <= n:
         with _GROW:
+            cap, depth, size, rows = table = _LETTER
+            if n > cap or k > depth:
+                cap = max(n, 2 * cap) if n > cap else cap
+                depth = max(k, min(2 * depth, (cap + 1) // 2)) if k > depth else depth
+                size, rows = _slot_bytes(2 * cap), []
             W, Z = _weights(n), _zeros(n)
-            X.extend([] for _ in range(len(X), s + 1))
-            layers = X[s]
-            layers.extend([()] for _ in range(len(layers), i + 1))  # no word has length 0
-            for r in range(len(layers[0]), n - i + 1):
-                layers[0].append((0,) * s + (Z[r][s],) if s <= r else ())
-            for k in range(1, len(layers)):
-                prev, layer = layers[k - 1], layers[k]
-                for r in range(len(layer), n - max(i - k, 0) + 1):
-                    if not s and r <= 2 * k:
-                        layer.append(tuple(Z[r]))  # too short to hold the letter k
-                        continue
-                    top = r - s - 2 * (k - 1) if s else r - 1
-                    row = [sum(map(mul, W[t], prev[r - t])) for t in range(1, top + 1)]
-                    if not s:
-                        row.append(1)  # t = r: the all-zeros word avoids every letter
-                    layer.append((0, *row) if row else ())
-    return X[s][i][n]
+            bits = 8 * size
+            low = (1 << bits * depth) - 1  # the layers that move one slot up
+            ones = sum(1 << bits * j for j in range(1, depth + 1))
+            rows.extend([[]] for _ in range(len(rows), s + 1))  # no word has length 0
+            X = rows[s]
+            for r in range(len(X), n + 1):
+                if r < s:
+                    X.append([])
+                    continue
+                # The one entry besides the dot products: the all-zeros word
+                # at every layer above 0, or the s zeros of layer 0.
+                at, base = (s, Z[r][s]) if s else (r, ones)
+                row = [0] * (max(r - s, at) + 1)
+                for t in range(1, r - s + 1):
+                    src = X[r - t]
+                    if depth > 1:
+                        dot = sum(map(mul, W[t], src))
+                    else:  # only layer 0 moves up, and it holds t = s alone
+                        dot = W[t][s] * src[s] if s < len(src) else 0
+                    row[t] = (dot & low) << bits
+                row[at] += base
+                X.append(row)
+            table = _LETTER = (cap, depth, size, rows)
+    return table
+
+
+def _letter_row(s: int, i: int, n: int) -> tuple[int, ...]:
+    """Row n of layer i of the letter table for s, decoded.
+
+    Each smaller positive letter occurs twice where i does, so a row for
+    s > 0 stops at t = n - s - 2(i-1): most rows for s > 0 are the one
+    empty tuple, which is known before the table for s is filled.
+    """
+    end = n - s - 2 * (i - 1) + 1 if s else n + 1
+    if end < 2:
+        return ()
+    _, _, size, rows = _letters(s, i, n)
+    return tuple([_slot(x, i, size) for x in rows[s][n][:end]])
 
 
 def letter_row(i: int, n: int, s: int) -> tuple[int, ...]:
-    """The stored row whose entry t is a_letter(i, n, s, t), 0 past its end.
-    Read at layer i of the letter table, capped at (n + 1) // 2, which answers
-    every larger i too: no word of length n has a letter above (n - 1) / 2."""
+    """The row whose entry t is a_letter(i, n, s, t), 0 past its end.
+    Decoded at layer i of the letter table, capped at (n + 1) // 2, which
+    answers every larger i too: no word of length n has a letter above
+    (n - 1) / 2."""
     if i < 1 or n < 1 or s < 0:
         raise ValueError(f"letter_row: parameters out of range: {(i, n, s)}")
     return _letter_row(s, min(i, (n + 1) // 2), n) if s < n else ()
@@ -352,12 +428,18 @@ def max_letter_count(n: int, i: int) -> int:
     """Words of length n whose largest letter is exactly i.
 
     Avoiding the letter i+1 means the maximum is <= i, so the count is a
-    difference of avoidance totals, each the sum of one letter row for
-    s = 0; i = 0 is the all-zeros word alone.
+    difference of avoidance totals; i = 0 is the all-zeros word alone.
+    One sum of the packed row n for s = 0 gives the totals of every layer,
+    through (n + 1) // 2, which answers every larger letter too.
     """
     if n < 1 or i < 0:
         raise ValueError(f"max_letter_count: parameters out of range: {(n, i)}")
-    return sum(letter_row(i + 1, n, 0)) - sum(letter_row(i, n, 0)) if i else 1
+    if not i:
+        return 1
+    depth = (n + 1) // 2
+    _, _, size, rows = _letters(0, depth, n)
+    totals = sum(rows[0][n])
+    return _slot(totals, min(i + 1, depth), size) - _slot(totals, min(i, depth), size)
 
 
 def coeff_C_power(n: int, m: int) -> int:

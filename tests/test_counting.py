@@ -559,10 +559,96 @@ def test_large_n_exact_under_optimize():
         "from catwords import counting as ct\n"
         "n = 300\n"
         "print([m for m in range(1, n + 1) if ct.a_zeros(n, m) != ct.a_zeros_closed(n, m)])\n"
-        "print([m for m in range(1, n) if ct.b_ones(n, m) != ct.b_ones_closed(n, m)])\n",
+        "print([m for m in range(1, n) if ct.b_ones(n, m) != ct.b_ones_closed(n, m)])\n"
+        # A smaller fill first, so that each packed table is rebuilt wider.
+        "ct.a_desc(60, 1, 0), ct.max_letter_count(80, 1)\n"
+        "print([m for m in range(1, 101)\n"
+        "       if sum(ct.a_desc(100, m, k) for k in range(100)) != ct.a_zeros_closed(100, m)])\n"
+        "print(sum(ct.max_letter_count(150, h) for h in range(150)) == ct.catalan_number(149))\n"
+        "print(ct._DESC[0], ct._LETTER[0])\n",
         flags=("-O",),
     )
-    assert out.splitlines() == ["[]", "[]"]
+    assert out.splitlines() == ["[]", "[]", "[]", "True", "120 160"]
+
+
+def _letter_row_length(i, n, s):
+    # The length letter_row has always had: read at layer min(i, (n + 1) // 2),
+    # where each smaller positive letter occurs twice, a row for s > 0 ends
+    # at n - s - 2(i-1).
+    i = min(i, (n + 1) // 2)
+    top = n - s - 2 * (i - 1) if s else n
+    return top + 1 if top >= 1 else 0
+
+
+def test_packed_tables_grow_in_any_order():
+    # A call past a table's width or depth rebuilds it wider or deeper; the
+    # entries must not depend on the order in which the table grew.  Small
+    # rows are compared with the reference recursions, larger ones by sums.
+    out = _run_fresh(
+        "import json\n"
+        "from catwords import counting as ct\n"
+        "desc, letter = [], []\n"
+        "def fits():  # every entry holds layers 0 ... depth and no more\n"
+        "    cap, depth, size, rows = ct._LETTER\n"
+        "    return all(x >> 8 * size * (depth + 1) == 0 for X in rows for row in X for x in row)\n"
+        "for big in (5, 33, 70):\n"
+        "    ct.a_desc(big, 1, 0)\n"
+        "    small = [[ct.a_desc(n, m, k) for m in range(1, n + 1) for k in range(n)]\n"
+        "             for n in range(1, min(big, 14) + 1)]\n"
+        "    bad = [(n, m) for n in range(15, big + 1) for m in range(1, n + 1)\n"
+        "           if sum(ct.a_desc(n, m, k) for k in range(n)) != ct.a_zeros_closed(n, m)]\n"
+        "    desc.append([big, ct._DESC[0], small, bad])\n"
+        "for i, big in ((1, 30), (2, 30), (5, 30), (9, 30), (9, 70)):\n"
+        "    total = sum(sum(ct.letter_row(i, big, s)) for s in range(big))\n"
+        "    small = [[n, j, s, ct.letter_row(j, n, s)] for n in range(1, 17)\n"
+        "             for j in range(1, i + 1) for s in range(n)]\n"
+        "    letter.append([i, big, ct._LETTER[:2], fits() and total == ct.catalan_number(big - 1),\n"
+        "                   small])\n"
+        "bad = [n for n in range(17, 71)\n"
+        "       if sum(ct.max_letter_count(n, h) for h in range(n)) != ct.catalan_number(n - 1)]\n"
+        "print(json.dumps([desc, letter, bad, ct._LETTER[:2]]))\n"
+    )
+    desc, letter, bad, grown = json.loads(out)
+    assert [cap for _, cap, _, _ in desc] == [5, 33, 70]  # each fill was a rebuild
+    for big, _, small, bad_sums in desc:
+        assert bad_sums == [], big
+        for n, got in enumerate(small, 1):
+            want = [ref_a_desc(n, m, k) for m in range(1, n + 1) for k in range(n)]
+            assert got == want, (big, n)
+    assert [shape for _, _, shape, _, _ in letter] == [[30, 1], [30, 2], [30, 5], [30, 10], [70, 10]]
+    for i, big, _, totals, small in letter:
+        assert totals, (i, big)
+        for n, j, s, row in small:
+            assert len(row) == _letter_row_length(j, n, s), (i, big, n, j, s)
+            assert row == [ref_a_letter(j, n, s, t) if t else 0 for t in range(len(row))]
+    assert bad == []
+    assert grown == [70, 35]  # max_letter_count(70, .) deepened the table twice
+    # A layer past (n + 1) // 2 on a cold table: the table is as deep as the
+    # call asks, though a row this short never holds the letter.
+    out = _run_fresh(
+        "import json\n"
+        "from catwords import counting as ct\n"
+        "print(json.dumps([ct._letter_row(0, 6, 4), ct._LETTER[:2]]))\n"
+    )
+    assert json.loads(out) == [[ref_a_zeros(4, m) if m else 0 for m in range(5)], [4, 6]]
+
+
+def test_descent_width_too_narrow_is_caught(monkeypatch):
+    # Slots proved for words a quarter as long let a prefix sum carry into
+    # the next slot; the row sums over k then miss the closed form.
+    slot_bytes = ct._slot_bytes
+    monkeypatch.setattr(ct, "_slot_bytes", lambda bits: slot_bytes(bits // 4))
+    monkeypatch.setattr(ct, "_DESC", (0, 1, [[]], [[]]))
+    ct.a_desc(40, 1, 0)  # one fill at n = 40: slots of 4 bytes where 15 are needed
+    assert ct._DESC[:2] == (40, 4)
+    bad = [
+        n for n in range(1, 41)
+        if any(
+            sum(ct.a_desc(n, m, k) for k in range(n)) != ct.a_zeros_closed(n, m)
+            for m in range(1, n + 1)
+        )
+    ]
+    assert bad and bad[0] > 5  # a carry once the counts outgrow the slots
 
 
 def test_ones_table_builds_no_weight_table():
@@ -679,9 +765,11 @@ def test_reader_waits_for_a_row_being_filled(monkeypatch):
     # row; a published row is only ever a finished one, so the reader must
     # wait on the lock until the fill is done.
     n = 12
-    # A letter layer: each entry is a sum of products.
-    s, i = 0, 1
-    monkeypatch.setattr(ct, "_LETTER", [])
+    # A letter layer: each entry is a sum of products (at depth 2; at depth 1
+    # it is one product).  The cold table is already as wide and as deep as
+    # row n needs, so filling it is no rebuild.
+    s, i = 0, 2
+    monkeypatch.setattr(ct, "_LETTER", (n, i, ct._slot_bytes(2 * n), []))
     ct._zeros(n)  # every other table the fill reads is warm
     ct._letter_row(s, i, n - 1)
     built, read, answered = _fill_with_reader_waiting(
