@@ -10,31 +10,33 @@ one whole row of n at a time, so no evaluation recurses through n.  The
 zero array's weights W[m][j] = binom(j+m-1, j) - 1 are never multiplied
 out: by the hockey-stick identity, each weighted sum is a source row
 summed m times over, so every earlier row keeps its running sums and a
-new row costs one pass of additions per source.  The letter layers read
-the weight table W itself; the ones array steps along one column of
-binomials per call and builds no table.  The descent array is summed
-through a prefix array over its zero count, which makes each entry a
-single sum over the descents taken by the zeros.  The letter counts come
-from one recurrence in the letter i, seeded for each s from the zero
-array; no word of length n has a letter above (n - 1) / 2, so layer
-(n + 1) // 2 answers every larger i.
+new row costs one pass of additions per source.  The letter table builds
+the weight table W itself, with its rows, and reads it; the ones array
+steps along one column of binomials per call and builds no table.  The
+descent array is summed through a prefix array over its zero count,
+which makes each entry a single sum over the descents taken by the
+zeros.  The letter counts come from one recurrence in the letter i,
+seeded for each s from the zero array, whose entries are layer 0; no
+word of length n has a letter above (n - 1) / 2, so layer (n + 1) // 2
+answers every larger i.
 
-The descent and letter tables pack a whole dimension into one int:
-entry m of a descent row holds its count at every number of descents k,
-and entry t of a letter row its count at every layer k through the
-table's depth, each in slot k of a fixed number of whole bytes
-(Kronecker substitution).  One dot product of small binomial weights
-with packed entries then fills every k at once, and a step in k is a
-shift by whole slots.  The slot widths are proved from count bounds, not
-checked: a row entry counts words of length at most n, so it is below
-4^n; a descent prefix sum is below 8^n; every term is nonnegative, so
-no partial sum exceeds its final value and no slot carries.  A packed
-table takes its width from the largest n asked for so far, and the
-letter table its depth from the largest layer; a call that needs more
-rebuilds the table at the larger of what it needs and twice what it
-has, and swaps it in whole.  The tables are the only store of counted
-values: the public recurrences keep no memo of their own, and every
-call reads its table.
+The descent and letter tables pack a whole dimension into one int: entry
+m of a descent row holds its count at every number of descents k, in
+slot k, and entry t of a letter row its count at every layer k = 1 ...
+depth, in slot k - 1, each slot a fixed number of whole bytes (Kronecker
+substitution).  Layer 0 is the zero array's and is stored once, there:
+layer 1 is one product of a weight with a zero-array entry.  One dot
+product of small binomial weights with packed entries then fills every k
+at once, and a step in k is a shift by whole slots.  The slot widths are
+proved from count bounds, not checked: a row entry counts words of
+length at most n, so it is below 4^n; a descent prefix sum is below 8^n;
+every term is nonnegative, so no partial sum exceeds its final value and
+no slot carries.  A packed table takes its width from the largest n
+asked for so far, and the letter table its depth from the largest layer;
+a call that needs more rebuilds the table at the larger of what it needs
+and twice what it has, and swaps it in whole.  The tables are the only
+store of counted values: the public recurrences keep no memo of their
+own, and every call reads its table.
 
 Arrays:
 
@@ -110,27 +112,6 @@ _counted = lru_cache(maxsize=0)
 # Tables grow under this lock and are only ever appended to, one finished
 # row at a time, so a reader that finds row n present may read it unlocked.
 _GROW = threading.RLock()
-
-# _W[m][j] = binom(j+m-1, j) - 1 for 1 <= m and m + j < len(_W); _W[0] is unused.
-_W: list[list[int]] = [[]]
-
-
-def _weights(n: int) -> list[list[int]]:
-    """The weight table, grown to hold every W[m][j] with m + j <= n.
-
-    Each new antidiagonal m + j = top is one Pascal step from the last:
-    W[1][j] = 0, W[m][0] = 0 and W[m][j] = W[m-1][j] + W[m][j-1] + 1.
-    """
-    W = _W
-    if len(W) <= n:
-        with _GROW:
-            for top in range(len(W), n + 1):
-                for m in range(1, top):
-                    j = top - m
-                    W[m].append(W[m - 1][j] + W[m][j - 1] + 1 if m > 1 else 0)
-                W.append([0])
-    return W
-
 
 # Slot k of a packed int is its bits from 8 * size * k up, for slots of
 # `size` whole bytes (Schönhage 1982; Harvey, J. Symbolic Comput. 2009).  A
@@ -325,65 +306,69 @@ def b_ones_closed(n: int, m: int) -> int:
     )
 
 
-# _LETTER = (cap, depth, size, rows) holds the letter table for words of length
-# up to cap.  rows[s][n][t] packs a_letter(k, n, s, t) at slot k for every layer
-# 0 <= k <= depth, where layer 0 is [t == s] * a_zeros(n, s): s copies of the
-# letter 0 are the zeros.  Entry 0 of a row holds 0, and a row for s > 0 ends
-# at t = max(n - s, s), the last t that layer 1 or layer 0 reaches; row 0, and
-# every row n < s, is empty.
-_LETTER: tuple[int, int, int, list[list[list[int]]]] = (0, 0, 1, [])
+# _LETTER = (cap, depth, size, W, rows) holds the letter table for words of
+# length up to cap.  rows[s][n][t] packs a_letter(k, n, s, t) at slot k - 1 for
+# every layer 1 <= k <= depth.  Layer 0 is not stored: s copies of the letter 0
+# are the zeros, so it is [t == s] * a_zeros(n, s), read from the zero array.
+# Entry 0 of a row holds 0, and a row for s > 0 ends at t = n - s; row 0, and
+# every row n < s, is empty.  W[m][j] = binom(j+m-1, j) - 1 for 1 <= m and
+# m + j <= cap is the weight table the layers read; W[0] is unused.
+_LETTER: tuple[int, int, int, list[list[int]], list[list[list[int]]]] = (0, 0, 1, [], [])
 
 
-def _letters(s: int, k: int, n: int) -> tuple[int, int, int, list[list[list[int]]]]:
+def _letters(
+    s: int, k: int, n: int
+) -> tuple[int, int, int, list[list[int]], list[list[list[int]]]]:
     """The letter table, grown to hold row n for s at every layer through k.
 
     X(k, r, t) = [r == t][s == 0] + sum_ell W[t][ell] * X(k - 1, r - t, ell):
     deleting the t zeros leaves a word of length r - t whose zeros were the
-    ones, with every letter lowered by one.  Packed over k, entry t of row r
-    is one dot product of W[t] with row r - t, moved one slot up, with the
-    slot past the depth cut off; the term [r == t][s == 0] is 1 at every
-    layer above 0.  The rows r <= 2k of avoidance layer k come out equal to
-    the zero array's: a word needs length 2k + 1 to hold the letter k.
+    ones, with every letter lowered by one.  Layer 0 holds its s zeros
+    alone, so layer 1 is the one product W[t][s] * a_zeros(r - t, s), read
+    from the zero array (0 for s = 0, where W[t][0] = 0).  Packed over k,
+    layers 2 ... depth of entry t are one dot product of W[t] with row
+    r - t, moved one slot up, with the slot past the depth cut off.  The
+    term [r == t][s == 0], the all-zeros word, is 1 at every layer.  The
+    rows r <= 2k of avoidance layer k come out equal to the zero array's:
+    a word needs length 2k + 1 to hold the letter k.
 
     Width: every entry, and every row sum, counts words of length r <= cap,
     so it is below C(r-1) < 4**r, and slots of 2 * cap bits hold it.  The
     depth grows like the width, but doubles no further than (cap + 1) // 2,
-    the deepest layer that `letter_row` reads.
+    the deepest layer that `letter_row` reads.  W is built with the table,
+    for its cap, one Pascal step per row: W[1][j] = 0, W[m][0] = 0 and
+    W[m][j] = W[m-1][j] + W[m][j-1] + 1.
     """
     global _LETTER
     table = _LETTER
-    cap, depth, size, rows = table
+    cap, depth, size, W, rows = table
     if k > depth or s >= len(rows) or len(rows[s]) <= n:
         with _GROW:
-            cap, depth, size, rows = table = _LETTER
+            cap, depth, size, W, rows = table = _LETTER
             if n > cap or k > depth:
                 cap = max(n, 2 * cap) if n > cap else cap
                 depth = max(k, min(2 * depth, (cap + 1) // 2)) if k > depth else depth
                 size, rows = _slot_bytes(2 * cap), []
-            W, Z = _weights(n), _zeros(n)
+                W = [[], [0] * cap]
+                while len(W) <= cap:
+                    W.append(list(accumulate(W[-1][:-1], lambda a, b: a + b + 1)))
+            Z = _zeros(n)
             bits = 8 * size
-            low = (1 << bits * depth) - 1  # the layers that move one slot up
-            ones = sum(1 << bits * j for j in range(1, depth + 1))
+            low = (1 << bits * (depth - 1)) - 1  # the layers that move one slot up
             rows.extend([[]] for _ in range(len(rows), s + 1))  # no word has length 0
             X = rows[s]
             for r in range(len(X), n + 1):
                 if r < s:
                     X.append([])
                     continue
-                # The one entry besides the dot products: the all-zeros word
-                # at every layer above 0, or the s zeros of layer 0.
-                at, base = (s, Z[r][s]) if s else (r, ones)
-                row = [0] * (max(r - s, at) + 1)
-                for t in range(1, r - s + 1):
-                    src = X[r - t]
-                    if depth > 1:
-                        dot = sum(map(mul, W[t], src))
-                    else:  # only layer 0 moves up, and it holds t = s alone
-                        dot = W[t][s] * src[s] if s < len(src) else 0
-                    row[t] = (dot & low) << bits
-                row[at] += base
+                row = [0] + [W[t][s] * Z[r - t][s] for t in range(1, r - s + 1)]
+                if depth > 1:
+                    for t in range(1, r - s + 1):
+                        row[t] += (sum(map(mul, W[t], X[r - t])) & low) << bits
+                if not s:
+                    row[r] += sum(1 << bits * j for j in range(depth))
                 X.append(row)
-            table = _LETTER = (cap, depth, size, rows)
+            table = _LETTER = (cap, depth, size, W, rows)
     return table
 
 
@@ -397,8 +382,8 @@ def _letter_row(s: int, i: int, n: int) -> tuple[int, ...]:
     end = n - s - 2 * (i - 1) + 1 if s else n + 1
     if end < 2:
         return ()
-    _, _, size, rows = _letters(s, i, n)
-    return tuple([_slot(x, i, size) for x in rows[s][n][:end]])
+    _, _, size, _, rows = _letters(s, i, n)
+    return tuple([_slot(x, i - 1, size) for x in rows[s][n][:end]])
 
 
 def letter_row(i: int, n: int, s: int) -> tuple[int, ...]:
@@ -437,9 +422,9 @@ def max_letter_count(n: int, i: int) -> int:
     if not i:
         return 1
     depth = (n + 1) // 2
-    _, _, size, rows = _letters(0, depth, n)
+    _, _, size, _, rows = _letters(0, depth, n)
     totals = sum(rows[0][n])
-    return _slot(totals, min(i + 1, depth), size) - _slot(totals, min(i, depth), size)
+    return _slot(totals, min(i + 1, depth) - 1, size) - _slot(totals, min(i, depth) - 1, size)
 
 
 def coeff_C_power(n: int, m: int) -> int:

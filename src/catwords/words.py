@@ -41,7 +41,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain
-from operator import gt, methodcaller
+from operator import gt
 
 __all__ = [
     "CatalanWord",
@@ -301,23 +301,16 @@ def _max_lanes(n: int, top: int) -> Callable[[bytes], bytes]:
     return lanes
 
 
-# kind -> (word, lanes).  word(i) is the statistic as a one-argument
-# function of the word; the letter counts and the maximum bind to C
-# callables.  lanes(i, n, top) is its lane evaluator for chunks of n-letter
-# words whose letters are at most top <= 127; it counts a letter i as
-# min(i, top + 1), which no such word holds either.  Only "letter" reads
-# the letter i.
-_STATS: dict[str, tuple[
-    Callable[[int | None], Callable[[Sequence[int]], int]],
-    Callable[[int | None, int, int], Callable[[bytes], bytes]],
-]] = {
-    "zeros": (lambda i: methodcaller("count", 0), lambda i, n, top: _letter_lanes(0, n)),
-    "ones": (lambda i: methodcaller("count", 1), lambda i, n, top: _letter_lanes(1, n)),
-    "descents": (lambda i: count_descents, lambda i, n, top: _descent_lanes(n)),
-    "letter": (
-        lambda i: methodcaller("count", i), lambda i, n, top: _letter_lanes(min(i, top + 1), n)
-    ),
-    "max-letter": (lambda i: max, lambda i, n, top: _max_lanes(n, top)),
+# kind -> lanes.  lanes(i, n, top) is the statistic's lane evaluator for
+# chunks of n-letter words whose letters are at most top <= 127; it counts
+# a letter i as min(i, top + 1), which no such word holds either.  Only
+# "letter" reads the letter i.
+_STATS: dict[str, Callable[[int | None, int, int], Callable[[bytes], bytes]]] = {
+    "zeros": lambda i, n, top: _letter_lanes(0, n),
+    "ones": lambda i, n, top: _letter_lanes(1, n),
+    "descents": lambda i, n, top: _descent_lanes(n),
+    "letter": lambda i, n, top: _letter_lanes(min(i, top + 1), n),
+    "max-letter": lambda i, n, top: _max_lanes(n, top),
 }
 STAT_KINDS = tuple(_STATS)
 
@@ -344,15 +337,11 @@ class StatisticSpec(namedtuple("StatisticSpec", "kind letter", defaults=(None,))
             raise ValueError(f"statistic {kind!r} takes no letter")
         return super().__new__(cls, kind, letter)
 
-    def bind(self) -> Callable[[Sequence[int]], int]:
-        """This statistic as a one-argument function of the word."""
-        return _STATS[self.kind][0](self.letter)
-
 
 def _lanes(spec: StatisticSpec, n: int, top: int) -> Callable[[bytes], bytes]:
     """The spec's lane evaluator for chunks of n-letter words whose letters
     are at most top <= 127 (see _STATS)."""
-    return _STATS[spec.kind][1](spec.letter, n, top)
+    return _STATS[spec.kind](spec.letter, n, top)
 
 
 # The longest word tally takes.  Its letters, at most (n - 1) // 2, must

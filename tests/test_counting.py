@@ -588,9 +588,9 @@ def test_packed_tables_grow_in_any_order():
         "import json\n"
         "from catwords import counting as ct\n"
         "desc, letter = [], []\n"
-        "def fits():  # every entry holds layers 0 ... depth and no more\n"
-        "    cap, depth, size, rows = ct._LETTER\n"
-        "    return all(x >> 8 * size * (depth + 1) == 0 for X in rows for row in X for x in row)\n"
+        "def fits():  # every entry holds layers 1 ... depth and no more\n"
+        "    cap, depth, size, W, rows = ct._LETTER\n"
+        "    return all(x >> 8 * size * depth == 0 for X in rows for row in X for x in row)\n"
         "for big in (5, 33, 70):\n"
         "    ct.a_desc(big, 1, 0)\n"
         "    small = [[ct.a_desc(n, m, k) for m in range(1, n + 1) for k in range(n)]\n"
@@ -652,15 +652,15 @@ def test_descent_width_too_narrow_is_caught(monkeypatch):
 
 
 def test_ones_table_builds_no_weight_table():
-    # b_ones steps along one column of binomials; only the letter layers
-    # read the weight table.
+    # b_ones steps along one column of binomials; only the letter table
+    # builds a weight table, and the ones table leaves it untouched.
     out = _run_fresh(
         "import contextlib, io\n"
         "from catwords import cli, counting as ct\n"
         "buf = io.StringIO()\n"
         "with contextlib.redirect_stdout(buf):\n"
         "    assert cli.main(['count', '--table', 'ones', '--n', '200']) == 0\n"
-        "print(ct._W == [[]])\n"
+        "print(ct._LETTER == (0, 0, 1, [], []))\n"
         "rows = dict(map(int, line.split()) for line in buf.getvalue().splitlines())\n"
         "print(len(rows), rows[0])\n"
         "print([m for m in range(1, 200) if rows.get(m, 0) != ct.b_ones_closed(200, m)])\n"
@@ -766,11 +766,11 @@ def test_reader_waits_for_a_row_being_filled(monkeypatch):
     # wait on the lock until the fill is done.
     n = 12
     # A letter layer: each entry is a sum of products (at depth 2; at depth 1
-    # it is one product).  The cold table is already as wide and as deep as
-    # row n needs, so filling it is no rebuild.
+    # it is one product).  The table for s = 1 makes the letter table as wide
+    # and as deep as row n needs, so filling row n for s = 0 is no rebuild.
     s, i = 0, 2
-    monkeypatch.setattr(ct, "_LETTER", (n, i, ct._slot_bytes(2 * n), []))
-    ct._zeros(n)  # every other table the fill reads is warm
+    monkeypatch.setattr(ct, "_LETTER", (0, 0, 1, [], []))
+    ct._letters(1, i, n)  # every other table the fill reads is warm
     ct._letter_row(s, i, n - 1)
     built, read, answered = _fill_with_reader_waiting(
         monkeypatch, "mul", mul, lambda: tuple(ct._letter_row(s, i, n))
